@@ -17,6 +17,7 @@ from typing import List, Optional
 from .jsonio import (
     FormatError,
     canonical_to_json,
+    format_center,
     format_fi_point,
     format_point,
     is_poset_doc,
@@ -47,7 +48,6 @@ from .tree import (
 )
 from .valuation import (
     Comparison,
-    ProjPoint,
     canonicalize,
     common_minimizer,
     compare,
@@ -65,10 +65,6 @@ _Y = BivarPoly.var_y()
 
 def _emit(doc) -> None:
     print(json.dumps(doc))
-
-
-def _center_text(p: ProjPoint) -> str:
-    return "inf" if p.is_inf else format_rat(p.value)
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +199,21 @@ def _cmd_val_stream(args) -> int:
     if args.json:
         doc = {
             "rows": [
-                {"level": i, "center": _center_text(c), "m": format_rat(m)}
+                {"level": i, "center": format_center(c), "m": format_rat(m)}
                 for i, (c, m) in enumerate(rows)
             ],
             "lambda": format_extrat(lam),
             "canonical": canonical_to_json(form),
         }
         if tail is not None:
-            doc["tail"] = {"center": _center_text(tail[0]), "m": format_rat(tail[1])}
+            doc["tail"] = {"center": format_center(tail[0]), "m": format_rat(tail[1])}
         _emit(doc)
         return 0
     print("level  center  m")
     for i, (center, m) in enumerate(rows):
-        print(f"{i:<6d} {_center_text(center):<7s} {format_rat(m)}")
+        print(f"{i:<6d} {format_center(center):<7s} {format_rat(m)}")
     if tail is not None:
-        print(f"center {_center_text(tail[0])}, m={format_rat(tail[1])} (repeats)")
+        print(f"center {format_center(tail[0])}, m={format_rat(tail[1])} (repeats)")
     print(f"lambda = {format_extrat(lam)}")
     print(f"canonical: {json.dumps(canonical_to_json(form))}")
     return 0

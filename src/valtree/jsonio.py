@@ -48,7 +48,7 @@ def parse_direction(text: str) -> ProjPoint:
     return ProjPoint(Fraction(a, b))
 
 
-def _center_str(p: ProjPoint) -> str:
+def format_center(p: ProjPoint) -> str:
     return "inf" if p.is_inf else format_rat(p.value)
 
 
@@ -58,7 +58,7 @@ def _center_from(text: str) -> ProjPoint:
 
 def valuation_to_json(nu: QuasiMonomialVal) -> dict:
     return {
-        "steps": [{"center": _center_str(s)} for s in nu.steps],
+        "steps": [{"center": format_center(s)} for s in nu.steps],
         "frame": [[format_rat(v) for v in row] for row in nu.frame.rows],
         "weights": [format_extrat(w) for w in nu.weights],
     }
@@ -99,7 +99,7 @@ def canonical_to_json(form: CanonicalForm) -> dict:
             }
         }
     return {
-        "steps": [{"center": _center_str(s)} for s in form.steps],
+        "steps": [{"center": format_center(s)} for s in form.steps],
         "terminal": terminal,
     }
 

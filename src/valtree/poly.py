@@ -267,10 +267,6 @@ def poly_parse(text: str) -> BivarPoly:
             raise PolyParseError(f"expected + or - between terms, got {tok!r}", at)
 
 
-def poly_print(phi: BivarPoly) -> str:
-    return str(phi)
-
-
 def weighted_order(phi: BivarPoly, g1: ExtRat, g2: ExtRat) -> ExtRat:
     """min over the support of r*g1 + s*g2, with the convention 0*inf = 0."""
     if is_inf(g1) and is_inf(g2):
@@ -285,13 +281,6 @@ def weighted_order(phi: BivarPoly, g1: ExtRat, g2: ExtRat) -> ExtRat:
         if v < best:
             best = v
     return best
-
-
-def madic_order(phi: BivarPoly) -> ExtRat:
-    """Order of vanishing at the origin: least total degree over the support."""
-    if not phi.terms:
-        return INF
-    return Fraction(min(r + s for r, s in phi.terms))
 
 
 def divide_out_linear(phi: BivarPoly, ell: BivarPoly) -> Tuple[int, BivarPoly]:

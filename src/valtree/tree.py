@@ -270,10 +270,6 @@ class PathParam:
             return ONE
         return ONE + self._node_depth(p.path[:-1]) + p.t
 
-    def edge_interval(self, path: Path) -> Tuple[ExtRat, ExtRat]:
-        lo = ONE + self._node_depth(tuple(path)[:-1])
-        return lo, lo + self.tree.edge_length(path)
-
     def point_at_psi(self, tau: TreePoint, value: ExtRat) -> TreePoint:
         """The unique point on [root, tau] with the given Psi-value."""
         if value < 1 or value > self.psi(tau):

@@ -3,7 +3,9 @@
 A valuation is described by a *dilatation program*: a list of blow-up centers,
 an optional linear coordinate frame, and a final pair of monomial weights.
 Evaluation pushes a polynomial through each center substitution, rewrites it
-in the frame coordinates, and takes the weighted order of the result.
+in the frame coordinates, and takes the weighted order of the result.  Chain
+questions (legality, m-values, multiplicities, meets) never substitute: they
+read the values ``(v(x_i), v(y_i))`` of the coordinates at each level.
 
 Conventions, fixed once and used everywhere:
 
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .poly import (
     BivarPoly,
@@ -139,7 +142,8 @@ class QuasiMonomialVal:
         object.__setattr__(self, "weights", (w1, w2))
         if not isinstance(self.frame, LinearFrame):
             object.__setattr__(self, "frame", LinearFrame(self.frame))
-        if is_inf(self(_X)) and is_inf(self(_Y)):
+        vx, vy = _level_values(self)[0]
+        if is_inf(vx) and is_inf(vy):
             raise ValueError(
                 "illegal program: every element of the maximal ideal "
                 "would get value infinity"
@@ -175,9 +179,8 @@ def _images(
 ) -> Tuple[BivarPoly, BivarPoly]:
     """Images of x and y under the full program (steps, then frame).
 
-    Recursing on the step prefix means every truncation of a program reuses
-    the cached images of its parent, so walking all levels of one chain costs
-    a single pass instead of one rebuild per level.
+    Recursing on the step prefix lets programs that share a prefix of centers,
+    such as a meet and its inputs, share the cached images of that prefix.
     """
     if not frame.is_identity():
         ex, ey = _images(steps, IDENTITY_FRAME)
@@ -310,12 +313,27 @@ def evaluate_naive(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
     return weighted_order(work, *nu.weights)
 
 
+def _level_values(nu: QuasiMonomialVal) -> List[Tuple[ExtRat, ExtRat]]:
+    """``(v(x_i), v(y_i))`` at every level i, level 0 being the original x, y.
+
+    The last level gets the weighted orders of the inverse frame's rows, ``(d, -b)``
+    and ``(-c, a)`` up to scale.  Each center is undone by its chart: at infinity
+    ``x_i = x_{i+1} * y_{i+1}``, else ``y_i = x_{i+1} * (y_{i+1} + c)``, where the
+    second factor is a unit unless c = 0."""
+    (a, b), (c, d) = nu.frame.rows
+    w1, w2 = nu.weights
+    levels = [(min(w1 if d else INF, w2 if b else INF), min(w1 if c else INF, w2 if a else INF))]
+    for step in reversed(nu.steps):
+        vx, vy = levels[-1]
+        vx, vy = (vx + vy, vy) if step.is_inf else (vx, vx + vy if step.value == 0 else vx)
+        levels.append((vx, vy))
+    return levels[::-1]
+
+
 @lru_cache(maxsize=None)
 def m_value(nu: QuasiMonomialVal) -> Fraction:
     """The value of the maximal ideal: min of the values of x and y."""
-    v = min(evaluate(nu, _X), evaluate(nu, _Y))
-    assert not is_inf(v)
-    return v
+    return min(_level_values(nu)[0])
 
 
 def monomial(g1, g2) -> QuasiMonomialVal:
@@ -467,18 +485,28 @@ class _TerminalMarker:
 TERMINAL = _TerminalMarker()
 
 
+_Level = Tuple[object, Fraction, Optional[ExtRat]]
+
+
 def _curve_tail_center(direction: ProjPoint) -> ProjPoint:
     return INF_POINT if direction.is_inf else ZERO_POINT
 
 
-def _tail_at(form: CanonicalForm, i: int) -> QuasiMonomialVal:
-    if i <= len(form.steps):
-        return from_canonical(CanonicalForm(form.steps[i:], form.terminal))
+def _walk(form: CanonicalForm) -> Iterator[_Level]:
+    """Yield (center, m, e) per level of a canonical chain: the center (TERMINAL
+    at a divisorial end), the multiplicity ``min(v(x_i), v(y_i))``, and the
+    value ``v(x_{i+1}) + v(y_{i+1})`` of the level's exceptional linear form."""
+    program = from_canonical(form)
+    levels = _level_values(program)
+    for center, (vx, vy), (nx, ny) in zip(program.steps, levels, levels[1:]):
+        yield center, min(vx, vy), nx + ny
     t = form.terminal
-    assert isinstance(t, Curve)
-    return from_canonical(
-        CanonicalForm((), Curve(direction_of_center(_curve_tail_center(t.direction)), t.gamma))
-    )
+    if isinstance(t, Divisorial):
+        yield TERMINAL, t.gamma, None
+        return
+    constant = _curve_tail_center(t.direction)
+    while True:
+        yield constant, t.gamma, INF
 
 
 def multiplicity_stream(nu: QuasiMonomialVal):
@@ -487,17 +515,8 @@ def multiplicity_stream(nu: QuasiMonomialVal):
     Divisorial programs end with a (TERMINAL, gamma) entry; curve programs
     yield their eventually-constant tail forever.
     """
-    form = _canonicalize_raw(nu)
-    for i, center in enumerate(form.steps):
-        yield center, m_value(_tail_at(form, i))
-    t = form.terminal
-    if isinstance(t, Divisorial):
-        yield TERMINAL, t.gamma
-        return
-    yield center_of_direction(t.direction), t.gamma
-    constant = _curve_tail_center(t.direction)
-    while True:
-        yield constant, t.gamma
+    for center, m, _ in _walk(_canonicalize_raw(nu)):
+        yield center, m
 
 
 def dilatation_length(nu: QuasiMonomialVal) -> Union[int, Infinity]:
@@ -513,26 +532,14 @@ def dilatation_length(nu: QuasiMonomialVal) -> Union[int, Infinity]:
 # ---------------------------------------------------------------------------
 
 
-def _center_at(form: CanonicalForm, i: int) -> Optional[ProjPoint]:
-    """Center chosen at level i, or None once a divisorial terminal is hit."""
-    if i < len(form.steps):
-        return form.steps[i]
-    t = form.terminal
-    if isinstance(t, Divisorial):
-        return None
-    if i == len(form.steps):
-        return center_of_direction(t.direction)
-    return _curve_tail_center(t.direction)
+def _exceptional(center) -> Optional[ProjPoint]:
+    """The one direction valued above the multiplicity at a level with this center."""
+    return None if center is TERMINAL else direction_of_center(center)
 
 
 def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
     """The unique direction valued above the m-value, if any."""
-    form = _canonicalize_raw(nu)
-    if form.steps:
-        return direction_of_center(form.steps[0])
-    if isinstance(form.terminal, Curve):
-        return form.terminal.direction
-    return None
+    return _exceptional(next(_walk(_canonicalize_raw(nu)))[0])
 
 
 def exceptional_direction(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
@@ -542,20 +549,19 @@ def exceptional_direction(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
 
 
 def _monomial_meet(
-    prefix: Sequence[ProjPoint],
-    tail_a: QuasiMonomialVal,
-    tail_b: QuasiMonomialVal,
-    side_a: QuasiMonomialVal,
-    side_b: QuasiMonomialVal,
+    prefix: Sequence[ProjPoint], level_a: _Level, level_b: _Level,
+    side_a: QuasiMonomialVal, side_b: QuasiMonomialVal,
 ) -> QuasiMonomialVal:
     """Meet when the level multiplicities first differ.
 
     The shared coordinate gets the smaller multiplicity; the complementary
     coordinate must be the exceptional direction of the smaller side (a
-    generic choice would drop strictly below the true infimum).
+    generic choice would drop strictly below the true infimum).  Both are
+    read off the two walks' entries at the level: a linear form has value
+    ``m`` there unless it is the level's exceptional form, valued ``e``.
     """
-    m_a, m_b = m_value(tail_a), m_value(tail_b)
-    exc_a, exc_b = _head_exceptional(tail_a), _head_exceptional(tail_b)
+    (c_a, m_a, e_a), (c_b, m_b, e_b) = level_a, level_b
+    exc_a, exc_b = _exceptional(c_a), _exceptional(c_b)
     if m_a < m_b:
         small, small_exc = side_a, exc_a
     else:
@@ -563,18 +569,10 @@ def _monomial_meet(
     if small_exc is None:
         return small
     x_dir = next(d for d in direction_enumeration() if d != exc_a and d != exc_b)
-    lx, ly = x_dir.form(), small_exc.form()
-    assert evaluate(tail_a, lx) == m_a and evaluate(tail_b, lx) == m_b
     v_x = min(m_a, m_b)
-    v_y = min(evaluate(tail_a, ly), evaluate(tail_b, ly))
-    frame = LinearFrame(
-        (
-            tuple(Fraction(v) for v in x_dir.as_pair()),
-            tuple(Fraction(v) for v in small_exc.as_pair()),
-        )
-    )
+    v_y = min(e_a if exc_a == small_exc else m_a, e_b if exc_b == small_exc else m_b)
+    frame = LinearFrame((x_dir.as_pair(), small_exc.as_pair()))
     result = QuasiMonomialVal(tuple(prefix), frame, (v_x, v_y))
-    assert m_value(result) == 1
     return from_canonical(_canonicalize_raw(result))
 
 
@@ -593,17 +591,17 @@ def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
     if form_a == form_b:
         return nu
     prefix: list = []
-    for i in range(len(form_a.steps) + len(form_b.steps) + 2):
-        tail_a, tail_b = _tail_at(form_a, i), _tail_at(form_b, i)
-        if m_value(tail_a) != m_value(tail_b):
-            return _monomial_meet(prefix, tail_a, tail_b, nu, mu)
-        c_a, c_b = _center_at(form_a, i), _center_at(form_b, i)
-        if c_a is None:
+    bound = len(form_a.steps) + len(form_b.steps) + 2
+    for level_a, level_b in islice(zip(_walk(form_a), _walk(form_b)), bound):
+        (c_a, m_a, _), (c_b, m_b, _) = level_a, level_b
+        if m_a != m_b:
+            return _monomial_meet(prefix, level_a, level_b, nu, mu)
+        if c_a is TERMINAL:
             return nu
-        if c_b is None:
+        if c_b is TERMINAL:
             return mu
         if c_a != c_b:
-            shared = from_canonical(CanonicalForm(tuple(prefix), Divisorial(m_value(tail_a))))
+            shared = from_canonical(CanonicalForm(tuple(prefix), Divisorial(m_a)))
             return normalize(shared)
         prefix.append(c_a)
     raise AssertionError("divergence search exceeded both program lengths")

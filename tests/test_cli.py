@@ -1,10 +1,14 @@
 """Command-line behavior: pinned examples, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import valtree
 from valtree.cli import main
 from valtree.jsonio import canonical_from_json, valuation_from_json
 from valtree.valuation import canonicalize, equal_valuations, monomial, normalize
@@ -288,3 +292,34 @@ class TestExitCodes:
             main(["tree", "check", "--tree", "/nonexistent.json"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestOptimizedMode:
+    def test_python_O_prints_what_the_library_prints(self, capsys, tmp_path):
+        """Results must not depend on assert statements, which ``-O`` strips.
+
+        The two valuations are incomparable and meet through a framed monomial
+        program at a shared level, so ``val inf`` runs the whole meet walk.
+        """
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(
+            '{"steps": [{"center": "inf"}, {"center": "0"}, {"center": "3/2"},'
+            ' {"center": "-1/3"}], "weights": ["1/2", "1/4"]}'
+        )
+        b.write_text('{"weights": ["3", "1"]}')
+        src = os.path.dirname(os.path.dirname(os.path.abspath(valtree.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        for argv in (
+            ["val", "inf", "--in", str(a), "--in", str(b)],
+            ["val", "stream", "--in", str(a)],
+            ["val", "stream", "--in", str(b), "--json"],
+        ):
+            code, out, _ = run(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "valtree", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout) == (code, out)
+            assert code == 0 and out

@@ -207,3 +207,37 @@ class TestMembership:
         assert weak_member(nu, X, 2, "lt")
         with pytest.raises(ValueError):
             weak_member(nu, X, 1, "between")
+
+
+class TestMeetWork:
+    def test_meet_and_compare_substitute_nothing(self, monkeypatch):
+        """meet and compare read per-level values; they never expand images.
+
+        Counted on inputs no other test uses, so no cache answers for them:
+        the deep Euclid pairs (1, (k^2+1)/k) and (1, (k^2+1)/(k+1)), with
+        chains of up to 69 steps, and a 12-level chain of alternating 0/inf
+        runs against a sibling, a child and a reweighting of itself.
+        """
+        pairs = [
+            (monomial(1, Fraction(k * k + 1, k)), monomial(1, Fraction(k * k + 1, k + 1)))
+            for k in (2, 5, 13, 21, 35)
+        ]
+        runs = (0, 0, "inf", "inf", "inf", 0, "inf", 0, 0, "inf", "inf")
+        alt = chain_val(*runs, 0)
+        pairs += [
+            (alt, chain_val(*runs, "inf")),
+            (alt, chain_val(*runs, 0, 0)),
+            (alt, normalize(QuasiMonomialVal(alt.steps, weights=(2, 3)))),
+        ]
+        calls = []
+        substitute = BivarPoly.substitute
+
+        def counting(self, ex, ey):
+            calls.append(1)
+            return substitute(self, ex, ey)
+
+        monkeypatch.setattr(BivarPoly, "substitute", counting)
+        for nu, mu in pairs:
+            meet(nu, mu)
+            compare(nu, mu)
+        assert len(calls) == 0

@@ -1,12 +1,14 @@
 """Quasi-monomial valuations: evaluation, normalization, canonical forms."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from valtree.poly import BivarPoly, BothWeightsInfiniteError, LinearFrame, poly_parse
 from valtree.rationals import INF, is_inf
+from valtree import valuation
 from valtree.testkit import DEFAULT_SEED, gen_qmv, sample_polys
 from valtree.valuation import (
     CanonicalForm,
@@ -31,6 +33,7 @@ from valtree.valuation import (
     is_normalized,
     m_value,
     monomial,
+    meet,
     multiplicity_stream,
     normalize,
 )
@@ -216,3 +219,78 @@ class TestMultiplicityStream:
             ms = [m for _, m in itertools.islice(multiplicity_stream(nu), 8)]
             assert all(a >= b for a, b in zip(ms, ms[1:]))
             assert ms[0] == 1
+
+
+def alternating_chain(rng, n):
+    """A normalized program of n centers in alternating runs of 0 and inf."""
+    steps, center = [], rng.choice((ProjPoint(0), INF_POINT))
+    while len(steps) < n:
+        steps += [center] * min(rng.randint(1, 3), n - len(steps))
+        center = ProjPoint(0) if center.is_inf else INF_POINT
+    return normalize(QuasiMonomialVal(tuple(steps), weights=(rng.randint(1, 5), rng.randint(1, 5))))
+
+
+class TestLevelValues:
+    """The per-level coordinate values of the chain layer against evaluation.
+
+    Multiplicities, exceptional-form values and meets are read off the values
+    ``(v(x_i), v(y_i))`` without substituting; here every one of them is
+    checked against ``evaluate`` on the tail program rebuilt at that level.
+    """
+
+    def programs(self):
+        rng = random.Random(DEFAULT_SEED)
+        vals = [gen_qmv(DEFAULT_SEED + 400 + s) for s in range(80)]
+        return vals + [alternating_chain(rng, n) for n in range(1, 13) for _ in range(3)]
+
+    def check_level_zero(self, nu):
+        assert valuation._level_values(nu)[0] == (evaluate(nu, X), evaluate(nu, Y))
+
+    def check_walk(self, form):
+        n = len(form.steps)
+        for i, (center, m, e) in enumerate(itertools.islice(valuation._walk(form), n + 2)):
+            if i <= n:
+                tail = from_canonical(CanonicalForm(form.steps[i:], form.terminal))
+            else:  # one level into a curve's eventually-constant tail
+                curve = Curve(direction_of_center(center), form.terminal.gamma)
+                tail = from_canonical(CanonicalForm((), curve))
+            self.check_level_zero(tail)
+            assert m == m_value(tail) == min(evaluate(tail, X), evaluate(tail, Y))
+            if center is TERMINAL:
+                assert all(evaluate(tail, d.form()) == m
+                           for d in itertools.islice(direction_enumeration(), 4))
+                continue
+            exc = direction_of_center(center)
+            assert e == evaluate(tail, exc.form()) and e > m
+            others = [d for d in itertools.islice(direction_enumeration(), 4) if d != exc]
+            assert all(evaluate(tail, d.form()) == m for d in others)
+
+    def test_programs_and_every_canonical_tail(self):
+        for nu in self.programs():
+            self.check_level_zero(nu)
+            self.check_walk(canonicalize(nu))
+
+    def test_framed_programs_built_by_meet(self, monkeypatch):
+        framed = []
+        raw = valuation._canonicalize_raw
+
+        def recording(nu):
+            if not nu.frame.is_identity():
+                framed.append(nu)
+            return raw(nu)
+
+        monkeypatch.setattr(valuation, "_canonicalize_raw", recording)
+        vals = self.programs()
+        rng = random.Random(DEFAULT_SEED + 1)
+        pairs = list(zip(vals[:40], vals[40:80])) + list(zip(vals[80:], vals[81:]))
+        pairs += [(nu, normalize(QuasiMonomialVal(nu.steps, weights=(1, rng.randint(2, 5)))))
+                  for nu in vals[80:]]
+        for nu, mu in pairs:
+            w = meet.__wrapped__(nu, mu)
+            assert m_value(w) == 1 == min(evaluate(w, X), evaluate(w, Y))
+        monkeypatch.undo()
+        assert len(framed) >= 20
+        for p in framed:
+            self.check_level_zero(p)
+            assert m_value(p) == 1
+            self.check_walk(canonicalize(p))
