@@ -1,0 +1,159 @@
+"""``evaluate`` latency, cold and warm, over polynomial degree and chain depth.
+
+Measures one or more source trees of valtree in alternation and writes
+``BENCH_evaluate.json``:
+
+    python benchmarks/evaluate_scaling.py --tree parent=/path/to/old/src \\
+        --tree change=src --rounds 3 --out BENCH_evaluate.json
+
+Each (round, tree) pair runs in a fresh interpreter that imports ``valtree``
+from that tree, so the trees never share caches; the order of the trees
+alternates from round to round, so a drift in the host's speed hits both.
+
+A cell is one valuation and eight seeded polynomials (``testkit.sample_polys``,
+at most five terms each).  The first pass over its (valuation, polynomial)
+pairs is timed as ``cold_ms``: it builds the images and power tables.  Then
+the pairs are evaluated in timed loops and ``warm_us`` is the best loop's
+microseconds per call.  The file keeps the median of each figure over the
+rounds.  Cells sweep polynomial degree 1, 2, 4, 8, 16, 32 on a chain of
+depth 4, and chain depth 0, 4, 8, 16 at degree 4.  The ``gen_qmv`` cell is the
+shape the acceptance suites evaluate: 40 ``testkit.gen_qmv`` valuations
+against 50 ``testkit.sample_polys`` polynomials of degree at most 4.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from fractions import Fraction
+
+# two sweeps, not a grid: a depth-16 program's images are dense, and the
+# first evaluation of a degree-16 polynomial on one takes minutes
+DEGREES = (1, 2, 4, 8, 16, 32)
+DEPTH_OF_DEGREE_SWEEP = 4
+DEPTHS = (0, 4, 8, 16)
+DEGREE_OF_DEPTH_SWEEP = 4
+SEED = 0xC0FFEE
+REPEATS = 7
+MIN_LOOP_S = 0.02
+
+
+def _chain(depth: int, rng: random.Random):
+    """A normalized program of ``depth`` centers, drawn as ``gen_qmv`` draws them."""
+    from valtree.valuation import INF_POINT, ProjPoint, QuasiMonomialVal, normalize
+
+    steps = tuple(
+        INF_POINT if rng.random() < 0.15
+        else ProjPoint(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(depth)
+    )
+    weights = (Fraction(rng.randint(1, 30), rng.randint(1, 5)), Fraction(rng.randint(1, 30), rng.randint(1, 5)))
+    return normalize(QuasiMonomialVal(steps, weights=weights))
+
+
+def _cell(pairs) -> dict:
+    """Cold milliseconds for the first pass over the pairs, then warm microseconds per call."""
+    from valtree.valuation import evaluate
+
+    start = time.perf_counter()
+    for nu, phi in pairs:
+        evaluate(nu, phi)
+    cold_ms = (time.perf_counter() - start) * 1e3
+    loops = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(loops):
+            for nu, phi in pairs:
+                evaluate(nu, phi)
+        if time.perf_counter() - start >= MIN_LOOP_S:
+            break
+        loops *= 2
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(loops):
+            for nu, phi in pairs:
+                evaluate(nu, phi)
+        best = min(best, (time.perf_counter() - start) / (loops * len(pairs)))
+    return {"cold_ms": cold_ms, "warm_us": best * 1e6}
+
+
+def worker(src: str) -> dict:
+    sys.path.insert(0, os.path.abspath(src))
+    from valtree.testkit import gen_qmv, sample_polys
+
+    cells = {}
+    vals = [gen_qmv(SEED + s) for s in range(40)]
+    polys = sample_polys(SEED, 50)
+    cells["gen_qmv"] = _cell([(nu, phi) for nu in vals for phi in polys])
+    cells_at = [(f"degree_{d}", DEPTH_OF_DEGREE_SWEEP, d) for d in DEGREES]
+    cells_at += [(f"depth_{k}", k, DEGREE_OF_DEPTH_SWEEP) for k in DEPTHS]
+    for name, depth, degree in cells_at:
+        rng = random.Random(SEED + 1000 * depth + degree)
+        nu = _chain(depth, rng)
+        polys = sample_polys(rng.randrange(2**32), 8, max_deg=degree)
+        cells[name] = _cell([(nu, phi) for phi in polys])
+    return cells
+
+
+def _commit(src: str) -> str:
+    def git(*args):
+        out = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else ""
+
+    head = git("rev-parse", "--short", "HEAD") or "unknown"
+    return head + ("+uncommitted" if git("status", "--porcelain", "--", ".") else "")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC",
+                        help="a label and the src/ directory to import valtree from")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--out", default="BENCH_evaluate.json")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        print(json.dumps(worker(args.worker)))
+        return 0
+    trees = [t.split("=", 1) for t in args.tree]
+    if not trees or any(len(t) != 2 for t in trees) or args.rounds < 1:
+        parser.error("give at least one --tree LABEL=SRC and --rounds >= 1")
+    runs = {label: [] for label, _ in trees}
+    for r in range(args.rounds):
+        for label, src in trees if r % 2 == 0 else trees[::-1]:
+            out = subprocess.run([sys.executable, __file__, "--worker", src],
+                                 capture_output=True, text=True, check=True)
+            runs[label].append(json.loads(out.stdout))
+            print(f"round {r + 1} {label}: gen_qmv {runs[label][-1]['gen_qmv']['warm_us']:.2f} us", file=sys.stderr)
+    doc = {
+        "benchmark": "evaluate latency per cell, median over rounds: warm_us is microseconds "
+                     "per call (best of %d timed loops), cold_ms the first pass in milliseconds" % REPEATS,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+        "rounds": args.rounds,
+        "trees": {},
+    }
+    for label, src in trees:
+        doc["trees"][label] = {"commit": _commit(src)}
+        for metric in ("warm_us", "cold_ms"):
+            doc["trees"][label][metric] = {
+                cell: round(statistics.median(run[cell][metric] for run in runs[label]), 2)
+                for cell in runs[label][0]
+            }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -583,11 +583,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except (FormatError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large to process ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

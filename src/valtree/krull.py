@@ -32,6 +32,11 @@ from .valuation import (
 Rank2Value = Tuple[int, Fraction]
 
 
+class InfiniteResidualError(ValueError):
+    """Raised when the factor left after dividing out the support generator
+    is still valued infinity, so the lift would not be a valuation."""
+
+
 @dataclass(frozen=True)
 class Rank2Val:
     """Monomial Z x Q valuation in the coordinates named by the frame rows."""
@@ -88,18 +93,13 @@ def krull_lift(nu: QuasiMonomialVal) -> KrullResult:
     def lift_value(phi: BivarPoly) -> Rank2Value:
         r, psi = divide_out_linear(phi, gen)
         residual = evaluate(nu, psi)
-        assert not is_inf(residual)
+        if is_inf(residual):
+            raise InfiniteResidualError(f"the residual factor {psi} is valued infinity")
         return (r, residual)
 
     # weights belong to the frame coordinates; the generator's row gets (1, 0)
     rho = Rank2Val(lift_value(frame.row_form(0)), lift_value(frame.row_form(1)), frame)
-    assert rank2_eval(rho, _X) == lift_value(_X)
-    assert rank2_eval(rho, _Y) == lift_value(_Y)
     return KrullRank2(rho, gen)
-
-
-_X = BivarPoly.var_x()
-_Y = BivarPoly.var_y()
 
 
 def gen_pair(gen: BivarPoly) -> Tuple[int, int]:

@@ -300,7 +300,6 @@ def divide_out_linear(phi: BivarPoly, ell: BivarPoly) -> Tuple[int, BivarPoly]:
     else:
         r = min(i for i, _ in phi.terms)
         psi = BivarPoly({(i - r, j): c / a**r for (i, j), c in phi.terms.items()})
-    assert ell**r * psi == phi
     return r, psi
 
 

@@ -160,10 +160,15 @@ _Y = BivarPoly.var_y()
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# The composed substitution image of x and y is computed once per valuation;
-# evaluation of phi is then one polynomial combination plus a support scan.
-# Coefficients are cleared to integers (support is unchanged by an overall
-# scalar) so the hot loop runs on machine/bigint arithmetic, not Fractions.
+# The composed substitution images of x and y are computed once per
+# (steps, frame) and cleared to integer polynomials ``ix = bx * image(x)`` and
+# ``iy = by * image(y)``; valuations that differ only in weights share them,
+# together with a table of the integer images of monomials.  Each valuation
+# owns an engine, attached on its first evaluation, so a warm call neither
+# hashes the valuation nor touches a Fraction: phi is scaled by the positive
+# integer ``lcm(den c) * bx^R * by^S`` (R, S its largest exponents), which
+# makes every term's multiplier an integer and leaves the support, and so the
+# value, unchanged.
 # ---------------------------------------------------------------------------
 
 
@@ -194,17 +199,38 @@ def _images(
     return ex.substitute(sx, sy), ey.substitute(sx, sy)
 
 
-def _clear(p: BivarPoly) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...], Fraction]:
+_IntPoly = Dict[Tuple[int, int], int]
+
+
+def _clear(p: BivarPoly) -> Tuple[_IntPoly, int]:
+    """``(b * p, b)`` with b the least denominator making ``b * p`` integral."""
     denom = math.lcm(*(c.denominator for c in p.terms.values()))
-    nums = [int(c * denom) for c in p.terms.values()]
-    content = math.gcd(*nums)
-    exps = tuple(p.terms.keys())
-    return exps, tuple(n // content for n in nums), Fraction(content, denom)
+    return {e: c.numerator * (denom // c.denominator) for e, c in p.terms.items()}, denom
+
+
+def _mac(acc: _IntPoly, k: int, terms: Iterable[Tuple[Tuple[int, int], int]]) -> None:
+    """``acc += k * p`` in place, p given by its ``(exponents, coefficient)`` pairs."""
+    get = acc.get
+    for e, m in terms:
+        w = get(e, 0) + k * m
+        if w:
+            acc[e] = w
+        elif e in acc:
+            del acc[e]
+
+
+def _mul(p: _IntPoly, q: _IntPoly) -> _IntPoly:
+    if len(p) > len(q):  # one accumulate pass per term of the shorter factor
+        p, q = q, p
+    out: _IntPoly = {}
+    for (a, b), c in p.items():
+        _mac(out, c, zip([(a + u, b + v) for u, v in q], q.values()))
+    return out
 
 
 @lru_cache(maxsize=None)
 class _ImageState:
-    """Cleared substitution images plus a monomial-power cache.
+    """Cleared substitution images plus the table of monomial images.
 
     Keyed on (steps, frame) only: valuations that differ in weights alone
     share this state, so renormalization costs nothing extra.
@@ -212,24 +238,67 @@ class _ImageState:
 
     def __init__(self, steps: Tuple[ProjPoint, ...], frame: LinearFrame):
         ex, ey = _images(steps, frame)
-        xe, xc, self.sx = _clear(ex)
-        ye, yc, self.sy = _clear(ey)
-        self.ix = dict(zip(xe, xc))
-        self.iy = dict(zip(ye, yc))
-        self._powers: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {
-            (0, 0): {(0, 0): 1}
+        self.ix, self.bx = _clear(ex)
+        self.iy, self.by = _clear(ey)
+        self.powers: Dict[Tuple[int, int], _IntPoly] = {
+            (0, 0): {(0, 0): 1}, (1, 0): self.ix, (0, 1): self.iy,
         }
 
+    def _power(self, n: int, axis: int) -> _IntPoly:
+        """``ix^n`` (axis 0) or ``iy^n`` (axis 1) by square-and-multiply.
 
-@lru_cache(maxsize=None)
+        The squares ``base^(2^k)`` are kept in the table like any other power,
+        and the product starts from the largest power of the base already
+        there, so a run of nearby exponents costs one small multiply each.
+        """
+        powers = self.powers
+
+        def key(k: int) -> Tuple[int, int]:
+            return (k, 0) if axis == 0 else (0, k)
+
+        out = powers.get(key(n))
+        if out is not None:
+            return out
+        bit = 1
+        while 2 * bit <= n:
+            if key(2 * bit) not in powers:
+                half = powers[key(bit)]
+                powers[key(2 * bit)] = _mul(half, half)
+            bit *= 2
+        done = max(e[axis] for e in powers if e[1 - axis] == 0 and e[axis] <= n)
+        out = powers[key(done)]
+        while done < n:
+            bit = 1 << ((n - done).bit_length() - 1)
+            out = _mul(out, powers[key(bit)])
+            done += bit
+        powers[key(n)] = out
+        return out
+
+    def monomial_image(self, r: int, s: int) -> _IntPoly:
+        """The integer image ``ix^r * iy^s`` of x^r y^s."""
+        powers = self.powers
+        out = powers.get((r, s))
+        if out is None:
+            if s == 0:
+                out = self._power(r, 0)
+            elif r == 0:
+                out = self._power(s, 1)
+            elif (r, s - 1) in powers:
+                out = _mul(powers[(r, s - 1)], self.iy)
+            elif (r - 1, s) in powers:
+                out = _mul(powers[(r - 1, s)], self.ix)
+            else:
+                out = _mul(self._power(r, 0), self._power(s, 1))
+            powers[(r, s)] = out
+        return out
+
+
 class _Engine:
-    """Per-valuation evaluation state; one instance per distinct program."""
+    """Evaluation state of one valuation, stored on it by ``evaluate``."""
 
     def __init__(self, nu: QuasiMonomialVal):
-        state = _ImageState(nu.steps, nu.frame)
-        self.sx, self.sy = state.sx, state.sy
-        self.ix, self.iy = state.ix, state.iy
-        self._powers = state._powers
+        self.state = state = _ImageState(nu.steps, nu.frame)
+        self.bx, self.by = state.bx, state.by
         w1, w2 = nu.weights
         if is_inf(w2):
             self.mode = ("y_inf", w1)
@@ -238,31 +307,6 @@ class _Engine:
         else:
             q = math.lcm(w1.denominator, w2.denominator)
             self.mode = ("finite", int(w1 * q), int(w2 * q), q)
-
-    def monomial_image(self, r: int, s: int) -> Dict[Tuple[int, int], int]:
-        key = (r, s)
-        while key not in self._powers:
-            if s > 0:
-                prev, mul = self._powers.get((r, s - 1)), self.iy
-                if prev is None:
-                    self.monomial_image(r, s - 1)
-                    continue
-            else:
-                prev, mul = self._powers.get((r - 1, 0)), self.ix
-                if prev is None:
-                    self.monomial_image(r - 1, 0)
-                    continue
-            out: Dict[Tuple[int, int], int] = {}
-            for (a, b), c in prev.items():
-                for (u, v), d in mul.items():
-                    e = (a + u, b + v)
-                    w = out.get(e, 0) + c * d
-                    if w:
-                        out[e] = w
-                    elif e in out:
-                        del out[e]
-            self._powers[key] = out
-        return self._powers[key]
 
     def order_of_support(self, support: Iterable[Tuple[int, int]]) -> ExtRat:
         mode = self.mode
@@ -279,29 +323,34 @@ class _Engine:
         return min(finite) * w
 
     def evaluate(self, phi: BivarPoly) -> ExtRat:
-        if not phi.terms:
+        terms = phi.terms
+        if not terms:
             return INF
-        scaled = {
-            e: c * self.sx**e[0] * self.sy**e[1] for e, c in phi.terms.items()
-        }
-        denom = math.lcm(*(c.denominator for c in scaled.values()))
-        acc: Dict[Tuple[int, int], int] = {}
-        for (r, s), c in scaled.items():
-            k = int(c * denom)
-            for e, m in self.monomial_image(r, s).items():
-                w = acc.get(e, 0) + k * m
-                if w:
-                    acc[e] = w
-                elif e in acc:
-                    del acc[e]
+        lcm = math.lcm(*[c.denominator for c in terms.values()])
+        bx, by = self.bx, self.by
+        top_r = max(r for r, _ in terms) if bx != 1 else 0
+        top_s = max(s for _, s in terms) if by != 1 else 0
+        powers, image = self.state.powers, self.state.monomial_image
+        acc: _IntPoly = {}
+        for e, c in terms.items():
+            k = c.numerator * (lcm // c.denominator)
+            if bx != 1:
+                k *= bx ** (top_r - e[0])
+            if by != 1:
+                k *= by ** (top_s - e[1])
+            _mac(acc, k, (powers.get(e) or image(*e)).items())
         if not acc:  # the program substitution is injective; defensive only
             return INF
-        return self.order_of_support(acc.keys())
+        return self.order_of_support(acc)
 
 
 def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
     """The value of nu on phi."""
-    return _Engine(nu).evaluate(phi)
+    engine = nu.__dict__.get("_engine")
+    if engine is None:
+        engine = _Engine(nu)
+        object.__setattr__(nu, "_engine", engine)
+    return engine.evaluate(phi)
 
 
 def evaluate_naive(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:

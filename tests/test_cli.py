@@ -293,6 +293,27 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_huge_exponent_is_evaluated(self, capsys):
+        code, out, _ = run(
+            capsys, "val", "eval", "--valuation", '{"weights":["1","2"]}',
+            "--poly", "x^100000",
+        )
+        assert code == 0
+        assert out.strip() == "100000"
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_exhaustion_is_2(self, capsys, monkeypatch, error):
+        def exhausted(*args):
+            raise error()
+
+        monkeypatch.setattr(valtree.cli, "evaluate", exhausted)
+        code, out, err = run(
+            capsys, "val", "eval", "--valuation", '{"weights":["1","2"]}', "--poly", "y"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error:")
+
 
 class TestOptimizedMode:
     def test_python_O_prints_what_the_library_prints(self, capsys, tmp_path):

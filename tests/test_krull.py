@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from valtree import krull
 from valtree.krull import (
+    InfiniteResidualError,
     KrullRank2,
     KrullSameRank1,
     Rank2Val,
@@ -12,7 +14,7 @@ from valtree.krull import (
     rank1_section,
     rank2_eval,
 )
-from valtree.poly import BivarPoly, IDENTITY_FRAME, poly_parse
+from valtree.poly import BivarPoly, IDENTITY_FRAME, divide_out_linear, poly_parse
 from valtree.rationals import INF, is_inf
 from valtree.testkit import sample_polys
 from valtree.valuation import (
@@ -22,6 +24,7 @@ from valtree.valuation import (
     ProjPoint,
     UnsupportedDeepCurveError,
     equal_valuations,
+    evaluate,
     from_canonical,
     monomial,
     normalize,
@@ -84,6 +87,26 @@ class TestLift:
         result = krull_lift(normalize(from_canonical(folded)))
         assert isinstance(result, KrullRank2)
         assert result.support_generator == Y - X
+
+    def test_lift_agrees_with_divide_then_evaluate(self):
+        """rho(phi) = (r, nu(psi)) for phi = gen^r * psi, on x, y and samples."""
+        curves = [monomial(1, INF), monomial(INF, 1)] + [
+            normalize(from_canonical(CanonicalForm((), Curve(ProjPoint(d), Fraction(g)))))
+            for d, g in ((2, 1), (Fraction(-1, 3), Fraction(5, 2)), (1, Fraction(2, 7)))
+        ]
+        polys = [X, Y] + [p for p in sample_polys(11, 30) if not p.is_zero()]
+        for nu in curves:
+            result = krull_lift(nu)
+            assert isinstance(result, KrullRank2)
+            for phi in polys:
+                r, psi = divide_out_linear(phi, result.support_generator)
+                assert rank2_eval(result.val, phi) == (r, evaluate(nu, psi))
+
+    def test_infinite_residual_is_a_typed_error(self, monkeypatch):
+        # a division that leaves the generator in place values it at infinity
+        monkeypatch.setattr(krull, "divide_out_linear", lambda phi, gen: (0, phi))
+        with pytest.raises(InfiniteResidualError):
+            krull_lift(monomial(1, INF))
 
     def test_zero_goes_to_infinity(self):
         result = krull_lift(monomial(1, INF))

@@ -1,5 +1,6 @@
 """Sparse bivariate polynomials, linear frames, and weighted orders."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from valtree.poly import (
     weighted_order,
 )
 from valtree.rationals import INF, ZERO
+from valtree.testkit import gen_poly
 
 X = BivarPoly.var_x()
 Y = BivarPoly.var_y()
@@ -139,3 +141,17 @@ class TestDivideOutLinear:
     def test_coprime_unchanged(self):
         r, psi = divide_out_linear(X + Y, Y)
         assert (r, psi) == (0, X + Y)
+
+    def test_seeded_factorizations(self):
+        """phi = ell^r * psi exactly, with ell not dividing psi."""
+        rng = random.Random(0xC0FFEE)
+        for _ in range(60):
+            a, b = rng.randint(-3, 3), rng.choice((0, 1, 2, Fraction(1, 3), -1))
+            ell = BivarPoly.linear_form(a or 1, b)
+            base = gen_poly(rng.randrange(10**6), max_deg=3, max_terms=4)
+            k = rng.randint(0, 3)
+            phi = ell**k * base
+            r, psi = divide_out_linear(phi, ell)
+            assert ell**r * psi == phi
+            assert r >= k
+            assert divide_out_linear(psi, ell)[0] == 0

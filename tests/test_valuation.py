@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from valtree.poly import BivarPoly, BothWeightsInfiniteError, LinearFrame, poly_parse
+from valtree.poly import BivarPoly, BothWeightsInfiniteError, IDENTITY_FRAME, LinearFrame, poly_parse
 from valtree.rationals import INF, is_inf
 from valtree import valuation
 from valtree.testkit import DEFAULT_SEED, gen_qmv, sample_polys
@@ -128,6 +128,102 @@ class TestEvaluate:
             for phi in polys:
                 assert evaluate(nu, phi) == evaluate_naive(nu, phi)
 
+    def test_huge_exponent(self):
+        assert evaluate(monomial(1, 2), BivarPoly.monomial(100000, 0)) == 100000
+        assert evaluate(monomial(1, 2), BivarPoly.monomial(3, 50000)) == 100003
+
+    def test_differential_against_naive(self, monkeypatch):
+        """The integer engine against literal substitution on every program shape.
+
+        Shapes: centers with denominators (images with non-unit contents),
+        the framed programs meet builds, an infinite weight on either side,
+        and gen_qmv chains of up to eight levels; polynomials carry Fraction
+        coefficients and have degree up to 8.  Evaluation must leave the
+        valuation's equality, hash and repr as they were.
+        """
+        rng = random.Random(DEFAULT_SEED + 5)
+        chains = [gen_qmv(DEFAULT_SEED + 700 + s, max_depth=8) for s in range(40)]
+        contents = [
+            QuasiMonomialVal(steps, weights=w)
+            for steps in ((Fraction(2, 3),), (Fraction(-5, 2), 3), (Fraction(1, 3), INF_POINT, Fraction(7, 4)))
+            for w in ((1, 1), (2, 5), (Fraction(3, 2), INF))
+        ]
+        assert any(valuation._ImageState(nu.steps, nu.frame).by != 1 for nu in contents)
+        shear = LinearFrame(((1, 0), (1, 1)))
+        curves = [
+            QuasiMonomialVal(steps, frame, w)
+            for steps, frame, w in (
+                ((), SWAP, (1, INF)),
+                ((), SWAP, (INF, Fraction(2, 3))),
+                ((ProjPoint(Fraction(2, 3)),), IDENTITY_FRAME, (Fraction(5, 3), INF)),
+                ((ProjPoint(1), ProjPoint(-2)), shear, (1, INF)),
+                ((INF_POINT,), IDENTITY_FRAME, (INF, 1)),
+                ((INF_POINT, INF_POINT), shear, (INF, 2)),
+            )
+        ]
+        framed = []
+        raw = valuation._canonicalize_raw
+
+        def recording(nu):
+            if not nu.frame.is_identity():
+                framed.append(nu)
+            return raw(nu)
+
+        monkeypatch.setattr(valuation, "_canonicalize_raw", recording)
+        pairs = list(zip(chains[:20], chains[20:])) + [
+            (nu, normalize(QuasiMonomialVal(nu.steps, weights=(1, rng.randint(2, 5)))))
+            for nu in chains if nu.steps
+        ]
+        for nu, mu in pairs:
+            meet.__wrapped__(nu, mu)
+        monkeypatch.undo()
+        # literal substitution of degree-8 polynomials through deeper framed
+        # programs takes seconds each; the engine's cost is not the limit here
+        framed = [p for p in framed if len(p.steps) <= 5]
+        assert len(framed) >= 5
+        programs = chains + contents + curves + framed
+
+        for nu in programs:
+            twin = QuasiMonomialVal(nu.steps, nu.frame, nu.weights)
+            before = (hash(nu), repr(nu))
+            # (y - c*x)^2 cancels under the center c, across its coefficients' denominators
+            polys = fraction_polys(rng, 2) + fraction_polys(rng, 2, max_deg=4) + [
+                BivarPoly.linear_form(-c.value, 1) ** 2 + BivarPoly.monomial(0, 5)
+                for c in nu.steps[:3] if not c.is_inf
+            ]
+            for phi in polys:
+                assert evaluate(nu, phi) == evaluate_naive(nu, phi)
+            assert nu == twin and (hash(nu), repr(nu)) == before == (hash(twin), repr(twin))
+
+    def test_programs_differing_in_weights_keep_their_values(self):
+        steps = (ProjPoint(Fraction(1, 2)), INF_POINT, ProjPoint(-1))
+        family = [QuasiMonomialVal(steps, weights=w) for w in ((1, 1), (1, 3), (Fraction(7, 2), 1), (2, INF))]
+        polys = fraction_polys(random.Random(DEFAULT_SEED + 6), 12)
+        for _ in range(2):  # the second round is warm and shares the images
+            for phi in polys:
+                for nu in family:
+                    assert evaluate(nu, phi) == evaluate_naive(nu, phi)
+
+
+class TestEvaluateWork:
+    def test_warm_evaluate_never_hashes_the_valuation(self, monkeypatch):
+        """The engine lives on the valuation: no cache lookup keyed by it."""
+        nu = QuasiMonomialVal((ProjPoint(Fraction(3, 5)), INF_POINT), SWAP, (Fraction(4, 3), 1))
+        polys = fraction_polys(random.Random(DEFAULT_SEED + 7), 10)
+        for phi in polys:
+            evaluate(nu, phi)
+        calls = []
+        original = QuasiMonomialVal.__hash__
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(QuasiMonomialVal, "__hash__", counting)
+        for i in range(100):
+            evaluate(nu, polys[i % len(polys)])
+        assert len(calls) == 0
+
 
 class TestNormalize:
     def test_scales_by_m(self):
@@ -219,6 +315,18 @@ class TestMultiplicityStream:
             ms = [m for _, m in itertools.islice(multiplicity_stream(nu), 8)]
             assert all(a >= b for a, b in zip(ms, ms[1:]))
             assert ms[0] == 1
+
+
+def fraction_polys(rng, n, max_deg=8):
+    """n polynomials with Fraction coefficients and total degree at most max_deg."""
+    out = []
+    for _ in range(n):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            r = rng.randint(0, max_deg)
+            terms[(r, rng.randint(0, max_deg - r))] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        out.append(BivarPoly(terms))
+    return out
 
 
 def alternating_chain(rng, n):
