@@ -12,10 +12,12 @@ alternates from round to round, so a drift in the host's speed hits both.
 
 A cell is one valuation and eight seeded polynomials (``testkit.sample_polys``,
 at most five terms each).  The first pass over its (valuation, polynomial)
-pairs is timed as ``cold_ms``: it builds the images and power tables.  Then
-the pairs are evaluated in timed loops and ``warm_us`` is the best loop's
-microseconds per call.  The file keeps the median of each figure over the
-rounds.  Cells sweep polynomial degree 1, 2, 4, 8, 16, 32 on a chain of
+pairs is timed as ``cold_ms``: it builds whatever images and power tables
+the pairs need.  Then the pairs are evaluated in timed loops and ``warm_us``
+is the best loop's microseconds per call.  One more, untimed pass counts the
+calls that reach the substitution engine (``_Engine.evaluate``):
+``image_share`` is their share of the cell's calls.  The file keeps the
+median of each figure over the rounds.  Cells sweep polynomial degree 1, 2, 4, 8, 16, 32 on a chain of
 depth 4, and chain depth 0, 4, 8, 16 at degree 4.  The ``gen_qmv`` cell is the
 shape the acceptance suites evaluate: 40 ``testkit.gen_qmv`` valuations
 against 50 ``testkit.sample_polys`` polynomials of degree at most 4.
@@ -35,7 +37,7 @@ import time
 from fractions import Fraction
 
 # two sweeps, not a grid: a depth-16 program's images are dense, and the
-# first evaluation of a degree-16 polynomial on one takes minutes
+# first evaluation of a degree-16 polynomial that reaches them takes minutes
 DEGREES = (1, 2, 4, 8, 16, 32)
 DEPTH_OF_DEGREE_SWEEP = 4
 DEPTHS = (0, 4, 8, 16)
@@ -82,7 +84,28 @@ def _cell(pairs) -> dict:
             for nu, phi in pairs:
                 evaluate(nu, phi)
         best = min(best, (time.perf_counter() - start) / (loops * len(pairs)))
-    return {"cold_ms": cold_ms, "warm_us": best * 1e6}
+    return {"cold_ms": cold_ms, "warm_us": best * 1e6, "image_share": _image_share(pairs)}
+
+
+def _image_share(pairs) -> float:
+    """The share of the pairs' evaluations that reach the substitution images,
+    counted in one more, untimed pass through a wrapper on ``_Engine.evaluate``."""
+    from valtree import valuation
+
+    calls = []
+    original = valuation._Engine.evaluate
+
+    def counting(self, phi):
+        calls.append(1)
+        return original(self, phi)
+
+    valuation._Engine.evaluate = counting
+    try:
+        for nu, phi in pairs:
+            valuation.evaluate(nu, phi)
+    finally:
+        valuation._Engine.evaluate = original
+    return len(calls) / len(pairs)
 
 
 def worker(src: str) -> dict:
@@ -135,7 +158,8 @@ def main() -> int:
             print(f"round {r + 1} {label}: gen_qmv {runs[label][-1]['gen_qmv']['warm_us']:.2f} us", file=sys.stderr)
     doc = {
         "benchmark": "evaluate latency per cell, median over rounds: warm_us is microseconds "
-                     "per call (best of %d timed loops), cold_ms the first pass in milliseconds" % REPEATS,
+                     "per call (best of %d timed loops), cold_ms the first pass in milliseconds, "
+                     "image_share the share of calls that reached the substitution images" % REPEATS,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
@@ -144,7 +168,7 @@ def main() -> int:
     }
     for label, src in trees:
         doc["trees"][label] = {"commit": _commit(src)}
-        for metric in ("warm_us", "cold_ms"):
+        for metric in ("warm_us", "cold_ms", "image_share"):
             doc["trees"][label][metric] = {
                 cell: round(statistics.median(run[cell][metric] for run in runs[label]), 2)
                 for cell in runs[label][0]

@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .jsonio import (
@@ -41,6 +40,7 @@ from .tree import (
     fi_axiom_report,
     fi_infimum,
     fi_no_infimum_schedule,
+    star_neighborhoods,
     star_witness,
     t_dpsi,
     t_inf_set,
@@ -434,13 +434,7 @@ def _cmd_tree_ball_check(args) -> int:
 def _cmd_tree_countability(args) -> int:
     n_branches = 1000
     star = build_star(n_branches)
-    center = star.root_point()
-    rng = random.Random(args.seed)
-    branches = rng.sample(range(n_branches), args.samples)
-    refs = [
-        TangentRef(star.point((b,), Fraction(rng.randint(1, 3), 4)), center)
-        for b in branches
-    ]
+    _, refs = star_neighborhoods(star, args.samples, random.Random(args.seed))
     alpha = star_witness(star, refs)
     inside = all(class_member(ref, alpha) for ref in refs)
     if args.json:

@@ -145,7 +145,9 @@ class BivarPoly:
 
     def substitute(self, ex: "BivarPoly", ey: "BivarPoly") -> "BivarPoly":
         """Evaluate self at (ex, ey), fully expanded with exact cancellation."""
-        # cache powers of the images; exponents in a sparse poly repeat a lot
+        # cache consecutive powers of the images: exponents in a sparse poly
+        # repeat a lot, and the images of one chart step have at most two
+        # terms, so one more factor of the base is cheaper than a square
         xpow = {0: BivarPoly.constant(1)}
         ypow = {0: BivarPoly.constant(1)}
 
@@ -153,12 +155,19 @@ class BivarPoly:
             while n not in cache:
                 k = max(cache)
                 cache[k + 1] = cache[k] * base
-            return cache[n]
+            return cache[n].terms
 
-        total = BivarPoly.zero()
-        for (r, s), c in sorted(self.terms.items()):
-            total = total + power(xpow, ex, r) * power(ypow, ey, s) * c
-        return total
+        # every term's products go into one dict, validated once at the end
+        out: dict = {}
+        get = out.get
+        for (r, s), c in self.terms.items():
+            ys = power(ypow, ey, s).items()
+            for (r1, s1), c1 in power(xpow, ex, r).items():
+                k = c * c1
+                for (r2, s2), c2 in ys:
+                    e = (r1 + r2, s1 + s2)
+                    out[e] = get(e, ZERO) + k * c2
+        return BivarPoly(out)
 
     def total_degree(self) -> int:
         if not self.terms:

@@ -33,7 +33,6 @@ from .tree import (
     ForkedIntervalPoset,
     PathParam,
     RootedTree,
-    TangentRef,
     ball_in_subbasic_check,
     build_star,
     chain_infimum,
@@ -42,6 +41,7 @@ from .tree import (
     fi_infimum,
     fi_no_infimum_schedule,
     fi_seg,
+    star_neighborhoods,
     star_witness,
     t_dpsi,
     t_inf_set,
@@ -460,14 +460,8 @@ def criterion_13(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     n_seeds = _count(50, scale)
     n_branches, k = 1000, 20
     star = build_star(n_branches)
-    center = star.root_point()
     for s in range(n_seeds):
-        rng = random.Random(seed + 257 * s)
-        branches = rng.sample(range(n_branches), k)
-        refs = [
-            TangentRef(star.point((b,), Fraction(rng.randint(1, 3), 4)), center)
-            for b in branches
-        ]
+        branches, refs = star_neighborhoods(star, k, random.Random(seed + 257 * s))
         alpha = star_witness(star, refs)
         if alpha.path[0] in set(branches):
             return _fail(13, name, f"seed {s}: witness reuses a listed branch", alpha)

@@ -538,6 +538,23 @@ def build_star(n_branches: int, length=ONE) -> RootedTree:
     return RootedTree({(i,): length for i in range(n_branches)})
 
 
+def star_neighborhoods(
+    star: RootedTree, k: int, rng: random.Random
+) -> Tuple[List[int], List[TangentRef]]:
+    """k subbasic neighborhoods of the star's center, on k distinct branches.
+
+    rng draws the branches, then each base point's distance 1/4, 1/2 or 3/4
+    from the center; returns the branches and the neighborhoods.
+    """
+    branches = rng.sample(range(star.n_children(())), k)
+    center = star.root_point()
+    refs = [
+        TangentRef(star.point((b,), Fraction(rng.randint(1, 3), 4)), center)
+        for b in branches
+    ]
+    return branches, refs
+
+
 def star_witness(star: RootedTree, refs: Sequence[TangentRef]) -> TreePoint:
     """A point of every given subbasic neighborhood of the center, on a fresh branch.
 

@@ -2,10 +2,13 @@
 
 A valuation is described by a *dilatation program*: a list of blow-up centers,
 an optional linear coordinate frame, and a final pair of monomial weights.
-Evaluation pushes a polynomial through each center substitution, rewrites it
-in the frame coordinates, and takes the weighted order of the result.  Chain
-questions (legality, m-values, multiplicities, meets) never substitute: they
-read the values ``(v(x_i), v(y_i))`` of the coordinates at each level.
+Every question reads the values ``(v(x_i), v(y_i))`` of the coordinates at
+each level first.  Chain questions (legality, m-values, multiplicities,
+meets) need nothing else.  Evaluation takes the least ``r*v(x) + s*v(y)`` over
+the terms of a polynomial, which is its value unless the least terms can
+cancel; only then does it push the polynomial through each center
+substitution, rewrite it in the frame coordinates, and take the weighted
+order of the result.
 
 Conventions, fixed once and used everywhere:
 
@@ -148,6 +151,10 @@ class QuasiMonomialVal:
                 "illegal program: every element of the maximal ideal "
                 "would get value infinity"
             )
+        # kept beside the fields like the engine: equality, hash and repr
+        # read only steps, frame and weights
+        object.__setattr__(self, "_level0", (vx, vy))
+        object.__setattr__(self, "_lead", _leading_data(self, vx, vy))
 
     def __call__(self, phi: BivarPoly) -> ExtRat:
         return evaluate(self, phi)
@@ -160,15 +167,30 @@ _Y = BivarPoly.var_y()
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# The composed substitution images of x and y are computed once per
-# (steps, frame) and cleared to integer polynomials ``ix = bx * image(x)`` and
+# The valuation is ultrametric, so v(phi) is the least term value
+# ``r*v(x) + s*v(y)`` unless the least terms cancel.  ``evaluate`` decides
+# from the level-0 values in tiers, each exact:
+#
+# 1. one value infinite: the terms containing that coordinate are infinite
+#    and the others are powers of one variable, which never tie;
+# 2. both finite: a unique least term is the value;
+# 3. a tie with v(x) = v(y) = m: the tied terms form a homogeneous form f of
+#    degree d.  At most one linear form l (the head's exceptional form) is
+#    valued above m; unless l divides f, f = c*l'^d + l*g with c != 0, so
+#    v(f) = d*m.  l divides f exactly when f vanishes at the root of l, one
+#    integer evaluation.  Without an exceptional form no tie cancels;
+# 4. anything else (a tie with v(x) != v(y), or f divisible by l) goes to the
+#    substitution engine.
+#
+# The engine computes the composed images of x and y once per (steps, frame)
+# and clears them to integer polynomials ``ix = bx * image(x)`` and
 # ``iy = by * image(y)``; valuations that differ only in weights share them,
 # together with a table of the integer images of monomials.  Each valuation
-# owns an engine, attached on its first evaluation, so a warm call neither
-# hashes the valuation nor touches a Fraction: phi is scaled by the positive
-# integer ``lcm(den c) * bx^R * by^S`` (R, S its largest exponents), which
-# makes every term's multiplier an integer and leaves the support, and so the
-# value, unchanged.
+# owns an engine, attached the first time a polynomial reaches it, so a warm
+# call neither hashes the valuation nor touches a Fraction: phi is scaled by
+# the positive integer ``lcm(den c) * bx^R * by^S`` (R, S its largest
+# exponents), which makes every term's multiplier an integer and leaves the
+# support, and so the value, unchanged.
 # ---------------------------------------------------------------------------
 
 
@@ -344,8 +366,70 @@ class _Engine:
         return self.order_of_support(acc)
 
 
+def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
+    """The unique direction valued above the m-value, if any.
+
+    It is the direction of the first center of the canonical chain, read off
+    the program without canonicalizing: the program's own first center when
+    it has one, else the center ``dilate`` would pick, the frame row of the
+    larger weight (an infinite weight included).  Equal finite weights make
+    the head terminal."""
+    if nu.steps:
+        return direction_of_center(nu.steps[0])
+    w1, w2 = nu.weights
+    if w1 == w2:
+        return None
+    p, q = nu.frame.rows[0 if w1 > w2 else 1]
+    return INF_POINT if q == 0 else ProjPoint(p / q)
+
+
+def _leading_data(
+    nu: QuasiMonomialVal, vx: ExtRat, vy: ExtRat
+) -> Optional[Tuple[int, int, int, Optional[Tuple[int, int]]]]:
+    """``(p1, p2, q, root)`` with ``v(x) = p1/q`` and ``v(y) = p2/q``, or None
+    when one of them is infinite.  When ``v(x) = v(y)``, root is a zero
+    ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, None if the head
+    is terminal."""
+    if is_inf(vx) or is_inf(vy):
+        return None
+    q = math.lcm(vx.denominator, vy.denominator)
+    root = None
+    if vx == vy:
+        d = _head_exceptional(nu)
+        if d is not None:
+            a, b = d.as_pair()
+            root = (b, -a)
+    return vx.numerator * (q // vx.denominator), vy.numerator * (q // vy.denominator), q, root
+
+
+def _vanishes_at(root: Tuple[int, int], terms: List[Tuple[Tuple[int, int], Fraction]]) -> bool:
+    """Whether the polynomial with these (exponents, coefficient) pairs is zero at root."""
+    rx, ry = root
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return not sum(c.numerator * (den // c.denominator) * rx**r * ry**s for (r, s), c in terms)
+
+
 def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
-    """The value of nu on phi."""
+    """The value of nu on phi: read off the level-0 values when the least
+    terms cannot cancel, else computed by the substitution engine."""
+    terms = phi.terms
+    if not terms:
+        return INF
+    vx, vy = nu._level0
+    if vy is INF or vx is INF:
+        # tier 1: only the pure powers of the finite coordinate are finite
+        finite, axis = (vx, 1) if vy is INF else (vy, 0)
+        least = min((e[1 - axis] for e in terms if not e[axis]), default=None)
+        return INF if least is None else least * finite
+    p1, p2, q, root = nu._lead
+    values = [r * p1 + s * p2 for r, s in terms]
+    least = min(values)
+    if values.count(least) == 1:  # tier 2
+        return Fraction(least, q)
+    if p1 == p2:  # tier 3
+        tied = [t for t, v in zip(terms.items(), values) if v == least]
+        if root is None or not _vanishes_at(root, tied):
+            return Fraction(least, q)
     engine = nu.__dict__.get("_engine")
     if engine is None:
         engine = _Engine(nu)
@@ -379,10 +463,9 @@ def _level_values(nu: QuasiMonomialVal) -> List[Tuple[ExtRat, ExtRat]]:
     return levels[::-1]
 
 
-@lru_cache(maxsize=None)
 def m_value(nu: QuasiMonomialVal) -> Fraction:
     """The value of the maximal ideal: min of the values of x and y."""
-    return min(_level_values(nu)[0])
+    return min(nu._level0)
 
 
 def monomial(g1, g2) -> QuasiMonomialVal:
@@ -487,13 +570,13 @@ def _canonicalize_raw(nu: QuasiMonomialVal) -> CanonicalForm:
         steps.append(step.step)
         head = step.tail
     if isinstance(terminal, Curve):
-        # fold trailing steps that merely re-state the curve's own direction
+        # fold trailing steps that merely re-state the curve's own direction;
+        # a curve only ends a program that never dilated, and legality makes
+        # each folded center match d (0 under 0, inf under inf), see
+        # tests/test_valuation.py::TestCanonical::test_curve_fold_invariant
         d = terminal.direction
         while steps and d in (ZERO_POINT, INF_POINT):
-            last = steps[-1]
-            assert last.is_inf == d.is_inf
-            steps.pop()
-            d = direction_of_center(last)
+            d = direction_of_center(steps.pop())
         terminal = Curve(d, terminal.gamma)
     return CanonicalForm(tuple(steps), terminal)
 
@@ -584,11 +667,6 @@ def dilatation_length(nu: QuasiMonomialVal) -> Union[int, Infinity]:
 def _exceptional(center) -> Optional[ProjPoint]:
     """The one direction valued above the multiplicity at a level with this center."""
     return None if center is TERMINAL else direction_of_center(center)
-
-
-def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
-    """The unique direction valued above the m-value, if any."""
-    return _exceptional(next(_walk(_canonicalize_raw(nu)))[0])
 
 
 def exceptional_direction(nu: QuasiMonomialVal) -> Optional[ProjPoint]:

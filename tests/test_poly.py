@@ -130,6 +130,59 @@ class TestFrames:
         assert f.row_form(1) == Y - X - X
 
 
+def expand(p, ex, ey):
+    """p(ex, ey) term by term through the ring operations, summed one term at a time."""
+    total = BivarPoly.zero()
+    for (r, s), c in sorted(p.terms.items()):
+        total = total + ex**r * ey**s * c
+    return total
+
+
+class TestSubstitute:
+    def test_seeded_polynomials(self):
+        rng = random.Random(0xC0FFEE + 1)
+        images = [
+            (X, Y),
+            (Y, X),
+            (X, X * Y + X * Fraction(2, 3)),  # a finite chart step
+            (X * Y, Y),  # the chart at infinity
+            (BivarPoly.linear_form(1, Fraction(-1, 2)), BivarPoly.linear_form(3, 1)),
+            (X, X),  # x - y goes to zero
+            (BivarPoly.zero(), Y + BivarPoly.constant(2)),
+        ]
+        for _ in range(4):
+            images.append((gen_poly(rng.randrange(10**6), max_deg=3, max_terms=3),
+                           gen_poly(rng.randrange(10**6), max_deg=3, max_terms=3)))
+        polys = [gen_poly(seed, max_deg=6, max_terms=6) for seed in range(40)]
+        polys += [poly_parse("x - y"), BivarPoly.zero(), BivarPoly.constant(Fraction(-3, 7)),
+                  poly_parse("x^5*y^2 - 1/3*x*y^6 + 7/2")]
+        for p in polys:
+            for ex, ey in images:
+                assert p.substitute(ex, ey) == expand(p, ex, ey)
+        assert poly_parse("x - y").substitute(X, X).is_zero()
+
+    def test_framed_programs(self):
+        """The composed images of framed dilatation programs, step by step."""
+        from valtree import valuation
+        from valtree.testkit import gen_qmv
+
+        frames = (LinearFrame(((0, 1), (1, 0))), LinearFrame(((1, 0), (1, 1))),
+                  LinearFrame(((2, -1), (Fraction(1, 3), 3))))
+        for seed in range(30):
+            nu = gen_qmv(0xC0FFEE + seed, max_depth=6)
+            frame = frames[seed % 3]
+            ex, ey = X, Y
+            for step in nu.steps:
+                sx, sy = valuation._step_images(step)
+                ex, ey = expand(ex, sx, sy), expand(ey, sx, sy)
+            inv = frame.inverse()
+            fx, fy = inv.row_form(0), inv.row_form(1)
+            want = (expand(ex, fx, fy), expand(ey, fx, fy))
+            assert valuation._images(nu.steps, frame) == want
+            phi = gen_poly(seed, max_deg=4)
+            assert frame_apply(phi, frame) == expand(phi, fx, fy)
+
+
 class TestDivideOutLinear:
     def test_splits_power(self):
         gen = poly_parse("y - 2*x")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from valtree.poly import BivarPoly, BothWeightsInfiniteError, IDENTITY_FRAME, LinearFrame, poly_parse
-from valtree.rationals import INF, is_inf
+from valtree.rationals import INF, is_inf, scale
 from valtree import valuation
 from valtree.testkit import DEFAULT_SEED, gen_qmv, sample_polys
 from valtree.valuation import (
@@ -204,8 +204,120 @@ class TestEvaluate:
                 for nu in family:
                     assert evaluate(nu, phi) == evaluate_naive(nu, phi)
 
+    def test_leading_term_tiers_agree_with_engine_and_naive(self, monkeypatch):
+        """evaluate against a fresh image engine and literal substitution, on
+        inputs that reach every tier: an infinite level-0 value, a unique
+        least term, ties with v(x) = v(y) that do and do not cancel, and ties
+        with v(x) != v(y)."""
+        ties, engine_calls = [], []
+        vanishes, engine_evaluate = valuation._vanishes_at, valuation._Engine.evaluate
+
+        def recording_vanishes(root, terms):
+            ties.append(vanishes(root, terms))
+            return ties[-1]
+
+        def counting_engine(self, phi):
+            engine_calls.append(phi)
+            return engine_evaluate(self, phi)
+
+        monkeypatch.setattr(valuation, "_vanishes_at", recording_vanishes)
+        monkeypatch.setattr(valuation._Engine, "evaluate", counting_engine)
+        rng = random.Random(DEFAULT_SEED + 9)
+        shear = LinearFrame(((1, 0), (1, 1)))
+        # v(x) = 2, v(y) = 1 and v(x - y^2) = 3: x - y^2 ties and cancels
+        parabola = QuasiMonomialVal((INF_POINT, ProjPoint(1)), weights=(1, 1))
+        programs = [gen_qmv(DEFAULT_SEED + 900 + s, max_depth=8) for s in range(40)] + [
+            M_ADIC,
+            monomial(1, INF),
+            monomial(INF, Fraction(2, 3)),
+            QuasiMonomialVal((), SWAP, (1, INF)),
+            QuasiMonomialVal((ProjPoint(Fraction(2, 3)), INF_POINT), shear, (Fraction(3, 2), INF)),
+            QuasiMonomialVal((INF_POINT, INF_POINT), IDENTITY_FRAME, (INF, 1)),
+            QuasiMonomialVal((), shear, (1, 3)),
+            QuasiMonomialVal((ProjPoint(Fraction(-5, 2)), ProjPoint(3)), weights=(2, 5)),
+            parabola,
+        ]
+        for nu in programs:
+            polys = fraction_polys(rng, 3, max_deg=5) + [
+                X * Y + X**2 + Y**2,  # three tied terms when v(x) = v(y)
+                X - Y**2 + X * Y,
+                X + Y**2,
+            ]
+            d = valuation._head_exceptional(nu)
+            if d is not None:
+                ell = d.form()
+                other = ProjPoint(d.value + 1).form() if not d.is_inf else Y
+                polys += [
+                    ell,
+                    ell**2 + X**3 * Y,  # a tied form divisible by ell
+                    ell * other + Y**4 - X**5,
+                    other**2 + ell * X,  # a tie ell does not divide
+                    ell**3 * Fraction(2, 7) + other**4,
+                ]
+            for phi in polys:
+                want = valuation._Engine(nu).evaluate(phi)
+                assert evaluate(nu, phi) == want == evaluate_naive(nu, phi), (nu, phi)
+        assert engine_calls and True in ties and False in ties
+        assert evaluate(parabola, X - Y**2) == 3 and evaluate(parabola, X + Y**2) == 2
+
+    def test_seeded_polynomials_agree_with_engine(self):
+        """The leading-term tiers against a fresh engine on 1,500 seeded pairs."""
+        polys = sample_polys(DEFAULT_SEED + 10, 60, max_deg=5)
+        for s in range(25):
+            nu = gen_qmv(DEFAULT_SEED + 950 + s, max_depth=8)
+            engine = valuation._Engine(nu)
+            for phi in polys:
+                assert evaluate(nu, phi) == engine.evaluate(phi)
+
 
 class TestEvaluateWork:
+    # a 16-center chain drawn as benchmarks/evaluate_scaling.py draws them;
+    # its composed y image has 2,979 terms of degree 341.  Each test builds a
+    # fresh copy, so no engine is attached to it yet
+    DEEP = QuasiMonomialVal(
+        tuple(ProjPoint(c) for c in (
+            2, Fraction(-2, 3), -2, 0, INF, -1, 0, -1, 1, -2, -2, INF, 0, Fraction(2, 3), 1, INF,
+        )),
+        weights=(Fraction(5, 42), Fraction(1, 21)),
+    )
+
+    def count_image_builds(self, monkeypatch):
+        calls = []
+        images, state = valuation._images, valuation._ImageState
+
+        def counting(fn, name):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(valuation, "_images", counting(images, "_images"))
+        monkeypatch.setattr(valuation, "_ImageState", counting(state, "_ImageState"))
+        return calls
+
+    def test_unique_least_term_builds_no_images(self, monkeypatch):
+        nu = QuasiMonomialVal(self.DEEP.steps, self.DEEP.frame, self.DEEP.weights)
+        vx, vy = valuation._level_values(nu)[0]
+        assert vx == vy
+        polys = [X, Y, X**3 * Y + Y**7, BivarPoly.monomial(40, 2) + X**50]
+        polys += [
+            phi for phi in sample_polys(DEFAULT_SEED + 11, 40, max_deg=6)
+            if len({r + s for r, s in phi.terms}) == len(phi.terms)
+        ]
+        assert len(polys) > 10
+        calls = self.count_image_builds(monkeypatch)
+        for phi in polys:
+            assert evaluate(nu, phi) == min(r + s for r, s in phi.terms) * vx
+        assert calls == []
+
+    def test_form_divisible_by_the_exceptional_form_builds_images_once(self, monkeypatch):
+        nu = QuasiMonomialVal(self.DEEP.steps, self.DEEP.frame, self.DEEP.weights)
+        ell = poly_parse("y - 2*x")  # the direction of the first center, 2
+        assert valuation._head_exceptional(nu).form() == ell
+        calls = self.count_image_builds(monkeypatch)
+        assert evaluate(nu, ell) == evaluate_naive(nu, ell) > m_value(nu)
+        assert calls.count("_ImageState") == 1
+
     def test_warm_evaluate_never_hashes_the_valuation(self, monkeypatch):
         """The engine lives on the valuation: no cache lookup keyed by it."""
         nu = QuasiMonomialVal((ProjPoint(Fraction(3, 5)), INF_POINT), SWAP, (Fraction(4, 3), 1))
@@ -285,6 +397,52 @@ class TestCanonical:
             form = canonicalize(nu)
             assert canonicalize(from_canonical(form)) == form
             assert equal_valuations(from_canonical(form), nu)
+
+
+    def test_curve_fold_invariant(self):
+        """Every center folded into a curve's terminal re-states its direction.
+
+        A curve terminal only ends a program that never dilated, so the folded
+        centers are the program's own trailing ones.  Walking them back from
+        the frame row of the infinite weight, each is 0 under direction 0 and
+        inf under direction inf; legality guarantees it (a mismatched center
+        would value both coordinates infinitely), so canonicalization does not
+        check it.  Covers alternating 0/inf runs ending in an infinite weight
+        under three frames, with and without a generic first center.
+        """
+        rng = random.Random(DEFAULT_SEED + 12)
+        zero = ProjPoint(0)
+        frames = (IDENTITY_FRAME, SWAP, LinearFrame(((1, 0), (1, 1))))
+        folded = {0: 0, 1: 0}
+        for n in range(1, 11):
+            for _ in range(4):
+                steps = alternating_chain(rng, n).steps
+                if rng.random() < 0.5:
+                    steps = (ProjPoint(Fraction(rng.randint(1, 5), rng.randint(1, 3))),) + steps
+                gamma = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                for frame in frames:
+                    for weights in ((gamma, INF), (INF, gamma)):
+                        try:
+                            nu = QuasiMonomialVal(steps, frame, weights)
+                        except ValueError:
+                            continue
+                        form = valuation._canonicalize_raw(nu)
+                        kept = len(form.steps)
+                        assert form.steps == steps[:kept]
+                        p, q = frame.rows[0 if is_inf(weights[0]) else 1]
+                        d = INF_POINT if q == 0 else ProjPoint(p / q)
+                        for center in reversed(steps[kept:]):
+                            assert d in (zero, INF_POINT) and center.is_inf == d.is_inf
+                            folded[int(d.is_inf)] += 1
+                            d = direction_of_center(center)
+                        assert form.terminal == Curve(d, form.terminal.gamma)
+                        rebuilt = from_canonical(form)
+                        for phi in (X, Y, X + Y, poly_parse("y^2 - x^3 + x*y")):
+                            assert evaluate(rebuilt, phi) == evaluate(nu, phi) == evaluate_naive(nu, phi)
+        assert folded[0] > 10 and folded[1] > 10
+        for steps, weights in (((INF_POINT,), (1, INF)), ((zero,), (INF, 1)), ((zero, INF_POINT), (1, INF))):
+            with pytest.raises(ValueError, match="illegal program"):
+                QuasiMonomialVal(steps, IDENTITY_FRAME, weights)
 
 
 class TestMultiplicityStream:
@@ -377,6 +535,28 @@ class TestLevelValues:
         for nu in self.programs():
             self.check_level_zero(nu)
             self.check_walk(canonicalize(nu))
+
+    def test_head_exceptional_is_the_first_walk_direction(self):
+        """The head's exceptional direction, read off the program, against the
+        direction of the first center of its canonical walk, on normalized and
+        rescaled programs, framed and curve ones included."""
+        shear = LinearFrame(((1, 0), (1, 1)))
+        programs = self.programs() + [gen_qmv(DEFAULT_SEED + 500 + s, max_depth=8) for s in range(40)]
+        for nu in programs[:60]:
+            for frame, k in ((SWAP, 3), (shear, Fraction(1, 2)), (LinearFrame(((2, -1), (1, 3))), 1)):
+                try:
+                    programs.append(QuasiMonomialVal(nu.steps, frame, tuple(scale(k, w) for w in nu.weights)))
+                except ValueError:  # the new frame made a curve program illegal
+                    pass
+        programs += [
+            QuasiMonomialVal((), frame, w)
+            for frame in (IDENTITY_FRAME, SWAP, shear)
+            for w in ((1, 1), (2, 2), (1, 2), (3, 1), (1, INF), (INF, Fraction(2, 5)))
+        ]
+        for nu in programs:
+            walk = valuation._walk(valuation._canonicalize_raw(nu))
+            assert valuation._head_exceptional(nu) == valuation._exceptional(next(walk)[0]), nu
+            assert m_value(nu) == min(evaluate(nu, X), evaluate(nu, Y))
 
     def test_framed_programs_built_by_meet(self, monkeypatch):
         framed = []
