@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .poly import IDENTITY_FRAME, LinearFrame
-from .rationals import ExtRat, format_extrat, format_rat, is_inf, parse_extrat
+from .rationals import ExtRat, format_extrat, format_rat, parse_extrat
 from .tree import PathParam, RootedTree, TreePoint, FIPoint, FI_X, FI_Y, fi_seg
 from .valuation import (
     CanonicalForm,
@@ -21,6 +21,7 @@ from .valuation import (
     INF_POINT,
     ProjPoint,
     QuasiMonomialVal,
+    ZERO_POINT,
 )
 
 
@@ -53,6 +54,11 @@ def format_center(p: ProjPoint) -> str:
 
 
 def _center_from(text: str) -> ProjPoint:
+    # the two commonest spellings share one instance each; the rest parse
+    if text == "0":
+        return ZERO_POINT
+    if text == "inf":
+        return INF_POINT
     return ProjPoint(parse_extrat(text))
 
 

@@ -4,8 +4,12 @@ A valuation is described by a *dilatation program*: a list of blow-up centers,
 an optional linear coordinate frame, and a final pair of monomial weights.
 Every question reads the values ``(v(x_i), v(y_i))`` of the coordinates at
 each level first.  Chain questions (legality, m-values, multiplicities,
-meets) need nothing else.  Evaluation takes the least ``r*v(x) + s*v(y)`` over
-the terms of a polynomial, which is its value unless the least terms can
+meets) need nothing else, and they run on integers: the level values are
+integer numerators over one denominator, canonicalization takes each run of
+Euclid's algorithm on the weights with one ``divmod``-style quotient, and
+``meet`` compares multiplicities by cross-multiplication, so no valuation is
+built per dilatation step.  Evaluation takes the least ``r*v(x) + s*v(y)``
+over the terms of a polynomial, which is its value unless the least terms can
 cancel; only then does it push the polynomial through each center
 substitution, rewrite it in the frame coordinates, and take the weighted
 order of the result.
@@ -145,19 +149,33 @@ class QuasiMonomialVal:
         object.__setattr__(self, "weights", (w1, w2))
         if not isinstance(self.frame, LinearFrame):
             object.__setattr__(self, "frame", LinearFrame(self.frame))
-        vx, vy = _level_values(self)[0]
-        if is_inf(vx) and is_inf(vy):
+        q, levels = _level_numerators(self)
+        nx, ny = levels[0]
+        if nx is None and ny is None:
             raise ValueError(
                 "illegal program: every element of the maximal ideal "
                 "would get value infinity"
             )
         # kept beside the fields like the engine: equality, hash and repr
         # read only steps, frame and weights
-        object.__setattr__(self, "_level0", (vx, vy))
-        object.__setattr__(self, "_lead", _leading_data(self, vx, vy))
+        object.__setattr__(self, "_level0", (_value(nx, q), _value(ny, q)))
+        object.__setattr__(self, "_lead", _leading_data(self, nx, ny, q))
+
+    def __hash__(self) -> int:
+        return _cached_hash(self, (self.steps, self.frame, self.weights))
 
     def __call__(self, phi: BivarPoly) -> ExtRat:
         return evaluate(self, phi)
+
+
+def _cached_hash(obj, fields: tuple) -> int:
+    """The hash of a frozen dataclass, computed once and kept beside its fields."""
+    try:
+        return obj._hash
+    except AttributeError:
+        h = hash(fields)
+        object.__setattr__(obj, "_hash", h)
+        return h
 
 
 _X = BivarPoly.var_x()
@@ -366,6 +384,12 @@ class _Engine:
         return self.order_of_support(acc)
 
 
+def _row_direction(frame: LinearFrame, row: int) -> ProjPoint:
+    """The direction ``[p : q]`` of one row of a frame."""
+    p, q = frame.rows[row]
+    return INF_POINT if q == 0 else ProjPoint(p / q)
+
+
 def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
     """The unique direction valued above the m-value, if any.
 
@@ -379,27 +403,25 @@ def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
     w1, w2 = nu.weights
     if w1 == w2:
         return None
-    p, q = nu.frame.rows[0 if w1 > w2 else 1]
-    return INF_POINT if q == 0 else ProjPoint(p / q)
+    return _row_direction(nu.frame, 0 if w1 > w2 else 1)
 
 
 def _leading_data(
-    nu: QuasiMonomialVal, vx: ExtRat, vy: ExtRat
+    nu: QuasiMonomialVal, nx: _Num, ny: _Num, q: int
 ) -> Optional[Tuple[int, int, int, Optional[Tuple[int, int]]]]:
     """``(p1, p2, q, root)`` with ``v(x) = p1/q`` and ``v(y) = p2/q``, or None
     when one of them is infinite.  When ``v(x) = v(y)``, root is a zero
     ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, None if the head
     is terminal."""
-    if is_inf(vx) or is_inf(vy):
+    if nx is None or ny is None:
         return None
-    q = math.lcm(vx.denominator, vy.denominator)
     root = None
-    if vx == vy:
+    if nx == ny:
         d = _head_exceptional(nu)
         if d is not None:
             a, b = d.as_pair()
             root = (b, -a)
-    return vx.numerator * (q // vx.denominator), vy.numerator * (q // vy.denominator), q, root
+    return nx, ny, q, root
 
 
 def _vanishes_at(root: Tuple[int, int], terms: List[Tuple[Tuple[int, int], Fraction]]) -> bool:
@@ -446,21 +468,60 @@ def evaluate_naive(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
     return weighted_order(work, *nu.weights)
 
 
-def _level_values(nu: QuasiMonomialVal) -> List[Tuple[ExtRat, ExtRat]]:
-    """``(v(x_i), v(y_i))`` at every level i, level 0 being the original x, y.
+# A level value is an integer numerator over the program's one denominator q,
+# or None standing for infinity.
+_Num = Optional[int]
 
-    The last level gets the weighted orders of the inverse frame's rows, ``(d, -b)``
-    and ``(-c, a)`` up to scale.  Each center is undone by its chart: at infinity
-    ``x_i = x_{i+1} * y_{i+1}``, else ``y_i = x_{i+1} * (y_{i+1} + c)``, where the
-    second factor is a unit unless c = 0."""
+
+def _value(n: _Num, q: int) -> ExtRat:
+    return INF if n is None else Fraction(n, q)
+
+
+def _min_num(u: _Num, v: _Num) -> _Num:
+    return v if u is None else u if v is None else min(u, v)
+
+
+def _levels_back(steps: Sequence[ProjPoint], vx: _Num, vy: _Num) -> List[Tuple[_Num, _Num]]:
+    """The values at every level, level 0 first, from those ``(vx, vy)`` after
+    the last center.  Each center is undone by its chart: at infinity
+    ``x_i = x_{i+1} * y_{i+1}``, else ``y_i = x_{i+1} * (y_{i+1} + c)``, where
+    the second factor is a unit unless c = 0."""
+    levels = [(vx, vy)]
+    for step in reversed(steps):
+        c = step.value
+        if c is INF:
+            vx = None if vx is None or vy is None else vx + vy
+        elif c:
+            vy = vx
+        else:
+            vy = None if vx is None or vy is None else vx + vy
+        levels.append((vx, vy))
+    levels.reverse()
+    return levels
+
+
+def _level_numerators(nu: QuasiMonomialVal) -> Tuple[int, List[Tuple[_Num, _Num]]]:
+    """``(q, levels)``: ``(v(x_i), v(y_i))`` at every level i, level 0 being the
+    original x, y, as integer numerators over q, the lcm of the finite
+    weights' denominators.
+
+    The last level gets the weighted orders of the inverse frame's rows,
+    ``(d, -b)`` and ``(-c, a)`` up to scale; the recursion back to level 0 adds
+    integers only."""
     (a, b), (c, d) = nu.frame.rows
     w1, w2 = nu.weights
-    levels = [(min(w1 if d else INF, w2 if b else INF), min(w1 if c else INF, w2 if a else INF))]
-    for step in reversed(nu.steps):
-        vx, vy = levels[-1]
-        vx, vy = (vx + vy, vy) if step.is_inf else (vx, vx + vy if step.value == 0 else vx)
-        levels.append((vx, vy))
-    return levels[::-1]
+    q = math.lcm(*(w.denominator for w in (w1, w2) if w is not INF))
+    n1 = None if w1 is INF else w1.numerator * (q // w1.denominator)
+    n2 = None if w2 is INF else w2.numerator * (q // w2.denominator)
+    vx = _min_num(n1 if d else None, n2 if b else None)
+    vy = _min_num(n1 if c else None, n2 if a else None)
+    return q, _levels_back(nu.steps, vx, vy)
+
+
+def _level_values(nu: QuasiMonomialVal) -> List[Tuple[ExtRat, ExtRat]]:
+    """The level values of ``_level_numerators`` as exact rationals."""
+    q, levels = _level_numerators(nu)
+    return [(_value(vx, q), _value(vy, q)) for vx, vy in levels]
 
 
 def m_value(nu: QuasiMonomialVal) -> Fraction:
@@ -527,6 +588,9 @@ class CanonicalForm:
     steps: Tuple[ProjPoint, ...]
     terminal: Union[Divisorial, Curve]
 
+    def __hash__(self) -> int:
+        return _cached_hash(self, (self.steps, self.terminal))
+
 
 def dilate(nu: QuasiMonomialVal) -> Union[Continue, Terminal]:
     """One blow-up of a step-free program.
@@ -552,33 +616,43 @@ def dilate(nu: QuasiMonomialVal) -> Union[Continue, Terminal]:
 
 @lru_cache(maxsize=None)
 def _canonicalize_raw(nu: QuasiMonomialVal) -> CanonicalForm:
+    """The canonical form, built without a valuation per dilatation step.
+
+    The head is settled once: a curve if a weight is infinite, a terminal if
+    the weights are equal, else the one blow-up ``dilate`` would make, which
+    reads the frame row of the larger weight.  After it the frame is the
+    identity and the chain is Euclid's algorithm on the two weights' integer
+    numerators: each run of the center 0 (or infinity) is one quotient."""
     steps = list(nu.steps)
-    head = QuasiMonomialVal((), nu.frame, nu.weights)
-    terminal: Union[Divisorial, Curve]
-    while True:
-        w1, w2 = head.weights
-        if is_inf(w1) or is_inf(w2):
-            big = 0 if is_inf(w1) else 1
-            p, q = head.frame.rows[big]
-            direction = INF_POINT if q == 0 else ProjPoint(p / q)
-            terminal = Curve(direction, head.weights[1 - big])
-            break
-        step = dilate(head)
-        if isinstance(step, Terminal):
-            terminal = Divisorial(step.gamma)
-            break
-        steps.append(step.step)
-        head = step.tail
-    if isinstance(terminal, Curve):
+    w1, w2 = nu.weights
+    if w1 is INF or w2 is INF:
+        big = 0 if w1 is INF else 1
         # fold trailing steps that merely re-state the curve's own direction;
         # a curve only ends a program that never dilated, and legality makes
         # each folded center match d (0 under 0, inf under inf), see
         # tests/test_valuation.py::TestCanonical::test_curve_fold_invariant
-        d = terminal.direction
+        d = _row_direction(nu.frame, big)
         while steps and d in (ZERO_POINT, INF_POINT):
             d = direction_of_center(steps.pop())
-        terminal = Curve(d, terminal.gamma)
-    return CanonicalForm(tuple(steps), terminal)
+        return CanonicalForm(tuple(steps), Curve(d, nu.weights[1 - big]))
+    if w1 == w2:
+        return CanonicalForm(tuple(steps), Divisorial(w1))
+    q = math.lcm(w1.denominator, w2.denominator)
+    a, b = w1.numerator * (q // w1.denominator), w2.numerator * (q // w2.denominator)
+    center = direction_of_center(_row_direction(nu.frame, 0 if a > b else 1))
+    steps.append(center)
+    small, large = min(a, b), max(a, b)
+    a, b = (large - small, small) if center.is_inf else (small, large - small)
+    while a != b:
+        if a < b:  # n centers 0 take b down to the first value <= a
+            n = (b - 1) // a
+            steps += [ZERO_POINT] * n
+            b -= n * a
+        else:
+            n = (a - 1) // b
+            steps += [INF_POINT] * n
+            a -= n * b
+    return CanonicalForm(tuple(steps), Divisorial(Fraction(a, q)))
 
 
 def canonicalize(nu: QuasiMonomialVal) -> CanonicalForm:
@@ -618,27 +692,61 @@ TERMINAL = _TerminalMarker()
 
 
 _Level = Tuple[object, Fraction, Optional[ExtRat]]
+_NumLevel = Tuple[object, int, _Num]
 
 
 def _curve_tail_center(direction: ProjPoint) -> ProjPoint:
     return INF_POINT if direction.is_inf else ZERO_POINT
 
 
-def _walk(form: CanonicalForm) -> Iterator[_Level]:
-    """Yield (center, m, e) per level of a canonical chain: the center (TERMINAL
-    at a divisorial end), the multiplicity ``min(v(x_i), v(y_i))``, and the
-    value ``v(x_{i+1}) + v(y_{i+1})`` of the level's exceptional linear form."""
-    program = from_canonical(form)
-    levels = _level_values(program)
-    for center, (vx, vy), (nx, ny) in zip(program.steps, levels, levels[1:]):
-        yield center, min(vx, vy), nx + ny
+def _walk_numerators(form: CanonicalForm) -> Tuple[int, Iterator[_NumLevel]]:
+    """``(q, levels)``: per level of a canonical chain, the center (TERMINAL at
+    a divisorial end), the multiplicity ``min(v(x_i), v(y_i))`` and the value
+    ``v(x_{i+1}) + v(y_{i+1})`` of the level's exceptional linear form, as
+    integer numerators over q, the terminal weight's denominator (None for an
+    infinite value).
+
+    The values come from the program ``from_canonical`` rebuilds, without
+    building it: a divisorial ends on the weights ``(g, g)``, a curve on one
+    more center with g and infinity."""
     t = form.terminal
+    g, q = t.gamma.numerator, t.gamma.denominator
     if isinstance(t, Divisorial):
-        yield TERMINAL, t.gamma, None
+        steps, last = form.steps, (g, g)
+    elif t.direction.is_inf:
+        steps, last = form.steps + (INF_POINT,), (None, g)
+    else:
+        steps, last = form.steps + (center_of_direction(t.direction),), (g, None)
+    return q, _walk_levels(steps, _levels_back(steps, *last), t)
+
+
+def _walk_levels(
+    steps: Sequence[ProjPoint], levels: List[Tuple[_Num, _Num]], t: Union[Divisorial, Curve]
+) -> Iterator[_NumLevel]:
+    for center, (vx, vy), (nx, ny) in zip(steps, levels, islice(levels, 1, None)):
+        yield center, _min_num(vx, vy), None if nx is None or ny is None else nx + ny
+    g = t.gamma.numerator
+    if isinstance(t, Divisorial):
+        yield TERMINAL, g, None
         return
     constant = _curve_tail_center(t.direction)
     while True:
-        yield constant, t.gamma, INF
+        yield constant, g, None
+
+
+def _fraction_level(level: _NumLevel, q: int) -> _Level:
+    center, m, e = level
+    if e is None:
+        return center, Fraction(m, q), None if center is TERMINAL else INF
+    return center, Fraction(m, q), Fraction(e, q)
+
+
+def _walk(form: CanonicalForm) -> Iterator[_Level]:
+    """Yield (center, m, e) per level of a canonical chain: the levels of
+    ``_walk_numerators`` as exact rationals, e being None at a divisorial end."""
+    q, levels = _walk_numerators(form)
+    for level in levels:
+        yield _fraction_level(level, q)
 
 
 def multiplicity_stream(nu: QuasiMonomialVal):
@@ -647,8 +755,9 @@ def multiplicity_stream(nu: QuasiMonomialVal):
     Divisorial programs end with a (TERMINAL, gamma) entry; curve programs
     yield their eventually-constant tail forever.
     """
-    for center, m, _ in _walk(_canonicalize_raw(nu)):
-        yield center, m
+    q, levels = _walk_numerators(_canonicalize_raw(nu))
+    for center, m, _ in levels:
+        yield center, Fraction(m, q)
 
 
 def dilatation_length(nu: QuasiMonomialVal) -> Union[int, Infinity]:
@@ -717,18 +826,21 @@ def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
     form_a, form_b = _canonicalize_raw(nu), _canonicalize_raw(mu)
     if form_a == form_b:
         return nu
+    (q_a, walk_a), (q_b, walk_b) = _walk_numerators(form_a), _walk_numerators(form_b)
     prefix: list = []
     bound = len(form_a.steps) + len(form_b.steps) + 2
-    for level_a, level_b in islice(zip(_walk(form_a), _walk(form_b)), bound):
+    for level_a, level_b in islice(zip(walk_a, walk_b), bound):
         (c_a, m_a, _), (c_b, m_b, _) = level_a, level_b
-        if m_a != m_b:
-            return _monomial_meet(prefix, level_a, level_b, nu, mu)
+        if m_a * q_b != m_b * q_a:
+            return _monomial_meet(
+                prefix, _fraction_level(level_a, q_a), _fraction_level(level_b, q_b), nu, mu
+            )
         if c_a is TERMINAL:
             return nu
         if c_b is TERMINAL:
             return mu
         if c_a != c_b:
-            shared = from_canonical(CanonicalForm(tuple(prefix), Divisorial(m_a)))
+            shared = from_canonical(CanonicalForm(tuple(prefix), Divisorial(Fraction(m_a, q_a))))
             return normalize(shared)
         prefix.append(c_a)
     raise AssertionError("divergence search exceeded both program lengths")

@@ -344,3 +344,25 @@ class TestOptimizedMode:
             )
             assert (proc.returncode, proc.stdout) == (code, out)
             assert code == 0 and out
+
+
+class TestLongEuclid:
+    def test_canon_of_a_long_euclid_run(self, capsys, monkeypatch):
+        """Weights (1, 10^5) canonicalize to 99,999 centers 0 in one quotient,
+        without a valuation built per step."""
+        from valtree.valuation import QuasiMonomialVal
+
+        built = []
+        post_init = QuasiMonomialVal.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(QuasiMonomialVal, "__post_init__", counting)
+        code, out, _ = run(capsys, "val", "canon", "--valuation", '{"weights":["1","100000"]}')
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["steps"]) == 99_999 and {s["center"] for s in doc["steps"]} == {"0"}
+        assert doc["terminal"] == {"divisorial": "1"}
+        assert len(built) <= 2

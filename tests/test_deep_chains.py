@@ -1,0 +1,373 @@
+"""Deep dilatation chains: the integer chain kernel against Fraction references.
+
+Seeded programs of 50-500 levels mix runs of the centers 0 and infinity with
+free centers, end in weight pairs whose continued fractions have partial
+quotients up to 10^3, and sometimes carry a frame or a curve terminal.  The
+references live in this file: canonicalization by iterating ``dilate`` one
+step at a time, level values by the plain Fraction recursion, and a meet that
+walks Fraction multiplicities.  Work is bounded by counting constructions and
+steps, not by wall time.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from valtree import valuation
+from valtree.poly import BivarPoly, IDENTITY_FRAME, LinearFrame
+from valtree.rationals import INF, is_inf
+from valtree.testkit import DEFAULT_SEED, euclid_multiplicity_oracle
+from valtree.valuation import (
+    CanonicalForm,
+    Comparison,
+    Curve,
+    Divisorial,
+    INF_POINT,
+    ProjPoint,
+    QuasiMonomialVal,
+    TERMINAL,
+    Terminal,
+    ZERO_POINT,
+    canonicalize,
+    compare,
+    dilate,
+    direction_of_center,
+    evaluate,
+    from_canonical,
+    meet,
+    monomial,
+    multiplicity_stream,
+    normalize,
+)
+
+X = BivarPoly.var_x()
+Y = BivarPoly.var_y()
+FRAMES = (
+    LinearFrame(((0, 1), (1, 0))),
+    LinearFrame(((1, 0), (1, 1))),
+    LinearFrame(((2, -1), (1, 3))),
+)
+MIRROR = {"LT": "GT", "GT": "LT", "EQ": "EQ", "INCOMPARABLE": "INCOMPARABLE"}
+
+
+# ---------------------------------------------------------------------------
+# seeded deep programs
+# ---------------------------------------------------------------------------
+
+
+def quotients(rng, levels, top):
+    """Partial quotients, each at most top, whose Euclid chain has about
+    ``levels`` steps (the chain of [a0; a1, ..., ak] has sum - 1 steps)."""
+    out, left = [], max(levels, 1) + 1
+    while left > 0:
+        a = rng.randint(1, min(top, left))
+        out.append(a)
+        left -= a
+    if len(out) > 1 and out[-1] == 1:  # a continued fraction ends in a quotient >= 2
+        out[-2] += 1
+        out.pop()
+    return out
+
+
+def from_quotients(qs):
+    value = Fraction(qs[-1])
+    for a in reversed(qs[:-1]):
+        value = a + 1 / value
+    return value
+
+
+def continued_fraction(r):
+    p, q = r.numerator, r.denominator
+    out = []
+    while q:
+        out.append(p // q)
+        p, q = q, p % q
+    return out
+
+
+def weight_pair(rng, levels, top):
+    ratio = from_quotients(quotients(rng, levels, top))
+    w1 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    pair = (w1, w1 * ratio)
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
+def runs(rng, n):
+    """n centers in runs of 0 and infinity, with short runs of free centers."""
+    steps = []
+    while len(steps) < n:
+        roll = rng.random()
+        if roll < 0.4:
+            steps += [ZERO_POINT] * rng.randint(1, 40)
+        elif roll < 0.8:
+            steps += [INF_POINT] * rng.randint(1, 40)
+        else:
+            steps += [ProjPoint(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)))
+                      for _ in range(rng.randint(1, 3))]
+    return tuple(steps[:n])
+
+
+def deep_program(rng):
+    total = rng.randint(50, 500)
+    prefix = runs(rng, rng.randint(0, total // 2))
+    frame = rng.choice(FRAMES) if rng.random() < 0.2 else IDENTITY_FRAME
+    w = weight_pair(rng, total - len(prefix), rng.choice((3, 30, 1000)))
+    return normalize(QuasiMonomialVal(prefix, frame, w))
+
+
+def curve_program(rng):
+    while True:
+        prefix = runs(rng, rng.randint(50, 300))
+        g = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        direction = rng.choice((ZERO_POINT, INF_POINT, ProjPoint(Fraction(rng.randint(1, 7), 3))))
+        try:
+            return normalize(from_canonical(CanonicalForm(prefix, Curve(direction, g))))
+        except ValueError:  # the chosen direction made the program illegal
+            continue
+
+
+def programs(seed=DEFAULT_SEED + 900):
+    rng = random.Random(seed)
+    vals = [deep_program(rng) for _ in range(30)]
+    vals += [normalize(monomial(*weight_pair(rng, rng.randint(50, 3000), 1000))) for _ in range(10)]
+    vals += [curve_program(rng) for _ in range(10)]
+    return vals
+
+
+PROGRAMS = programs()
+
+
+# ---------------------------------------------------------------------------
+# references, kept apart from the code under test
+# ---------------------------------------------------------------------------
+
+
+def reference_canonical(nu):
+    """Canonicalization by one ``dilate`` per Euclidean subtraction."""
+    steps = list(nu.steps)
+    head = QuasiMonomialVal((), nu.frame, nu.weights)
+    while True:
+        w1, w2 = head.weights
+        if is_inf(w1) or is_inf(w2):
+            big = 0 if is_inf(w1) else 1
+            p, q = head.frame.rows[big]
+            d = INF_POINT if q == 0 else ProjPoint(p / q)
+            while steps and d in (ZERO_POINT, INF_POINT):
+                d = direction_of_center(steps.pop())
+            return CanonicalForm(tuple(steps), Curve(d, head.weights[1 - big]))
+        step = dilate(head)
+        if isinstance(step, Terminal):
+            return CanonicalForm(tuple(steps), Divisorial(step.gamma))
+        steps.append(step.step)
+        head = step.tail
+
+
+def reference_levels(nu):
+    """``(v(x_i), v(y_i))`` per level by the Fraction recursion."""
+    (a, b), (c, d) = nu.frame.rows
+    w1, w2 = nu.weights
+    vx = min(w1 if d else INF, w2 if b else INF)
+    vy = min(w1 if c else INF, w2 if a else INF)
+    levels = [(vx, vy)]
+    for step in reversed(nu.steps):
+        if step.is_inf:
+            vx = vx + vy
+        elif step.value == 0:
+            vy = vx + vy
+        else:
+            vy = vx
+        levels.append((vx, vy))
+    return levels[::-1]
+
+
+def reference_walk(form):
+    program = from_canonical(form)
+    levels = reference_levels(program)
+    for center, (vx, vy), (nx, ny) in zip(program.steps, levels, levels[1:]):
+        yield center, min(vx, vy), nx + ny
+    t = form.terminal
+    if isinstance(t, Divisorial):
+        yield TERMINAL, t.gamma, None
+        return
+    while True:
+        yield INF_POINT if t.direction.is_inf else ZERO_POINT, t.gamma, INF
+
+
+def reference_meet(nu, mu):
+    """The lockstep meet on Fraction multiplicities."""
+    form_a, form_b = reference_canonical(nu), reference_canonical(mu)
+    if form_a == form_b:
+        return nu
+    prefix = []
+    bound = len(form_a.steps) + len(form_b.steps) + 2
+    for level_a, level_b in itertools.islice(zip(reference_walk(form_a), reference_walk(form_b)), bound):
+        (c_a, m_a, _), (c_b, m_b, _) = level_a, level_b
+        if m_a != m_b:
+            return valuation._monomial_meet(prefix, level_a, level_b, nu, mu)
+        if c_a is TERMINAL:
+            return nu
+        if c_b is TERMINAL:
+            return mu
+        if c_a != c_b:
+            return normalize(from_canonical(CanonicalForm(tuple(prefix), Divisorial(m_a))))
+        prefix.append(c_a)
+    raise AssertionError("no divergence")
+
+
+def count_constructions(monkeypatch):
+    calls = []
+    post_init = QuasiMonomialVal.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(QuasiMonomialVal, "__post_init__", counting)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+
+class TestGenerators:
+    def test_programs_are_deep_and_mixed(self):
+        lengths = [len(canonicalize(nu).steps) for nu in PROGRAMS[:30]]
+        assert min(lengths) >= 50 and max(lengths) <= 520
+        assert max(len(canonicalize(nu).steps) for nu in PROGRAMS[30:40]) > 1000
+        centers = {s for nu in PROGRAMS for s in nu.steps}
+        assert {ZERO_POINT, INF_POINT} <= centers and len(centers) > 10
+        assert any(not nu.frame.is_identity() for nu in PROGRAMS)
+        assert sum(isinstance(canonicalize(nu).terminal, Curve) for nu in PROGRAMS) == 10
+
+
+class TestCanonical:
+    def test_against_iterated_dilate(self):
+        for nu in PROGRAMS:
+            assert valuation._canonicalize_raw.__wrapped__(nu) == reference_canonical(nu), nu.weights
+
+    def test_euclid_runs_without_a_valuation_per_step(self, monkeypatch):
+        calls = count_constructions(monkeypatch)
+        form = canonicalize(normalize(monomial(1, 10**5)))
+        assert len(calls) <= 2
+        assert len(form.steps) == 99_999 and set(form.steps) == {ZERO_POINT}
+        assert form.terminal == Divisorial(Fraction(1))
+        del calls[:]
+        for nu in PROGRAMS:
+            valuation._canonicalize_raw.__wrapped__(nu)
+        assert calls == []
+
+    def test_long_runs_match_dilate(self):
+        """Single long runs of either center, after a framed head."""
+        for frame in (IDENTITY_FRAME,) + FRAMES:
+            for w in ((1, 2000), (2000, 1), (Fraction(1, 3), Fraction(1001, 7)), (7, 7)):
+                nu = QuasiMonomialVal((), frame, w)
+                assert valuation._canonicalize_raw.__wrapped__(nu) == reference_canonical(nu)
+
+
+class TestLevelValues:
+    def test_every_level_against_the_fraction_recursion(self):
+        for nu in PROGRAMS:
+            assert valuation._level_values(nu) == reference_levels(nu)
+            q, levels = valuation._level_numerators(nu)
+            assert [tuple(INF if n is None else Fraction(n, q) for n in lv) for lv in levels] \
+                == reference_levels(nu)
+
+    def test_walk_against_the_fraction_recursion(self):
+        for nu in PROGRAMS:
+            form = canonicalize(nu)
+            n = len(form.steps) + 3
+            got = list(itertools.islice(valuation._walk(form), n))
+            want = list(itertools.islice(reference_walk(form), n))
+            assert got == want
+
+    def test_level_zero_is_the_value_of_x_and_y(self):
+        for nu in PROGRAMS:
+            assert valuation._level_values(nu)[0] == (evaluate(nu, X), evaluate(nu, Y))
+
+
+class TestStream:
+    def test_tail_follows_the_subtractive_oracle(self):
+        checked = 0
+        for nu in PROGRAMS:
+            w1, w2 = nu.weights
+            if not nu.frame.is_identity() or is_inf(w1) or is_inf(w2):
+                continue
+            k = len(nu.steps)
+            want = euclid_multiplicity_oracle(w1, w2)
+            got = list(itertools.islice(multiplicity_stream(nu), k + len(want) + 1))[k:]
+            assert [m for _, m in got[:-1]] == want
+            assert got[-1] == (TERMINAL, want[-1] if want else w1)
+            checked += 1
+        assert checked >= 25
+
+
+def partners(nu, rng):
+    """Valuations that meet nu at every kind of divergence."""
+    form = canonicalize(nu)
+    out = [nu, rng.choice(PROGRAMS)]
+    w1, w2 = nu.weights
+    if not is_inf(w1) and not is_inf(w2):
+        # the same prefix with a nearby weight ratio, its continued fraction
+        # changed in the last quotient or cut in half: the walks part deep in
+        # the Euclid chain
+        low, ratio = min(w1, w2), max(w1, w2) / min(w1, w2)
+        qs = continued_fraction(ratio)
+        for near in (qs[:-1] + [qs[-1] + 1], qs[:max(1, len(qs) // 2)]):
+            high = low * from_quotients(near)
+            w = (low, high) if w1 <= w2 else (high, low)
+            out.append(normalize(QuasiMonomialVal(nu.steps, nu.frame, w)))
+    cut = rng.randint(0, len(form.steps))
+    below = CanonicalForm(form.steps[:cut], Divisorial(Fraction(1)))
+    out.append(normalize(from_canonical(below)))  # comparable: a point on nu's segment
+    sibling = form.steps[:cut] + (ProjPoint(Fraction(rng.randint(1, 9), 7)),)
+    out.append(normalize(from_canonical(CanonicalForm(sibling, Divisorial(Fraction(1, 3))))))
+    if isinstance(form.terminal, Divisorial):
+        child = form.steps + runs(rng, 30)
+        out.append(normalize(from_canonical(CanonicalForm(child, Divisorial(Fraction(2, 5))))))
+    return out
+
+
+def word_from_forms(nu, mu, w):
+    c_nu, c_mu, c_w = canonicalize(nu), canonicalize(mu), canonicalize(w)
+    return ("EQ" if c_nu == c_mu else "LT" if c_w == c_nu
+            else "GT" if c_w == c_mu else "INCOMPARABLE")
+
+
+class TestMeet:
+    def pairs(self):
+        rng = random.Random(DEFAULT_SEED + 901)
+        return [(nu, mu) for nu in PROGRAMS[::2] for mu in partners(nu, rng)]
+
+    def test_meet_against_the_fraction_walk(self):
+        pairs = self.pairs()
+        words = set()
+        for nu, mu in pairs:
+            w = meet(nu, mu)
+            assert canonicalize(w) == canonicalize(reference_meet(nu, mu))
+            words.add(compare(nu, mu).value)
+        assert words == {"EQ", "LT", "GT", "INCOMPARABLE"}
+
+    def test_lattice_laws(self):
+        for nu, mu in self.pairs():
+            w = meet(nu, mu)
+            assert canonicalize(meet(mu, nu)) == canonicalize(w)
+            assert canonicalize(meet(nu, nu)) == canonicalize(nu)
+            assert compare(w, nu) in (Comparison.LT, Comparison.EQ)
+            assert compare(w, mu) in (Comparison.LT, Comparison.EQ)
+            word = compare(nu, mu).value
+            assert compare(mu, nu).value == MIRROR[word]
+            assert word == word_from_forms(nu, mu, w)
+            for phi in (X, Y):
+                assert evaluate(w, phi) <= min(evaluate(nu, phi), evaluate(mu, phi))
+
+    @pytest.mark.parametrize("n", [10**3, 10**4])
+    def test_long_euclid_meet_builds_a_bounded_number_of_valuations(self, monkeypatch, n):
+        nu, mu = normalize(monomial(1, n)), normalize(monomial(1, n + Fraction(1, 2)))
+        calls = count_constructions(monkeypatch)
+        w = meet.__wrapped__(nu, mu)
+        assert len(calls) <= 4
+        assert compare(nu, mu) is Comparison.LT and canonicalize(w) == canonicalize(nu)

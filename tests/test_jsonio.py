@@ -189,3 +189,40 @@ class TestPosetDoc:
         assert format_fi_point(fi_seg(Fraction(1, 4))) == "1/4"
         with pytest.raises(FormatError):
             parse_fi_point("Z")
+
+
+class TestCenterParsing:
+    """``"0"`` and ``"inf"`` take a shortcut to the shared points; every other
+    spelling goes through ``parse_extrat`` as before."""
+
+    def test_common_spellings(self):
+        from valtree.jsonio import _center_from
+        from valtree.valuation import ZERO_POINT
+
+        assert _center_from("0") is ZERO_POINT and _center_from("inf") is INF_POINT
+        for text in ("0", "-0", "0/5"):
+            assert _center_from(text) == ProjPoint(0)
+        for text in ("inf", "INF", " inf "):
+            assert _center_from(text) == INF_POINT
+
+    def test_every_other_spelling_parses_as_parse_extrat(self):
+        from valtree.jsonio import _center_from
+        from valtree.rationals import parse_extrat
+
+        texts = ["0", "-0", "0/5", "inf", "INF", " inf ", "Inf", " 0", "00", "3/6", "-2/3"]
+        bad = ["", "abc", "1/0", "0/0", "+inf", "-inf", "0x", "1.5.2", 0, None, 1.5]
+        for text in texts + bad:
+            try:
+                want = ProjPoint(parse_extrat(text))
+            except Exception as exc:  # the same error, type and message
+                with pytest.raises(type(exc)) as got:
+                    _center_from(text)
+                assert str(got.value) == str(exc)
+                continue
+            assert _center_from(text) == want
+
+    def test_malformed_centers_in_documents(self):
+        for center in ("", "abc", "1/0", "0/0", "+inf", "-inf"):
+            doc = {"steps": [{"center": center}], "weights": ["1", "2"]}
+            with pytest.raises(FormatError, match="malformed valuation"):
+                valuation_from_json(doc)

@@ -582,3 +582,43 @@ class TestLevelValues:
             self.check_level_zero(p)
             assert m_value(p) == 1
             self.check_walk(canonicalize(p))
+
+
+class TestCachedHash:
+    """Valuations and canonical forms hash their fields once."""
+
+    def programs(self):
+        return [gen_qmv(DEFAULT_SEED + 600 + s, max_depth=6) for s in range(30)] + [
+            alternating_chain(random.Random(DEFAULT_SEED + 601), 12),
+        ]
+
+    def test_second_lookup_hashes_no_center(self, monkeypatch):
+        calls = []
+        original = ProjPoint.__hash__
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ProjPoint, "__hash__", counting)
+        nu = alternating_chain(random.Random(DEFAULT_SEED + 602), 9)
+        mu = normalize(QuasiMonomialVal(nu.steps[:4], weights=(2, 7)))
+        valuation._canonicalize_raw(nu)
+        meet(nu, mu)
+        assert calls  # the first lookups hash the steps
+        del calls[:]
+        valuation._canonicalize_raw(nu)
+        meet(nu, mu)
+        meet(nu, mu)
+        assert calls == []
+
+    def test_equal_objects_built_apart_hash_equal(self):
+        for nu in self.programs():
+            twin = QuasiMonomialVal(tuple(ProjPoint(s.value) for s in nu.steps),
+                                    LinearFrame(nu.frame.rows), tuple(nu.weights))
+            assert twin is not nu and twin == nu
+            assert hash(twin) == hash(nu) == hash((nu.steps, nu.frame, nu.weights))
+            form = canonicalize(nu)
+            form_twin = CanonicalForm(tuple(form.steps), form.terminal)
+            assert hash(form) == hash(form_twin) == hash((form.steps, form.terminal))
+            assert repr(twin) == repr(nu) and twin.__dict__.keys() >= {"_hash"}
