@@ -1,15 +1,13 @@
 """Cold chain-layer latency over chain length: normalize, canonicalize, meet, compare.
 
-Measures one or more source trees of valtree in alternation and writes
-``BENCH_chain.json``:
+Measures one or more source trees of valtree in alternation (``harness.py``)
+and writes ``BENCH_chain.json``:
 
     python benchmarks/chain_scaling.py --tree parent=/path/to/old/src \\
         --tree change=src --rounds 5 --out BENCH_chain.json
 
-Every (round, tree, cell) runs in a fresh interpreter that imports
-``valtree`` from that tree, so no cache answers for an earlier cell; the
-order of the trees alternates from round to round, so a drift in the host's
-speed hits both.
+Every (round, tree, cell) runs in a fresh interpreter, so no cache answers
+for an earlier cell.
 
 A cell is one pair of unnormalized programs.  The worker times, in order,
 building them, ``normalize`` on each, ``canonicalize`` on each, ``meet`` and
@@ -26,16 +24,13 @@ length of the first program as ``levels``.  Two sweeps:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 from fractions import Fraction
+
+import harness
 
 PREFIX_LENGTHS = (8, 16, 32, 64, 128, 256, 512)
 EUCLID_TOPS = (10**2, 10**3, 10**4, 10**5)
@@ -64,7 +59,6 @@ def _prefix(n: int):
 
 
 def worker(src: str, cell: str) -> dict:
-    sys.path.insert(0, os.path.abspath(src))
     from valtree.valuation import QuasiMonomialVal, canonicalize, compare, meet, normalize
 
     kind, n = cell.split("_")
@@ -91,57 +85,22 @@ def worker(src: str, cell: str) -> dict:
     return out
 
 
-def _commit(src: str) -> str:
-    def git(*args):
-        out = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
-        return out.stdout.strip() if out.returncode == 0 else ""
-
-    head = git("rev-parse", "--short", "HEAD") or "unknown"
-    return head + ("+uncommitted" if git("status", "--porcelain", "--", ".") else "")
+def summarize(runs) -> dict:
+    per_cell = {}
+    for cell, samples in runs.items():
+        per_cell[cell] = {p: round(statistics.median(s[p] for s in samples), 3) for p in PHASES}
+        per_cell[cell]["levels"] = samples[0]["levels"]
+    return {"cells": per_cell}
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC",
-                        help="a label and the src/ directory to import valtree from")
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--out", default="BENCH_chain.json")
-    parser.add_argument("--worker", nargs=2, metavar=("SRC", "CELL"), help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.worker:
-        print(json.dumps(worker(*args.worker)))
-        return 0
-    trees = [t.split("=", 1) for t in args.tree]
-    if not trees or any(len(t) != 2 for t in trees) or args.rounds < 1:
-        parser.error("give at least one --tree LABEL=SRC and --rounds >= 1")
-    runs = {label: {cell: [] for cell in cells()} for label, _ in trees}
-    for r in range(args.rounds):
-        for cell in cells():
-            for label, src in trees if r % 2 == 0 else trees[::-1]:
-                out = subprocess.run([sys.executable, __file__, "--worker", src, cell],
-                                     capture_output=True, text=True, check=True)
-                runs[label][cell].append(json.loads(out.stdout))
-        print(f"round {r + 1} done", file=sys.stderr)
-    doc = {
-        "benchmark": "cold chain-layer latency per cell, one fresh process per (round, tree, "
-                     "cell), median over rounds, in milliseconds: building two programs, "
-                     "normalize, canonicalize, meet and compare on them, and their total",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpus": os.cpu_count(),
-        "rounds": args.rounds,
-        "trees": {},
-    }
-    for label, src in trees:
-        per_cell = {}
-        for cell, samples in runs[label].items():
-            per_cell[cell] = {p: round(statistics.median(s[p] for s in samples), 3) for p in PHASES}
-            per_cell[cell]["levels"] = samples[0]["levels"]
-        doc["trees"][label] = {"commit": _commit(src), "cells": per_cell}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return 0
+    return harness.main(
+        __file__, __doc__, cells=cells(), worker=worker, summarize=summarize,
+        description="cold chain-layer latency per cell, one fresh process per (round, tree, "
+                    "cell), median over rounds, in milliseconds: building two programs, "
+                    "normalize, canonicalize, meet and compare on them, and their total",
+        rounds=5, out="BENCH_chain.json",
+    )
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """``evaluate`` latency, cold and warm, over polynomial degree and chain depth.
 
-Measures one or more source trees of valtree in alternation and writes
-``BENCH_evaluate.json``:
+Measures one or more source trees of valtree in alternation (``harness.py``)
+and writes ``BENCH_evaluate.json``:
 
     python benchmarks/evaluate_scaling.py --tree parent=/path/to/old/src \\
         --tree change=src --rounds 3 --out BENCH_evaluate.json
 
-Each (round, tree) pair runs in a fresh interpreter that imports ``valtree``
-from that tree, so the trees never share caches; the order of the trees
-alternates from round to round, so a drift in the host's speed hits both.
+Each (round, tree) pair runs all cells in one fresh interpreter, so the
+trees never share caches.
 
 A cell is one valuation and eight seeded polynomials (``testkit.sample_polys``,
 at most five terms each).  The first pass over its (valuation, polynomial)
@@ -25,16 +24,13 @@ against 50 ``testkit.sample_polys`` polynomials of degree at most 4.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 from fractions import Fraction
+
+import harness
 
 # two sweeps, not a grid: a depth-16 program's images are dense, and the
 # first evaluation of a degree-16 polynomial that reaches them takes minutes
@@ -108,8 +104,8 @@ def _image_share(pairs) -> float:
     return len(calls) / len(pairs)
 
 
-def worker(src: str) -> dict:
-    sys.path.insert(0, os.path.abspath(src))
+def worker(src: str, cell: str) -> dict:
+    """Every cell, measured in one process: the harness's only cell is ``all``."""
     from valtree.testkit import gen_qmv, sample_polys
 
     cells = {}
@@ -126,57 +122,26 @@ def worker(src: str) -> dict:
     return cells
 
 
-def _commit(src: str) -> str:
-    def git(*args):
-        out = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
-        return out.stdout.strip() if out.returncode == 0 else ""
+METRICS = ("warm_us", "cold_ms", "image_share")
 
-    head = git("rev-parse", "--short", "HEAD") or "unknown"
-    return head + ("+uncommitted" if git("status", "--porcelain", "--", ".") else "")
+
+def summarize(runs) -> dict:
+    (samples,) = runs.values()
+    return {
+        metric: {cell: round(statistics.median(run[cell][metric] for run in samples), 2)
+                 for cell in samples[0]}
+        for metric in METRICS
+    }
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC",
-                        help="a label and the src/ directory to import valtree from")
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--out", default="BENCH_evaluate.json")
-    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.worker:
-        print(json.dumps(worker(args.worker)))
-        return 0
-    trees = [t.split("=", 1) for t in args.tree]
-    if not trees or any(len(t) != 2 for t in trees) or args.rounds < 1:
-        parser.error("give at least one --tree LABEL=SRC and --rounds >= 1")
-    runs = {label: [] for label, _ in trees}
-    for r in range(args.rounds):
-        for label, src in trees if r % 2 == 0 else trees[::-1]:
-            out = subprocess.run([sys.executable, __file__, "--worker", src],
-                                 capture_output=True, text=True, check=True)
-            runs[label].append(json.loads(out.stdout))
-            print(f"round {r + 1} {label}: gen_qmv {runs[label][-1]['gen_qmv']['warm_us']:.2f} us", file=sys.stderr)
-    doc = {
-        "benchmark": "evaluate latency per cell, median over rounds: warm_us is microseconds "
-                     "per call (best of %d timed loops), cold_ms the first pass in milliseconds, "
-                     "image_share the share of calls that reached the substitution images" % REPEATS,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpus": os.cpu_count(),
-        "rounds": args.rounds,
-        "trees": {},
-    }
-    for label, src in trees:
-        doc["trees"][label] = {"commit": _commit(src)}
-        for metric in ("warm_us", "cold_ms", "image_share"):
-            doc["trees"][label][metric] = {
-                cell: round(statistics.median(run[cell][metric] for run in runs[label]), 2)
-                for cell in runs[label][0]
-            }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return 0
+    return harness.main(
+        __file__, __doc__, cells=["all"], worker=worker, summarize=summarize,
+        description="evaluate latency per cell, median over rounds: warm_us is microseconds "
+                    "per call (best of %d timed loops), cold_ms the first pass in milliseconds, "
+                    "image_share the share of calls that reached the substitution images" % REPEATS,
+        rounds=3, out="BENCH_evaluate.json",
+    )
 
 
 if __name__ == "__main__":

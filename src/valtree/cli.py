@@ -580,7 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         print(f"error: input too large to process ({type(exc).__name__})", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .poly import IDENTITY_FRAME, LinearFrame
 from .rationals import ExtRat, format_extrat, format_rat, parse_extrat
@@ -27,6 +27,62 @@ from .valuation import (
 
 class FormatError(ValueError):
     """Raised for malformed interchange data."""
+
+
+# Every field is checked for its JSON type before it is converted, and a
+# wrong type is a FormatError that names the field ("weights[0]"): rationals
+# travel as strings, so a JSON number is rejected rather than guessed at.
+# Field names are built only on the error path: documents carry a step per
+# chain level, and parsing them is on the CLI's hot path.
+_KINDS = {str: (str, "a string"), dict: (dict, "an object"), list: ((list, tuple), "an array")}
+_JSON_TYPES = (
+    (bool, "a boolean"), ((int, float), "a number"), (str, "a string"),
+    (dict, "an object"), ((list, tuple), "an array"),
+)
+
+
+def _json_kind(value) -> str:
+    if value is None:
+        return "null"
+    return next((name for t, name in _JSON_TYPES if isinstance(value, t)), type(value).__name__)
+
+
+def _typed(value, kind: type, where: str, length: Optional[int] = None):
+    """value, if it has the JSON type kind (str, dict or list) and, for an
+    array, the given length; else a FormatError naming the field."""
+    accepted, name = _KINDS[kind]
+    if not isinstance(value, accepted):
+        raise FormatError(f"{where} must be {name}, got {_json_kind(value)}")
+    if length is not None and len(value) != length:
+        raise FormatError(f"{where} must have {length} entries, got {len(value)}")
+    return value
+
+
+def _strings(value, where: str, length: int) -> list:
+    """An array of the given length whose entries are strings."""
+    entries = _typed(value, list, where, length)
+    for i, v in enumerate(entries):
+        if not isinstance(v, str):
+            _typed(v, str, f"{where}[{i}]")
+    return entries
+
+
+def _member(obj: dict, key: str, kind: type, where: str):
+    """obj[key], checked as ``_typed`` checks it; where names obj."""
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise FormatError(f"{path} is missing")
+    return _typed(obj[key], kind, path)
+
+
+def _steps_from(data: dict) -> Tuple[ProjPoint, ...]:
+    centers = []
+    for i, s in enumerate(_typed(data.get("steps", []), list, "steps")):
+        if not (isinstance(s, dict) and isinstance(s.get("center"), str)):
+            # raises, naming what is wrong with the step
+            _member(_typed(s, dict, f"steps[{i}]"), "center", str, f"steps[{i}]")
+        centers.append(_center_from(s["center"]))
+    return tuple(centers)
 
 
 def format_direction(d: ProjPoint) -> str:
@@ -74,18 +130,21 @@ def valuation_from_json(data: dict) -> QuasiMonomialVal:
     if not isinstance(data, dict):
         raise FormatError("valuation must be a JSON object")
     try:
-        steps = tuple(_center_from(s["center"]) for s in data.get("steps", ()))
+        steps = _steps_from(data)
         frame_rows = data.get("frame")
         frame = (
             IDENTITY_FRAME
             if frame_rows is None
             else LinearFrame(
-                tuple(tuple(Fraction(v) for v in row) for row in frame_rows)
+                tuple(
+                    tuple(Fraction(v) for v in _strings(row, f"frame[{i}]", 2))
+                    for i, row in enumerate(_typed(frame_rows, list, "frame", 2))
+                )
             )
         )
-        weights = tuple(parse_extrat(w) for w in data.get("weights", ("1", "1")))
-        if len(weights) != 2:
-            raise FormatError("weights must be a pair")
+        weights = tuple(
+            parse_extrat(w) for w in _strings(data.get("weights", ["1", "1"]), "weights", 2)
+        )
         return QuasiMonomialVal(steps, frame, weights)
     except FormatError:
         raise
@@ -111,14 +170,19 @@ def canonical_to_json(form: CanonicalForm) -> dict:
 
 
 def canonical_from_json(data: dict) -> CanonicalForm:
+    _typed(data, dict, "canonical form")
     try:
-        steps = tuple(_center_from(s["center"]) for s in data.get("steps", ()))
-        t = data["terminal"]
+        steps = _steps_from(data)
+        t = _member(data, "terminal", dict, "")
         if "divisorial" in t:
-            terminal: Union[Divisorial, Curve] = Divisorial(Fraction(t["divisorial"]))
+            gamma = _member(t, "divisorial", str, "terminal")
+            terminal: Union[Divisorial, Curve] = Divisorial(Fraction(gamma))
         else:
-            c = t["curve"]
-            terminal = Curve(parse_direction(c["direction"]), Fraction(c["weight"]))
+            c = _member(t, "curve", dict, "terminal")
+            terminal = Curve(
+                parse_direction(_member(c, "direction", str, "terminal.curve")),
+                Fraction(_member(c, "weight", str, "terminal.curve")),
+            )
         return CanonicalForm(steps, terminal)
     except FormatError:
         raise
@@ -131,8 +195,9 @@ def rank2_values_to_json(wx: Tuple[int, Fraction], wy: Tuple[int, Fraction]) -> 
 
 
 def rank2_values_from_json(data: list) -> Tuple[Tuple[int, Fraction], Tuple[int, Fraction]]:
+    pair = [_strings(w, f"values[{i}]", 2) for i, w in enumerate(_typed(data, list, "values", 2))]
     try:
-        (a0, a1), (b0, b1) = data
+        (a0, a1), (b0, b1) = pair
         return (int(a0), Fraction(a1)), (int(b0), Fraction(b1))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed rank-2 values: {exc}") from exc
@@ -158,17 +223,22 @@ def tree_to_json(tree: RootedTree, psi_style: str = "arclength+1") -> dict:
 
 
 def tree_from_json(data: dict) -> Tuple[RootedTree, PathParam]:
+    _typed(data, dict, "tree")
     try:
         edges: Dict[tuple, ExtRat] = {}
 
-        def walk(obj: dict, path: tuple) -> None:
-            for i, kid in enumerate(obj.get("children", ())):
-                edges[path + (i,)] = parse_extrat(kid["edge"])
-                walk(kid.get("node", {}), path + (i,))
+        def walk(obj: dict, path: tuple, where: str) -> None:
+            _typed(obj, dict, where)
+            kids = _typed(obj.get("children", []), list, f"{where}.children")
+            for i, kid in enumerate(kids):
+                here = f"{where}.children[{i}]"
+                edge = _member(_typed(kid, dict, here), "edge", str, here)
+                edges[path + (i,)] = parse_extrat(edge)
+                walk(kid.get("node", {}), path + (i,), f"{here}.node")
 
-        walk(data["nodes"]["root"], ())
+        walk(_member(_member(data, "nodes", dict, ""), "root", dict, "nodes"), (), "nodes.root")
         tree = RootedTree(edges)
-        return tree, PathParam(tree, data.get("psi", "arclength+1"))
+        return tree, PathParam(tree, _typed(data.get("psi", "arclength+1"), str, "psi"))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -64,6 +64,17 @@ class BivarPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, terms: dict) -> "BivarPoly":
+        """Wrap terms as they are, skipping the checks and copy of ``__init__``.
+
+        Precondition: every key is a pair of nonnegative ints and every value
+        a nonzero ``Fraction``; the dict is not mutated afterwards."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
+
+    @classmethod
     def zero(cls) -> "BivarPoly":
         return cls({})
 

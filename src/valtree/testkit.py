@@ -38,24 +38,66 @@ _X = BivarPoly.var_x()
 _Y = BivarPoly.var_y()
 
 
+# The generators draw through ``getrandbits`` exactly as ``random.Random``
+# draws ``randint(a, b)`` and ``choice(seq)``: a uniform index below
+# n = b - a + 1 (or len(seq)) is ``getrandbits(n.bit_length())``, drawn again
+# while it is n or more.  The streams, and so every generated object, are
+# those of the plain calls; tests/test_testkit.py compares them.
+
+
+def _randint(getrandbits, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` drawn from ``rng.getrandbits``."""
+    n = b - a + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return a + r
+
+
+# _SIGNED[sign][c - 1] is the coefficient c (sign 0) or -c (sign 1)
+_SIGNED = tuple(tuple(Fraction(u * c) for c in range(1, 65)) for u in (1, -1))
+
+
 def _poly_from_rng(
     rng: random.Random, max_deg: int, max_terms: int, coeff_bound: int
 ) -> BivarPoly:
+    """Draws as ``randint(1, max_terms)`` terms of ``r = randint(0, max_deg)``,
+    ``s = randint(0, max_deg - r)`` and ``randint(1, coeff_bound) *
+    choice((1, -1))``, a later term overwriting an earlier one at (r, s)."""
+    if max_deg < 0 or max_terms < 1 or coeff_bound < 1:
+        raise ValueError("bounds must be positive")
+    bits = rng.getrandbits
+    n_r = max_deg + 1
+    k_r = n_r.bit_length()
+    k_c = coeff_bound.bit_length()
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        r = rng.randint(0, max_deg)
-        s = rng.randint(0, max_deg - r)
-        c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
-        terms[(r, s)] = Fraction(c)
-    return BivarPoly(terms)
+    for _ in range(_randint(bits, 1, max_terms)):
+        r = bits(k_r)
+        while r >= n_r:
+            r = bits(k_r)
+        n_s = n_r - r
+        k = n_s.bit_length()
+        s = bits(k)
+        while s >= n_s:
+            s = bits(k)
+        c = bits(k_c)
+        while c >= coeff_bound:
+            c = bits(k_c)
+        sign = bits(2)
+        while sign >= 2:
+            sign = bits(2)
+        row = _SIGNED[sign]
+        terms[(r, s)] = row[c] if c < len(row) else Fraction((1 - 2 * sign) * (c + 1))
+    return BivarPoly._trusted(terms)
 
 
 def gen_poly(
     seed: int, max_deg: int = 4, max_terms: int = 5, coeff_bound: int = 10
 ) -> BivarPoly:
     """A sparse integer-coefficient polynomial, deterministic per seed."""
-    if max_deg < 0 or max_terms < 1 or coeff_bound < 1:
-        raise ValueError("bounds must be positive")
     return _poly_from_rng(random.Random(seed), max_deg, max_terms, coeff_bound)
 
 
@@ -68,8 +110,9 @@ def sample_polys(
 
 
 def _rat_from_rng(rng: random.Random, denom_bound: int, lo: int = 1, hi: int = 6) -> Fraction:
-    den = rng.randint(1, denom_bound)
-    return Fraction(rng.randint(lo, hi * den), den)
+    bits = rng.getrandbits
+    den = _randint(bits, 1, denom_bound)
+    return Fraction(_randint(bits, lo, hi * den), den)
 
 
 def _tail_weights(

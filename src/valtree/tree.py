@@ -54,6 +54,11 @@ def _coerce_len(v) -> ExtRat:
     return v if isinstance(v, Infinity) else Fraction(v)
 
 
+# entries a tree's grid memo or a parametrization's 1/Psi memo keeps; past
+# that, values are computed afresh and not stored
+_MEMO_SIZE = 4096
+
+
 class RootedTree:
     """Finite rooted tree; each non-root node carries its parent-edge length."""
 
@@ -78,6 +83,7 @@ class RootedTree:
         for path, length in self.edges.items():
             if is_inf(length) and self.n_children(path):
                 raise ValueError("infinite edges must end in leaves")
+        self._grids: Dict[int, Tuple["TreePoint", ...]] = {}
 
     def n_children(self, path: Path) -> int:
         return self._kids.get(tuple(path), 0)
@@ -116,17 +122,25 @@ class RootedTree:
         return [self.node_point(p) for p in self.node_paths()]
 
     def grid_points(self, per_edge: int = 2) -> List["TreePoint"]:
-        """Node points plus evenly spread interior points on every edge."""
-        out = self.node_points()
-        for path, length in sorted(self.edges.items()):
-            if is_inf(length):
-                out.extend(self.point(path, i) for i in range(1, per_edge + 1))
-            else:
-                out.extend(
-                    self.point(path, length * i / (per_edge + 1))
-                    for i in range(1, per_edge + 1)
-                )
-        return out
+        """Node points plus evenly spread interior points on every edge.
+
+        Built once per ``per_edge`` (for up to ``_MEMO_SIZE`` values of it);
+        each call returns a new list of the same points."""
+        grid = self._grids.get(per_edge)
+        if grid is None:
+            out = self.node_points()
+            for path, length in sorted(self.edges.items()):
+                if is_inf(length):
+                    out.extend(self.point(path, i) for i in range(1, per_edge + 1))
+                else:
+                    out.extend(
+                        self.point(path, length * i / (per_edge + 1))
+                        for i in range(1, per_edge + 1)
+                    )
+            grid = tuple(out)
+            if len(self._grids) < _MEMO_SIZE:
+                self._grids[per_edge] = grid
+        return list(grid)
 
 
 @dataclass(frozen=True)
@@ -141,8 +155,9 @@ class TreePoint:
 
 def _same_tree(*points: TreePoint) -> RootedTree:
     tree = points[0].tree
-    if any(p.tree is not tree for p in points):
-        raise ForeignPointError("points belong to different trees")
+    for p in points:
+        if p.tree is not tree:
+            raise ForeignPointError("points belong to different trees")
     return tree
 
 
@@ -257,6 +272,7 @@ class PathParam:
         self.tree = tree
         self.style = style
         self._depth: Dict[Path, ExtRat] = {(): ZERO}
+        self._recips: Dict[Tuple[Path, ExtRat], Fraction] = {}
 
     def _node_depth(self, path: Path) -> ExtRat:
         if path not in self._depth:
@@ -269,6 +285,19 @@ class PathParam:
         if p.is_root():
             return ONE
         return ONE + self._node_depth(p.path[:-1]) + p.t
+
+    def recip(self, p: TreePoint) -> Fraction:
+        """``1/Psi(p)``, 0 at infinity; memoized per point, up to ``_MEMO_SIZE``."""
+        if p.tree is not self.tree:
+            raise ForeignPointError("point is not on the parametrized tree")
+        key = (p.path, p.t)
+        value = self._recips.get(key)
+        if value is None:
+            v = self.psi(p)
+            value = ZERO if is_inf(v) else 1 / v
+            if len(self._recips) < _MEMO_SIZE:
+                self._recips[key] = value
+        return value
 
     def point_at_psi(self, tau: TreePoint, value: ExtRat) -> TreePoint:
         """The unique point on [root, tau] with the given Psi-value."""
@@ -284,15 +313,10 @@ class PathParam:
         return self.tree.root_point()
 
 
-def _recip(v: ExtRat) -> Fraction:
-    return ZERO if is_inf(v) else 1 / v
-
-
 def t_dpsi(psi: PathParam, p: TreePoint, q: TreePoint) -> Fraction:
     """The parametrization metric: reciprocal drops from the meet to each point."""
-    w = t_meet(p, q)
-    rw = _recip(psi.psi(w))
-    return (rw - _recip(psi.psi(p))) + (rw - _recip(psi.psi(q)))
+    rw = psi.recip(t_meet(p, q))
+    return (rw - psi.recip(p)) + (rw - psi.recip(q))
 
 
 def t_inf_set(S: Sequence[TreePoint], tau: TreePoint, psi: PathParam) -> TreePoint:
@@ -520,7 +544,6 @@ def ball_in_subbasic_check(
     if gamma == tau or not t_tangent_equiv(tau, sigma, gamma):
         raise PreconditionViolatedError("gamma must lie in the tangent class of sigma")
     eps = t_dpsi(psi, gamma, tau)
-    assert eps > 0
     checked = 0
     violations = []
     for alpha in tree.grid_points(samples) + [sigma, gamma]:
@@ -578,11 +601,7 @@ def star_witness(star: RootedTree, refs: Sequence[TangentRef]) -> TreePoint:
         used.add(ref.base.path[0])
     fresh = next(i for i in range(n) if i not in used)
     length = star.edge_length((fresh,))
-    alpha = star.point((fresh,), ONE if is_inf(length) else length / 2)
-    for ref in refs:
-        assert class_member(ref, alpha)
-    assert not class_member(TangentRef(alpha, center), alpha)
-    return alpha
+    return star.point((fresh,), ONE if is_inf(length) else length / 2)
 
 
 # ---------------------------------------------------------------------------

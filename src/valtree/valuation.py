@@ -200,6 +200,11 @@ _Y = BivarPoly.var_y()
 # 4. anything else (a tie with v(x) != v(y), or f divisible by l) goes to the
 #    substitution engine.
 #
+# Tiers 2 and 3 share one pass over phi's exponents that keeps the least
+# numerator and whether it ties.  A value they settle is ``least / q``; it
+# comes from a table on the valuation keyed by the numerator, filled up to
+# ``_VALUE_TABLE_SIZE`` entries, so repeated values build no Fraction.
+#
 # The engine computes the composed images of x and y once per (steps, frame)
 # and clears them to integer polynomials ``ix = bx * image(x)`` and
 # ``iy = by * image(y)``; valuations that differ only in weights share them,
@@ -406,13 +411,17 @@ def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
     return _row_direction(nu.frame, 0 if w1 > w2 else 1)
 
 
+_VALUE_TABLE_SIZE = 64
+
+
 def _leading_data(
     nu: QuasiMonomialVal, nx: _Num, ny: _Num, q: int
-) -> Optional[Tuple[int, int, int, Optional[Tuple[int, int]]]]:
-    """``(p1, p2, q, root)`` with ``v(x) = p1/q`` and ``v(y) = p2/q``, or None
-    when one of them is infinite.  When ``v(x) = v(y)``, root is a zero
-    ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, None if the head
-    is terminal."""
+) -> Optional[Tuple[int, int, int, Optional[Tuple[int, int]], Dict[int, Fraction]]]:
+    """``(p1, p2, q, root, values)`` with ``v(x) = p1/q`` and ``v(y) = p2/q``,
+    or None when one of them is infinite.  When ``v(x) = v(y)``, root is a
+    zero ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, None if the
+    head is terminal.  values maps a numerator n to ``Fraction(n, q)`` for the
+    values ``evaluate`` has returned, at most ``_VALUE_TABLE_SIZE`` of them."""
     if nx is None or ny is None:
         return None
     root = None
@@ -421,7 +430,7 @@ def _leading_data(
         if d is not None:
             a, b = d.as_pair()
             root = (b, -a)
-    return nx, ny, q, root
+    return nx, ny, q, root, {}
 
 
 def _vanishes_at(root: Tuple[int, int], terms: List[Tuple[Tuple[int, int], Fraction]]) -> bool:
@@ -437,21 +446,32 @@ def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
     terms = phi.terms
     if not terms:
         return INF
-    vx, vy = nu._level0
-    if vy is INF or vx is INF:
+    lead = nu._lead
+    if lead is None:
         # tier 1: only the pure powers of the finite coordinate are finite
+        vx, vy = nu._level0
         finite, axis = (vx, 1) if vy is INF else (vy, 0)
         least = min((e[1 - axis] for e in terms if not e[axis]), default=None)
         return INF if least is None else least * finite
-    p1, p2, q, root = nu._lead
-    values = [r * p1 + s * p2 for r, s in terms]
-    least = min(values)
-    if values.count(least) == 1:  # tier 2
-        return Fraction(least, q)
-    if p1 == p2:  # tier 3
-        tied = [t for t, v in zip(terms.items(), values) if v == least]
-        if root is None or not _vanishes_at(root, tied):
-            return Fraction(least, q)
+    p1, p2, q, root, table = lead
+    least = None
+    for r, s in terms:
+        v = r * p1 + s * p2
+        if least is None or v < least:
+            least, tie = v, False
+        elif v == least:
+            tie = True
+    if tie and p1 == p2:  # tier 3: the tie cancels only if l divides the tied form
+        tie = root is not None and _vanishes_at(
+            root, [t for t in terms.items() if (t[0][0] + t[0][1]) * p1 == least]
+        )
+    if not tie:  # tier 2, or a tier-3 tie that cannot cancel
+        value = table.get(least)
+        if value is None:
+            value = Fraction(least, q)
+            if len(table) < _VALUE_TABLE_SIZE:
+                table[least] = value
+        return value
     engine = nu.__dict__.get("_engine")
     if engine is None:
         engine = _Engine(nu)

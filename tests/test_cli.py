@@ -315,6 +315,32 @@ class TestExitCodes:
         assert err.splitlines()[-1].startswith("error:")
 
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"weights":[1,2]}', "weights[0] must be a string, got a number"),
+            ('{"steps":[{"center":0}],"weights":["1","2"]}', "steps[0].center must be a string"),
+            ('{"weights":"12"}', "weights must be an array, got a string"),
+        ],
+    )
+    def test_wrong_json_type_is_2(self, capsys, doc, field):
+        """A JSON number or string where the wire format has another type is
+        rejected with the field's name, never guessed at or crashed on."""
+        code, out, err = run(capsys, "val", "canon", "--valuation", doc)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: ") and field in err.splitlines()[-1]
+
+    def test_weight_too_long_to_expand_is_2(self, capsys):
+        """Weights (1, 1 + 10^-30) need about 10^30 centers inf: an OverflowError
+        in the chain layer, which the CLI reports as exit 2."""
+        weights = '{"weights":["1","%d/%d"]}' % (10**30 + 1, 10**30)
+        code, out, err = run(capsys, "val", "stream", "--valuation", weights)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == "error: input too large to process (OverflowError)"
+
+
 class TestOptimizedMode:
     def test_python_O_prints_what_the_library_prints(self, capsys, tmp_path):
         """Results must not depend on assert statements, which ``-O`` strips.

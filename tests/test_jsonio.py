@@ -226,3 +226,82 @@ class TestCenterParsing:
             doc = {"steps": [{"center": center}], "weights": ["1", "2"]}
             with pytest.raises(FormatError, match="malformed valuation"):
                 valuation_from_json(doc)
+
+
+class TestFieldTypes:
+    """Every field's JSON type is checked before it is converted; a wrong
+    type is a FormatError naming the field."""
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"weights": [1, 2]}, "weights[0] must be a string, got a number"),
+            ({"weights": ["1", 2.5]}, "weights[1] must be a string, got a number"),
+            ({"weights": "12"}, "weights must be an array, got a string"),
+            ({"weights": ["1", "2", "3"]}, "weights must have 2 entries, got 3"),
+            ({"steps": [{"center": 0}], "weights": ["1", "2"]}, "steps[0].center must be a string"),
+            ({"steps": [{"center": None}]}, "steps[0].center must be a string, got null"),
+            ({"steps": ["0"]}, "steps[0] must be an object, got a string"),
+            ({"steps": {"center": "0"}}, "steps must be an array, got an object"),
+            ({"steps": [{}]}, "steps[0].center is missing"),
+            ({"frame": [[1, 0], ["0", "1"]]}, "frame[0][0] must be a string"),
+            ({"frame": [["1", "0"]]}, "frame must have 2 entries, got 1"),
+            ({"frame": "identity"}, "frame must be an array"),
+            ({"weights": [True, "1"]}, "weights[0] must be a string, got a boolean"),
+        ],
+    )
+    def test_valuation_fields(self, doc, field):
+        with pytest.raises(FormatError) as exc:
+            valuation_from_json(doc)
+        assert field in str(exc.value)
+
+    def test_string_fields_still_parse(self):
+        nu = valuation_from_json(
+            {"steps": [{"center": "0"}, {"center": "inf"}, {"center": "-1/2"}],
+             "frame": [["1", "0"], ["0", "1"]], "weights": ["1", "3/2"]}
+        )
+        assert nu == QuasiMonomialVal(
+            (ProjPoint(0), INF_POINT, ProjPoint(Fraction(-1, 2))), weights=(1, Fraction(3, 2))
+        )
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([], "canonical form must be an object"),
+            ({"terminal": {"divisorial": 1}}, "terminal.divisorial must be a string"),
+            ({"terminal": {"curve": {"direction": [1, 0], "weight": "1"}}},
+             "terminal.curve.direction must be a string"),
+            ({"terminal": {"curve": {"direction": "[1:0]"}}}, "terminal.curve.weight is missing"),
+            ({"steps": [{"center": 1}], "terminal": {"divisorial": "1"}}, "steps[0].center"),
+        ],
+    )
+    def test_canonical_fields(self, doc, field):
+        with pytest.raises(FormatError) as exc:
+            canonical_from_json(doc)
+        assert field in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"nodes": {"root": {"children": [{"edge": 1}]}}},
+             "nodes.root.children[0].edge must be a string"),
+            ({"nodes": {"root": {"children": {"edge": "1"}}}},
+             "nodes.root.children must be an array"),
+            ({"nodes": {"root": {"children": [{"edge": "1", "node": []}]}}},
+             "nodes.root.children[0].node must be an object"),
+            ({"nodes": {"root": {}}, "psi": 1}, "psi must be a string"),
+            ({"nodes": []}, "nodes must be an object"),
+            ({"nodes": {}}, "nodes.root is missing"),
+            ("tree", "tree must be an object"),
+        ],
+    )
+    def test_tree_fields(self, doc, field):
+        with pytest.raises(FormatError) as exc:
+            tree_from_json(doc)
+        assert field in str(exc.value)
+
+    def test_rank2_fields(self):
+        with pytest.raises(FormatError, match=r"values\[1\]\[0\] must be a string"):
+            rank2_values_from_json([["0", "1"], [1, "0"]])
+        with pytest.raises(FormatError, match="values must be an array"):
+            rank2_values_from_json("01")

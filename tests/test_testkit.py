@@ -165,3 +165,88 @@ class TestUnitPairs:
     def test_pair_form(self):
         one = BivarPoly.constant(1)
         assert pair_form((one, one)) == X + Y
+
+
+def _reference_poly(rng, max_deg, max_terms, coeff_bound):
+    """The generator as written with the plain ``random.Random`` calls."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        r = rng.randint(0, max_deg)
+        s = rng.randint(0, max_deg - r)
+        c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+        terms[(r, s)] = Fraction(c)
+    return BivarPoly(terms)
+
+
+# n = 1 (max_deg 0, max_terms 1, coeff_bound 1), powers of two (4, 8, 64)
+# and other widths, with coefficients inside and beyond the shared table
+BOUNDS = [
+    (0, 1, 1), (1, 1, 2), (3, 3, 5), (3, 4, 8), (4, 5, 9), (4, 5, 10),
+    (7, 8, 64), (8, 16, 65), (2, 2, 200), (5, 7, 3), (15, 2, 1),
+]
+
+
+class TestDrawStreams:
+    """testkit draws through ``getrandbits``; its streams must be exactly
+    those of ``randint`` and ``choice``."""
+
+    def test_randint_matches_random(self):
+        import random
+
+        from valtree.testkit import _randint
+
+        for seed in range(200):
+            a, b = random.Random(seed), random.Random(seed)
+            for lo, hi in ((0, 0), (1, 1), (0, 1), (1, 2), (0, 3), (1, 4), (-3, 3),
+                           (1, 8), (1, 10), (0, 63), (5, 69), (1, 1000)):
+                assert _randint(b.getrandbits, lo, hi) == a.randint(lo, hi)
+            assert a.getstate() == b.getstate()
+        with pytest.raises(ValueError):
+            _randint(random.Random(0).getrandbits, 2, 1)
+
+    def test_polynomials_match_the_plain_calls(self):
+        import random
+
+        from valtree.testkit import _poly_from_rng
+
+        for seed in range(200):
+            for bounds in BOUNDS:
+                a, b = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    want = _reference_poly(a, *bounds)
+                    got = _poly_from_rng(b, *bounds)
+                    assert got == want
+                    assert list(got.terms.items()) == list(want.terms.items())
+                assert a.getstate() == b.getstate()
+
+    def test_rationals_match_the_plain_calls(self):
+        import random
+
+        from valtree.testkit import _rat_from_rng
+
+        for seed in range(200):
+            a, b = random.Random(seed), random.Random(seed)
+            for denom_bound, lo, hi in ((1, 1, 6), (4, 1, 3), (10, 1, 6), (16, 2, 9)):
+                den = a.randint(1, denom_bound)
+                want = Fraction(a.randint(lo, hi * den), den)
+                assert _rat_from_rng(b, denom_bound, lo, hi) == want
+            assert a.getstate() == b.getstate()
+
+    def test_generated_polynomials_are_valid(self):
+        """Trusted construction skips validation: every polynomial must equal
+        the validated one, term for term and in order."""
+        polys = [gen_poly(s, *bounds) for s in range(40) for bounds in BOUNDS]
+        polys += sample_polys(DEFAULT_SEED, 300, max_deg=3, max_terms=3, coeff_bound=5)
+        for p in polys:
+            checked = BivarPoly(dict(p.terms))
+            assert p == checked and hash(p) == hash(checked)
+            assert list(p.terms.items()) == list(checked.terms.items())
+            assert all(type(c) is Fraction and c for c in p.terms.values())
+            assert all(type(r) is int and type(s) is int for r, s in p.terms)
+
+    def test_bad_bounds_rejected_by_every_generator(self):
+        for bounds in ((-1, 1, 1), (1, 0, 1), (1, 1, 0)):
+            with pytest.raises(ValueError):
+                gen_poly(1, *bounds)
+            with pytest.raises(ValueError):
+                sample_polys(1, 1, *bounds)

@@ -316,3 +316,80 @@ class TestValuativeAdapter:
         assert equal_valuations(monomial_segment_psi(Fraction(3, 2)), monomial(1, Fraction(3, 2)))
         with pytest.raises(ValueError):
             monomial_segment_psi(Fraction(1, 2))
+
+
+class TestMemos:
+    """``grid_points`` and ``PathParam.recip`` keep what they built; callers
+    must not see the memo."""
+
+    def test_grid_points_are_equal_independent_lists(self, tree):
+        first = tree.grid_points(2)
+        second = tree.grid_points(2)
+        assert first == second and first is not second
+        fresh = RootedTree(dict(tree.edges)).grid_points(2)
+        assert [(p.path, p.t) for p in first] == [(p.path, p.t) for p in fresh]
+        first.clear()
+        assert tree.grid_points(2) == second
+        assert len(tree.grid_points(3)) == len(tree.node_points()) + 3 * len(tree.edges)
+
+    def test_recip_is_one_over_psi(self, tree, psi):
+        for _ in range(2):  # cold, then from the memo
+            for p in tree.grid_points(3):
+                want = 0 if is_inf(psi.psi(p)) else 1 / psi.psi(p)
+                assert psi.recip(p) == want
+
+    def test_warm_memo_still_rejects_foreign_points(self, tree, psi):
+        p, q = tree.point((0, 0), Fraction(1, 2)), tree.node_point((1,))
+        t_dpsi(psi, p, q)
+        twin = RootedTree(dict(tree.edges))
+        p2, q2 = twin.point((0, 0), Fraction(1, 2)), twin.node_point((1,))
+        with pytest.raises(ForeignPointError):
+            psi.recip(p2)
+        with pytest.raises(ForeignPointError):
+            t_dpsi(psi, p2, q2)
+
+    def test_memos_stop_at_their_bound(self, tree, monkeypatch):
+        import valtree.tree as tree_module
+
+        monkeypatch.setattr(tree_module, "_MEMO_SIZE", 3)
+        psi = PathParam(tree)
+        pts = tree.grid_points(5)
+        for p in pts:
+            psi.recip(p)
+        assert len(psi._recips) == 3
+        assert [psi.recip(p) for p in pts] == [PathParam(tree).recip(p) for p in pts]
+        for k in range(1, 6):
+            assert len(tree.grid_points(k)) == len(tree.node_points()) + k * len(tree.edges)
+        assert len(tree._grids) == 3
+
+    def test_ball_radius_is_positive(self):
+        """d(gamma, tau) > 0 whenever gamma != tau; ball_in_subbasic_check relies on it."""
+        rng = random.Random(DEFAULT_SEED)
+        checked = 0
+        for s in range(30):
+            t = gen_tree(s)
+            psi = PathParam(t)
+            pts = t.grid_points(2)
+            for _ in range(20):
+                tau, sigma = rng.choice(pts), rng.choice(pts)
+                if sigma == tau:
+                    continue
+                report = ball_in_subbasic_check(psi, sigma, tau, sigma)
+                assert report.epsilon > 0
+                checked += 1
+        assert checked > 400
+
+    def test_star_witness_is_in_every_neighborhood_but_not_its_own(self):
+        """What star_witness promises, over seeded neighborhoods on finite and
+        infinite stars."""
+        from valtree.tree import star_neighborhoods
+
+        for length in (ONE, Fraction(7, 3), INF):
+            star = build_star(12, length)
+            center = star.root_point()
+            for s in range(20):
+                branches, refs = star_neighborhoods(star, 1 + s % 10, random.Random(s))
+                alpha = star_witness(star, refs)
+                assert alpha.path[0] not in branches
+                assert all(class_member(ref, alpha) for ref in refs)
+                assert not class_member(TangentRef(alpha, center), alpha)

@@ -269,6 +269,27 @@ class TestEvaluate:
             for phi in polys:
                 assert evaluate(nu, phi) == engine.evaluate(phi)
 
+    def test_generated_pairs_agree_with_naive(self):
+        """One-pass tiers and the value table against literal substitution, on
+        the suites' own shapes: gen_qmv valuations times sample_polys."""
+        polys = sample_polys(DEFAULT_SEED + 12, 40, max_deg=3, max_terms=3, coeff_bound=5)
+        polys += sample_polys(DEFAULT_SEED + 13, 20)
+        for s in range(60):
+            nu = gen_qmv(DEFAULT_SEED + 2 * s + 1)
+            for _ in range(2):  # the second pass reads the value table
+                for phi in polys:
+                    assert evaluate(nu, phi) == evaluate_naive(nu, phi), (nu, phi)
+
+    def test_value_table_stays_within_its_bound(self):
+        nu = QuasiMonomialVal(weights=(Fraction(3, 7), Fraction(5, 7)))
+        table = nu._lead[-1]
+        for k in range(3 * valuation._VALUE_TABLE_SIZE):
+            assert evaluate(nu, X**k * Y) == Fraction(3 * k + 5, 7)
+            assert len(table) <= valuation._VALUE_TABLE_SIZE
+        assert len(table) == valuation._VALUE_TABLE_SIZE
+        assert all(value == Fraction(n, 7) for n, value in table.items())
+        assert evaluate(nu, X**200 * Y) == Fraction(605, 7)  # past the bound: fresh
+
 
 class TestEvaluateWork:
     # a 16-center chain drawn as benchmarks/evaluate_scaling.py draws them;
