@@ -1,4 +1,4 @@
-"""Cold chain-layer latency over chain length: normalize, canonicalize, meet, compare.
+"""Cold chain-layer latency over chain length: parse, normalize, canonicalize, meet, compare.
 
 Measures one or more source trees of valtree in alternation (``harness.py``)
 and writes ``BENCH_chain.json``:
@@ -10,8 +10,9 @@ Every (round, tree, cell) runs in a fresh interpreter, so no cache answers
 for an earlier cell.
 
 A cell is one pair of unnormalized programs.  The worker times, in order,
-building them, ``normalize`` on each, ``canonicalize`` on each, ``meet`` and
-``compare``, and reports each phase in milliseconds with their total; the
+``valuation_from_json`` on their two JSON documents, building them,
+``normalize`` on each, ``canonicalize`` on each, ``meet`` and ``compare``,
+and reports each phase in milliseconds with their total; the
 file keeps the median of each over the rounds, and the canonical chain
 length of the first program as ``levels``.  Two sweeps:
 
@@ -35,7 +36,7 @@ import harness
 PREFIX_LENGTHS = (8, 16, 32, 64, 128, 256, 512)
 EUCLID_TOPS = (10**2, 10**3, 10**4, 10**5)
 SEED = 0xC0FFEE
-PHASES = ("build_ms", "normalize_ms", "canonicalize_ms", "meet_ms", "compare_ms", "total_ms")
+PHASES = ("parse_ms", "build_ms", "normalize_ms", "canonicalize_ms", "meet_ms", "compare_ms", "total_ms")
 
 
 def cells():
@@ -58,17 +59,30 @@ def _prefix(n: int):
     return tuple(steps[:n])
 
 
+def _doc(steps, weights) -> dict:
+    return {
+        "steps": [{"center": "inf" if s.is_inf else str(s.value)} for s in steps],
+        "weights": [str(w) for w in weights],
+    }
+
+
 def worker(src: str, cell: str) -> dict:
+    from valtree.jsonio import valuation_from_json
     from valtree.valuation import QuasiMonomialVal, canonicalize, compare, meet, normalize
 
     kind, n = cell.split("_")
     n = int(n)
-    marks = [time.perf_counter()]
     if kind == "prefix":
         steps = _prefix(n)
-        nu, mu = QuasiMonomialVal(steps, weights=(3, 5)), QuasiMonomialVal(steps, weights=(5, 3))
+        pair = ((steps, (3, 5)), (steps, (5, 3)))
     else:
-        nu, mu = QuasiMonomialVal(weights=(1, n)), QuasiMonomialVal(weights=(2, 2 * n + 1))
+        pair = (((), (1, n)), ((), (2, 2 * n + 1)))
+    docs = [_doc(steps, weights) for steps, weights in pair]
+    marks = [time.perf_counter()]
+    for doc in docs:
+        valuation_from_json(doc)
+    marks.append(time.perf_counter())
+    nu, mu = (QuasiMonomialVal(steps, weights=weights) for steps, weights in pair)
     marks.append(time.perf_counter())
     nu, mu = normalize(nu), normalize(mu)
     marks.append(time.perf_counter())
@@ -97,8 +111,9 @@ def main() -> int:
     return harness.main(
         __file__, __doc__, cells=cells(), worker=worker, summarize=summarize,
         description="cold chain-layer latency per cell, one fresh process per (round, tree, "
-                    "cell), median over rounds, in milliseconds: building two programs, "
-                    "normalize, canonicalize, meet and compare on them, and their total",
+                    "cell), median over rounds, in milliseconds: valuation_from_json on two "
+                    "documents, building their two programs, normalize, canonicalize, meet "
+                    "and compare on them, and their total",
         rounds=5, out="BENCH_chain.json",
     )
 

@@ -109,13 +109,24 @@ def format_center(p: ProjPoint) -> str:
     return "inf" if p.is_inf else format_rat(p.value)
 
 
+# Each center spelling parses once into a shared ProjPoint, which keeps its
+# hash, so a process that reads many documents pays one parse and one hash
+# per distinct spelling; a single CLI call reads one or a few documents and
+# gains little.  The table is bounded: it stops growing at
+# _CENTER_TABLE_SIZE spellings and skips spellings longer than
+# _CENTER_TEXT_MAX characters, which parse every time.
+_CENTER_TABLE_SIZE = 1024
+_CENTER_TEXT_MAX = 64
+_CENTERS: Dict[str, ProjPoint] = {"0": ZERO_POINT, "inf": INF_POINT}
+
+
 def _center_from(text: str) -> ProjPoint:
-    # the two commonest spellings share one instance each; the rest parse
-    if text == "0":
-        return ZERO_POINT
-    if text == "inf":
-        return INF_POINT
-    return ProjPoint(parse_extrat(text))
+    point = _CENTERS.get(text)
+    if point is None:
+        point = ProjPoint(parse_extrat(text))
+        if len(_CENTERS) < _CENTER_TABLE_SIZE and len(text) <= _CENTER_TEXT_MAX:
+            _CENTERS[text] = point
+    return point
 
 
 def valuation_to_json(nu: QuasiMonomialVal) -> dict:

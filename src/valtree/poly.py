@@ -42,6 +42,16 @@ def _coerce(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def _cached_hash(obj, fields: tuple) -> int:
+    """The hash of a frozen dataclass, computed once and kept beside its fields."""
+    try:
+        return obj._hash
+    except AttributeError:
+        h = hash(fields)
+        object.__setattr__(obj, "_hash", h)
+        return h
+
+
 class BivarPoly:
     """A polynomial in x and y with rational coefficients."""
 
@@ -334,6 +344,9 @@ class LinearFrame:
         object.__setattr__(self, "rows", rows)
         if self.det() == 0:
             raise SingularFrameError(f"rows {rows} are linearly dependent")
+
+    def __hash__(self) -> int:
+        return _cached_hash(self, (self.rows,))
 
     @classmethod
     def identity(cls) -> "LinearFrame":

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .poly import BivarPoly
 from .rationals import INF, ONE, ZERO, is_inf
@@ -258,12 +258,13 @@ def curvette(steps: Tuple[ProjPoint, ...], direction: ProjPoint) -> BivarPoly:
 
 
 def brute_meet_oracle(tree: RootedTree, p: TreePoint, q: TreePoint) -> TreePoint:
-    """Greatest common lower bound by full enumeration of node points."""
-    best: Optional[TreePoint] = None
+    """Greatest common lower bound by full enumeration of node points.
+
+    The root lies below every point, so the search starts there."""
+    best = tree.root_point()
     for r in tree.node_points() + [p, q]:
-        if t_leq(r, p) and t_leq(r, q) and (best is None or t_leq(best, r)):
+        if t_leq(r, p) and t_leq(r, q) and t_leq(best, r):
             best = r
-    assert best is not None  # the root is always a candidate
     return best
 
 

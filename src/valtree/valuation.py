@@ -8,11 +8,18 @@ meets) need nothing else, and they run on integers: the level values are
 integer numerators over one denominator, canonicalization takes each run of
 Euclid's algorithm on the weights with one ``divmod``-style quotient, and
 ``meet`` compares multiplicities by cross-multiplication, so no valuation is
-built per dilatation step.  Evaluation takes the least ``r*v(x) + s*v(y)``
-over the terms of a polynomial, which is its value unless the least terms can
-cancel; only then does it push the polynomial through each center
-substitution, rewrite it in the frame coordinates, and take the weighted
-order of the result.
+built per dilatation step.  A chain longer than ``MAX_CHAIN_STEPS`` steps is
+refused with ``ChainTooLongError`` before it is built.  Evaluation takes the
+least ``r*v(x) + s*v(y)`` over the terms of a polynomial, which is its value
+unless the least terms can cancel; only then does it push the polynomial
+through each center substitution, rewrite it in the frame coordinates, and
+take the weighted order of the result.
+
+Each valuation on the path parse -> normalize -> meet is built once: a
+construction runs the level recursion once and keeps the level-0 numerators,
+``normalize`` derives the rescaled program from them without running it
+again when both are finite, and centers, frames and valuations keep their
+hashes.
 
 Conventions, fixed once and used everywhere:
 
@@ -39,6 +46,7 @@ from .poly import (
     BothWeightsInfiniteError,
     IDENTITY_FRAME,
     LinearFrame,
+    _cached_hash,
     frame_apply,
     weighted_order,
 )
@@ -65,6 +73,10 @@ class UnsupportedDeepCurveError(ValueError):
     """Raised for curve valuations whose support generator is not linear."""
 
 
+class ChainTooLongError(ValueError):
+    """Raised when a canonical chain would exceed ``MAX_CHAIN_STEPS`` steps."""
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of P^1(Q): a finite rational, or the point at infinity."""
@@ -72,8 +84,11 @@ class ProjPoint:
     value: ExtRat
 
     def __post_init__(self):
-        if not isinstance(self.value, Infinity):
+        if not isinstance(self.value, (Fraction, Infinity)):
             object.__setattr__(self, "value", Fraction(self.value))
+
+    def __hash__(self) -> int:
+        return _cached_hash(self, (self.value,))
 
     @property
     def is_inf(self) -> bool:
@@ -121,7 +136,7 @@ def direction_enumeration() -> Iterator[ProjPoint]:
 
 
 def _coerce_weight(w) -> ExtRat:
-    return w if isinstance(w, Infinity) else Fraction(w)
+    return w if isinstance(w, (Fraction, Infinity)) else Fraction(w)
 
 
 @dataclass(frozen=True)
@@ -156,26 +171,42 @@ class QuasiMonomialVal:
                 "illegal program: every element of the maximal ideal "
                 "would get value infinity"
             )
-        # kept beside the fields like the engine: equality, hash and repr
-        # read only steps, frame and weights
+        self._set_level0(q, nx, ny, _head_root(self) if nx == ny else None)
+
+    @classmethod
+    def _derived(
+        cls, steps: Tuple[ProjPoint, ...], frame: LinearFrame, weights: Tuple[ExtRat, ExtRat],
+        q: int, nx: _Num, ny: _Num, root: Optional[Tuple[int, int]],
+    ) -> "QuasiMonomialVal":
+        """A program whose level-0 numerators are already known, built without
+        the checks and the level recursion of ``__post_init__``.
+
+        Precondition: the fields are as ``__post_init__`` leaves them and
+        describe a legal program; q is the lcm of the finite weights'
+        denominators, ``nx/q`` and ``ny/q`` are its level-0 values, and root
+        is ``_head_root`` of the program when they are equal."""
+        nu = object.__new__(cls)
+        object.__setattr__(nu, "steps", steps)
+        object.__setattr__(nu, "frame", frame)
+        object.__setattr__(nu, "weights", weights)
+        nu._set_level0(q, nx, ny, root)
+        return nu
+
+    def _set_level0(self, q: int, nx: _Num, ny: _Num, root: Optional[Tuple[int, int]]) -> None:
+        """Keep the level-0 values, and ``_lead = (nx, ny, q, root, values)``
+        when both are finite, else None; values maps a numerator n to
+        ``Fraction(n, q)`` for the values ``evaluate`` has returned, at most
+        ``_VALUE_TABLE_SIZE`` of them.  Kept beside the fields like the
+        engine: equality, hash and repr read only steps, frame and weights."""
         object.__setattr__(self, "_level0", (_value(nx, q), _value(ny, q)))
-        object.__setattr__(self, "_lead", _leading_data(self, nx, ny, q))
+        lead = None if nx is None or ny is None else (nx, ny, q, root, {})
+        object.__setattr__(self, "_lead", lead)
 
     def __hash__(self) -> int:
         return _cached_hash(self, (self.steps, self.frame, self.weights))
 
     def __call__(self, phi: BivarPoly) -> ExtRat:
         return evaluate(self, phi)
-
-
-def _cached_hash(obj, fields: tuple) -> int:
-    """The hash of a frozen dataclass, computed once and kept beside its fields."""
-    try:
-        return obj._hash
-    except AttributeError:
-        h = hash(fields)
-        object.__setattr__(obj, "_hash", h)
-        return h
 
 
 _X = BivarPoly.var_x()
@@ -414,23 +445,14 @@ def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
 _VALUE_TABLE_SIZE = 64
 
 
-def _leading_data(
-    nu: QuasiMonomialVal, nx: _Num, ny: _Num, q: int
-) -> Optional[Tuple[int, int, int, Optional[Tuple[int, int]], Dict[int, Fraction]]]:
-    """``(p1, p2, q, root, values)`` with ``v(x) = p1/q`` and ``v(y) = p2/q``,
-    or None when one of them is infinite.  When ``v(x) = v(y)``, root is a
-    zero ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, None if the
-    head is terminal.  values maps a numerator n to ``Fraction(n, q)`` for the
-    values ``evaluate`` has returned, at most ``_VALUE_TABLE_SIZE`` of them."""
-    if nx is None or ny is None:
+def _head_root(nu: QuasiMonomialVal) -> Optional[Tuple[int, int]]:
+    """A zero ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, None if
+    the head is terminal; ``evaluate`` reads it when ``v(x) = v(y)``."""
+    d = _head_exceptional(nu)
+    if d is None:
         return None
-    root = None
-    if nx == ny:
-        d = _head_exceptional(nu)
-        if d is not None:
-            a, b = d.as_pair()
-            root = (b, -a)
-    return nx, ny, q, root, {}
+    a, b = d.as_pair()
+    return b, -a
 
 
 def _vanishes_at(root: Tuple[int, int], terms: List[Tuple[Tuple[int, int], Fraction]]) -> bool:
@@ -562,13 +584,30 @@ def is_normalized(nu: QuasiMonomialVal) -> bool:
 
 
 def normalize(nu: QuasiMonomialVal) -> QuasiMonomialVal:
-    """Scale the weights so the maximal ideal gets value exactly 1."""
-    m = m_value(nu)
-    if m == 1:
+    """Scale the weights so the maximal ideal gets value exactly 1.
+
+    Scaling by ``1/m`` scales every level value by it, keeps the program
+    legal and keeps its head, so when both level-0 values are finite the
+    result is built from nu's level-0 numerators: with ``m = min(nx, ny)/q``,
+    the weights become ``n_i/m`` for the weights' numerators ``n_i`` over q,
+    and the level-0 values ``nx/m``, ``ny/m``."""
+    lead = nu._lead
+    if lead is None:  # a curve program: its level recursion is one number
+        m = m_value(nu)
+        if m == 1:
+            return nu
+        inv = 1 / m
+        w1, w2 = nu.weights
+        return QuasiMonomialVal(nu.steps, nu.frame, (scale(inv, w1), scale(inv, w2)))
+    nx, ny, q, root, _ = lead
+    m = min(nx, ny)
+    if m == q:
         return nu
-    w1, w2 = nu.weights
-    inv = 1 / m
-    return QuasiMonomialVal(nu.steps, nu.frame, (scale(inv, w1), scale(inv, w2)))
+    weights = tuple(
+        w if w is INF else Fraction(w.numerator * (q // w.denominator), m) for w in nu.weights
+    )
+    q = math.lcm(*(w.denominator for w in weights if w is not INF))
+    return QuasiMonomialVal._derived(nu.steps, nu.frame, weights, q, nx * q // m, ny * q // m, root)
 
 
 def _require_normalized(nu: QuasiMonomialVal, op: str) -> None:
@@ -634,6 +673,13 @@ def dilate(nu: QuasiMonomialVal) -> Union[Continue, Terminal]:
     return Continue(INF_POINT, monomial(large - small, small))
 
 
+# Chains are stored one step per Euclidean subtraction, so weights that are
+# short to write can need billions of steps: (1, 10^8) needs 10^8 - 1.  The
+# limit admits (1, 10^6), whose chain has 999,999 steps, and is checked
+# before each run is added, so a longer chain allocates nothing.
+MAX_CHAIN_STEPS = 10**6
+
+
 @lru_cache(maxsize=None)
 def _canonicalize_raw(nu: QuasiMonomialVal) -> CanonicalForm:
     """The canonical form, built without a valuation per dilatation step.
@@ -665,13 +711,16 @@ def _canonicalize_raw(nu: QuasiMonomialVal) -> CanonicalForm:
     a, b = (large - small, small) if center.is_inf else (small, large - small)
     while a != b:
         if a < b:  # n centers 0 take b down to the first value <= a
-            n = (b - 1) // a
-            steps += [ZERO_POINT] * n
+            n, run = (b - 1) // a, ZERO_POINT
             b -= n * a
         else:
-            n = (a - 1) // b
-            steps += [INF_POINT] * n
+            n, run = (a - 1) // b, INF_POINT
             a -= n * b
+        if len(steps) + n > MAX_CHAIN_STEPS:
+            raise ChainTooLongError(
+                f"the canonical chain needs more than the limit of {MAX_CHAIN_STEPS} steps"
+            )
+        steps += [run] * n
     return CanonicalForm(tuple(steps), Divisorial(Fraction(a, q)))
 
 

@@ -11,7 +11,10 @@ import pytest
 import valtree
 from valtree.cli import main
 from valtree.jsonio import canonical_from_json, valuation_from_json
+from valtree import cli as cli_module, valuation
 from valtree.valuation import canonicalize, equal_valuations, monomial, normalize
+
+STEP_LIMIT_ERROR = "error: the canonical chain needs more than the limit of %d steps"
 
 
 def run(capsys, *argv):
@@ -332,13 +335,48 @@ class TestExitCodes:
         assert err.splitlines()[-1].startswith("error: ") and field in err.splitlines()[-1]
 
     def test_weight_too_long_to_expand_is_2(self, capsys):
-        """Weights (1, 1 + 10^-30) need about 10^30 centers inf: an OverflowError
-        in the chain layer, which the CLI reports as exit 2."""
+        """Weights (1, 1 + 10^-30) need about 10^30 centers inf: the chain
+        layer refuses them at its step limit before it builds the chain, and
+        the CLI reports that as exit 2."""
         weights = '{"weights":["1","%d/%d"]}' % (10**30 + 1, 10**30)
         code, out, err = run(capsys, "val", "stream", "--valuation", weights)
         assert code == 2
         assert out == ""
-        assert err.splitlines()[-1] == "error: input too large to process (OverflowError)"
+        assert err.splitlines()[-1] == STEP_LIMIT_ERROR % valuation.MAX_CHAIN_STEPS
+
+    @pytest.mark.parametrize("exc", [OverflowError, MemoryError, RecursionError])
+    def test_resource_errors_are_2(self, capsys, monkeypatch, exc):
+        """The chain layer's resource errors map to exit 2; no small input
+        raises them since the step limit, so the layer is patched to."""
+
+        def too_large(nu):
+            raise exc("too large")
+
+        monkeypatch.setattr(cli_module, "canonicalize", too_large)
+        code, out, err = run(capsys, "val", "canon", "--valuation", '{"weights":["1","2"]}')
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: input too large to process ({exc.__name__})"
+
+    def test_chain_over_the_step_limit_is_2(self, capsys):
+        """(1, 10^8) needs 10^8 - 1 steps, a hundred times the limit."""
+        code, out, err = run(capsys, "val", "canon", "--valuation", '{"weights":["1","100000000"]}')
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == STEP_LIMIT_ERROR % 1000000
+
+    def test_step_limit_admits_a_chain_of_its_length(self, capsys, monkeypatch):
+        """(1, N) has N - 1 steps: under a limit of 999, (1, 1000) prints and
+        (1, 1001) exits 2."""
+        monkeypatch.setattr(valuation, "MAX_CHAIN_STEPS", 999)
+        valuation._canonicalize_raw.cache_clear()
+        code, out, _ = run(capsys, "val", "canon", "--valuation", '{"weights":["1","1000"]}')
+        assert code == 0
+        assert len(json.loads(out)["steps"]) == 999
+        code, out, err = run(capsys, "val", "canon", "--valuation", '{"weights":["1","1001"]}')
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == STEP_LIMIT_ERROR % 999
 
 
 class TestOptimizedMode:

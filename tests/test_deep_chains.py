@@ -10,12 +10,15 @@ steps, not by wall time.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from valtree import valuation
+from valtree.cli import main
+from valtree.jsonio import valuation_to_json
 from valtree.poly import BivarPoly, IDENTITY_FRAME, LinearFrame
 from valtree.rationals import INF, is_inf
 from valtree.testkit import DEFAULT_SEED, euclid_multiplicity_oracle
@@ -268,7 +271,35 @@ class TestCanonical:
                 assert valuation._canonicalize_raw.__wrapped__(nu) == reference_canonical(nu)
 
 
+    def test_step_limit_admits_weights_one_and_a_million(self):
+        form = canonicalize(normalize(monomial(1, 10**6)))
+        assert len(form.steps) == 999_999 <= valuation.MAX_CHAIN_STEPS
+        assert form.terminal == Divisorial(Fraction(1))
+
+
 class TestLevelValues:
+    def test_normalize_rescales_without_the_level_recursion(self, monkeypatch):
+        """``normalize`` of a rescaled deep program rebuilds the program as a
+        fresh construction would, fields, hash and level-0 data alike, and
+        without running the level recursion."""
+        pairs = [
+            (nu, QuasiMonomialVal(nu.steps, nu.frame, tuple(w if is_inf(w) else k * w for w in nu.weights)))
+            for nu in PROGRAMS for k in (Fraction(3, 2), Fraction(2, 7))
+        ]
+        calls = []
+        levels_back = valuation._levels_back
+        monkeypatch.setattr(valuation, "_levels_back", lambda *a: calls.append(1) or levels_back(*a))
+        got = [normalize(big) for _, big in pairs]
+        assert calls == []
+        monkeypatch.undo()
+        for (want, _), nu in zip(pairs, got):
+            want = QuasiMonomialVal(want.steps, want.frame, want.weights)  # built afresh
+            assert (nu.steps, nu.frame, nu.weights) == (want.steps, want.frame, want.weights)
+            assert hash(nu) == hash(want) and nu._level0 == want._level0
+            assert (nu._lead and nu._lead[:4]) == (want._lead and want._lead[:4])
+            assert [evaluate(nu, phi) for phi in (X, Y, X * Y**2)] == \
+                [evaluate(want, phi) for phi in (X, Y, X * Y**2)]
+
     def test_every_level_against_the_fraction_recursion(self):
         for nu in PROGRAMS:
             assert valuation._level_values(nu) == reference_levels(nu)
@@ -363,6 +394,23 @@ class TestMeet:
             assert word == word_from_forms(nu, mu, w)
             for phi in (X, Y):
                 assert evaluate(w, phi) <= min(evaluate(nu, phi), evaluate(mu, phi))
+
+    def test_partner_of_689_million_steps_is_refused_by_the_cli(self, capsys):
+        """A nearby-weight partner of a deep program whose Euclid run has
+        partial quotients summing to 689,541,834: the CLI exits 2 at the step
+        limit instead of allocating the chain."""
+        nu = PROGRAMS[20]
+        w1, w2 = nu.weights
+        partner = QuasiMonomialVal(nu.steps, nu.frame, (w1, w2 + Fraction(1, 2)))
+        low, high = sorted(partner.weights)
+        assert sum(continued_fraction(high / low)) == 689_541_834
+        code = main(["val", "canon", "--valuation", json.dumps(valuation_to_json(partner))])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"error: the canonical chain needs more than the limit of {valuation.MAX_CHAIN_STEPS} steps"
+        )
 
     @pytest.mark.parametrize("n", [10**3, 10**4])
     def test_long_euclid_meet_builds_a_bounded_number_of_valuations(self, monkeypatch, n):

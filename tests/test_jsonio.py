@@ -192,8 +192,9 @@ class TestPosetDoc:
 
 
 class TestCenterParsing:
-    """``"0"`` and ``"inf"`` take a shortcut to the shared points; every other
-    spelling goes through ``parse_extrat`` as before."""
+    """Each center spelling parses once, through ``parse_extrat``, into a
+    point shared by every later parse of it; ``"0"`` and ``"inf"`` start out
+    as the shared ``ZERO_POINT`` and ``INF_POINT``."""
 
     def test_common_spellings(self):
         from valtree.jsonio import _center_from
@@ -220,6 +221,33 @@ class TestCenterParsing:
                 assert str(got.value) == str(exc)
                 continue
             assert _center_from(text) == want
+
+    def test_repeated_spellings_share_one_point(self):
+        doc = {"steps": [{"center": c} for c in ("1/2", "-3", "inf", "7/5", "1/2")],
+               "weights": ["2", "3"]}
+        first, second = valuation_from_json(doc), valuation_from_json(json.loads(json.dumps(doc)))
+        assert first == second
+        assert all(p is q for p, q in zip(first.steps, second.steps))
+        assert first.steps[0] is first.steps[4]
+
+    def test_table_stops_at_its_bound(self, monkeypatch):
+        import valtree.jsonio as jsonio_module
+        from valtree.rationals import parse_extrat
+
+        fresh = {text: jsonio_module._CENTERS[text] for text in ("0", "inf")}
+        monkeypatch.setattr(jsonio_module, "_CENTERS", fresh)
+        monkeypatch.setattr(jsonio_module, "_CENTER_TABLE_SIZE", 5)
+        texts = [f"{n}/7" for n in range(1, 9)]
+        got = [jsonio_module._center_from(t) for t in texts]
+        assert len(jsonio_module._CENTERS) == 5
+        assert got == [ProjPoint(parse_extrat(t)) for t in texts]
+        assert jsonio_module._center_from(texts[0]) is got[0]
+        assert jsonio_module._center_from(texts[-1]) is not got[-1]
+        assert jsonio_module._center_from(texts[-1]) == got[-1]
+        long = "1" * (jsonio_module._CENTER_TEXT_MAX + 1)
+        monkeypatch.setattr(jsonio_module, "_CENTER_TABLE_SIZE", 100)
+        assert jsonio_module._center_from(long) == ProjPoint(int(long))
+        assert long not in jsonio_module._CENTERS
 
     def test_malformed_centers_in_documents(self):
         for center in ("", "abc", "1/0", "0/0", "+inf", "-inf"):

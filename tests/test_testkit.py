@@ -22,7 +22,7 @@ from valtree.testkit import (
     sample_polys,
     sampling_leq_oracle,
 )
-from valtree.tree import t_meet
+from valtree.tree import t_leq, t_meet
 from valtree.valuation import (
     Curve,
     CanonicalForm,
@@ -151,6 +151,13 @@ class TestTreeOracle:
         for p in pts[:6]:
             for q in pts[:6]:
                 assert brute_meet_oracle(t, p, q) == t_meet(p, q)
+
+    def test_root_lies_below_every_point(self):
+        """The oracle's search starts at the root, a lower bound of any pair."""
+        for s in range(20):
+            t = gen_tree(s, max_nodes=12)
+            root = t.root_point()
+            assert all(t_leq(root, p) for p in t.grid_points(3))
 
 
 class TestUnitPairs:

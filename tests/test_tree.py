@@ -1,5 +1,6 @@
 """Rooted trees, tangent classes, the parametrization metric, and infima."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -253,6 +254,24 @@ class TestAxioms:
         assert all(a < b for a, b in zip(sched, sched[1:]))
         for t in sched:
             assert poset.leq(fi_seg(t), FI_X) and poset.leq(fi_seg(t), FI_Y)
+
+    def test_only_the_two_tops_lack_an_infimum(self):
+        """``fi_infimum`` answers None exactly for {X, Y}, whatever repeats."""
+        pool = (FI_X, FI_Y, fi_seg(0), fi_seg(Fraction(1, 3)))
+        for n in range(1, 5):
+            for pts in itertools.product(pool, repeat=n):
+                kinds = {p.kind for p in pts}
+                got = fi_infimum(list(pts))
+                assert (got is None) == (kinds == {"X", "Y"})
+                if "seg" in kinds:
+                    assert got == fi_seg(min(p.t for p in pts if p.kind == "seg"))
+
+    def test_default_schedule_ascends_below_both_tops(self):
+        poset = ForkedIntervalPoset()
+        for sched in (fi_no_infimum_schedule(), fi_no_infimum_schedule(0)):
+            assert all(a < b for a, b in zip(sched, sched[1:]))
+            assert all(poset.leq(fi_seg(t), FI_X) and poset.leq(fi_seg(t), FI_Y) for t in sched)
+        assert len(fi_no_infimum_schedule()) == 51 and fi_no_infimum_schedule(0) == [0]
 
     def test_fork_tops_incomparable(self):
         poset = ForkedIntervalPoset()

@@ -372,6 +372,59 @@ class TestNormalize:
         for s in range(40):
             assert is_normalized(gen_qmv(DEFAULT_SEED + s))
 
+    @staticmethod
+    def rescaled_programs():
+        """(program, rescaled copy) pairs: 200 generated programs of depth up
+        to 8, with every weight pair also under two non-identity frames and
+        with an infinite weight on either side."""
+        rng = random.Random(DEFAULT_SEED + 700)
+        frames = (IDENTITY_FRAME, SWAP, LinearFrame(((2, -1), (1, 3))))
+        out = []
+        for s in range(200):
+            nu = gen_qmv(DEFAULT_SEED + 700 + s, max_depth=8)
+            w1, w2 = nu.weights
+            variants = [(frame, nu.weights) for frame in frames]
+            if not (is_inf(w1) or is_inf(w2)):
+                variants += [(IDENTITY_FRAME, (w1, INF)), (rng.choice(frames), (INF, w2))]
+            for frame, weights in variants:
+                try:
+                    program = QuasiMonomialVal(nu.steps, frame, weights)
+                except ValueError:  # every element of the maximal ideal valued infinity
+                    continue
+                k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                big = QuasiMonomialVal(nu.steps, frame, tuple(w if is_inf(w) else k * w for w in weights))
+                out.append((program, big))
+        return out
+
+    def test_derived_equals_the_rescaled_construction(self):
+        pairs = self.rescaled_programs()
+        assert len(pairs) > 600
+        assert sum(not p.frame.is_identity() for p, _ in pairs) > 300
+        assert sum(p._lead is None for p, _ in pairs) > 100
+        polys = sample_polys(DEFAULT_SEED + 701, 6, max_deg=3)
+        for _, big in pairs:
+            got = normalize(big)
+            m = m_value(big)
+            want = QuasiMonomialVal(big.steps, big.frame, tuple(scale(1 / m, w) for w in big.weights))
+            assert (got.steps, got.frame, got.weights) == (want.steps, want.frame, want.weights)
+            assert got == want and hash(got) == hash(want)
+            assert got._level0 == want._level0 and m_value(got) == m_value(want) == 1
+            assert (got._lead and got._lead[:4]) == (want._lead and want._lead[:4])
+            assert [evaluate(got, phi) for phi in polys] == [evaluate(want, phi) for phi in polys]
+
+    def test_normalize_runs_no_level_recursion(self, monkeypatch):
+        """Programs with both level-0 values finite; a curve program is
+        rebuilt, and its recursion only carries one number."""
+        scaled = [big for _, big in self.rescaled_programs()
+                  if big._lead is not None and not is_normalized(big)]
+        assert len(scaled) > 600
+        calls = []
+        levels_back = valuation._levels_back
+        monkeypatch.setattr(valuation, "_levels_back", lambda *a: calls.append(1) or levels_back(*a))
+        normalized = [normalize(nu) for nu in scaled]
+        assert calls == []
+        assert all(is_normalized(nu) for nu in normalized)
+
 
 class TestDilate:
     def test_equal_weights_terminate(self):
@@ -632,6 +685,23 @@ class TestCachedHash:
         meet(nu, mu)
         meet(nu, mu)
         assert calls == []
+
+    def test_second_hash_of_a_point_or_frame_hashes_no_fraction(self, monkeypatch):
+        calls = []
+        original = Fraction.__hash__
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        point, frame = ProjPoint(Fraction(-3, 7)), LinearFrame(((2, -1), (1, 3)))
+        first = (hash(point), hash(frame))
+        assert calls  # the first hashes read the Fractions
+        del calls[:]
+        assert (hash(point), hash(frame)) == first
+        assert calls == []
+        assert first == (hash((point.value,)), hash((frame.rows,)))
 
     def test_equal_objects_built_apart_hash_equal(self):
         for nu in self.programs():
