@@ -47,7 +47,6 @@ from .tree import (
     tree_axiom_report,
 )
 from .valuation import (
-    Comparison,
     canonicalize,
     common_minimizer,
     compare,

@@ -61,7 +61,6 @@ from .valuation import (
     QuasiMonomialVal,
     TERMINAL,
     canonicalize,
-    center_of_direction,
     common_minimizer,
     compare,
     dilatation_length,
@@ -186,7 +185,7 @@ def _divisorial_truncations(nu: QuasiMonomialVal) -> List[QuasiMonomialVal]:
     chains = [form.steps[:k] for k in range(len(form.steps) + 1)]
     if isinstance(form.terminal, Curve):
         d = form.terminal.direction
-        extra = INF_POINT if d.is_inf else center_of_direction(d)
+        extra = INF_POINT if d.is_inf else d.negate()
         chains.append(form.steps + (extra,))
     return [
         normalize(QuasiMonomialVal(chain, IDENTITY_FRAME, (ONE, ONE)))

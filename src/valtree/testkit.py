@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .poly import BivarPoly
-from .rationals import INF, ONE, ZERO, is_inf
+from .rationals import INF, ONE
 from .tree import RootedTree, TreePoint, t_leq
 from .valuation import (
     CanonicalForm,
@@ -25,7 +25,6 @@ from .valuation import (
     M_ADIC,
     ProjPoint,
     QuasiMonomialVal,
-    center_of_direction,
     evaluate,
     from_canonical,
     monomial,

@@ -11,9 +11,12 @@ Euclid's algorithm on the weights with one ``divmod``-style quotient, and
 built per dilatation step.  A chain longer than ``MAX_CHAIN_STEPS`` steps is
 refused with ``ChainTooLongError`` before it is built.  Evaluation takes the
 least ``r*v(x) + s*v(y)`` over the terms of a polynomial, which is its value
-unless the least terms can cancel; only then does it push the polynomial
-through each center substitution, rewrite it in the frame coordinates, and
-take the weighted order of the result.
+unless the least terms can cancel.  Only then does it push the polynomial
+through the centers one chart at a time, on integer coefficients: each chart
+divides out the new exceptional coordinate and adds that power times the
+coordinate's level value, and the first strict transform with a unique least
+term gives the value.  Past the last center the remainder is rewritten in
+the frame coordinates and its weighted order taken.
 
 Each valuation on the path parse -> normalize -> meet is built once: a
 construction runs the level recursion once and keeps the level-0 numerators,
@@ -27,7 +30,7 @@ Conventions, fixed once and used everywhere:
   the center at infinity performs ``x <- x*y``;
 * the center ``c`` corresponds to the direction ``[-c : 1]`` of the projective
   line of linear forms ``a*x + b*y``, and the infinite center to ``[1 : 0]``;
-  the conversion is its own inverse (negate the finite part);
+  ``ProjPoint.negate`` converts either way, being its own inverse;
 * weights are strictly positive and at most one of them is infinite.
 """
 
@@ -95,7 +98,8 @@ class ProjPoint:
         return is_inf(self.value)
 
     def negate(self) -> "ProjPoint":
-        """Center-to-direction conversion (an involution)."""
+        """The direction of a center, or the center of a direction: the
+        finite part negated, infinity kept.  The conversion is its own inverse."""
         return self if self.is_inf else ProjPoint(-self.value)
 
     def as_pair(self) -> Tuple[int, int]:
@@ -114,14 +118,6 @@ class ProjPoint:
 
 INF_POINT = ProjPoint(INF)
 ZERO_POINT = ProjPoint(0)
-
-
-def direction_of_center(center: ProjPoint) -> ProjPoint:
-    return center.negate()
-
-
-def center_of_direction(direction: ProjPoint) -> ProjPoint:
-    return direction.negate()
 
 
 def direction_enumeration() -> Iterator[ProjPoint]:
@@ -229,22 +225,25 @@ _Y = BivarPoly.var_y()
 #    v(f) = d*m.  l divides f exactly when f vanishes at the root of l, one
 #    integer evaluation.  Without an exceptional form no tie cancels;
 # 4. anything else (a tie with v(x) != v(y), or f divisible by l) goes to the
-#    substitution engine.
+#    strict-transform path.
 #
 # Tiers 2 and 3 share one pass over phi's exponents that keeps the least
 # numerator and whether it ties.  A value they settle is ``least / q``; it
 # comes from a table on the valuation keyed by the numerator, filled up to
 # ``_VALUE_TABLE_SIZE`` entries, so repeated values build no Fraction.
 #
-# The engine computes the composed images of x and y once per (steps, frame)
-# and clears them to integer polynomials ``ix = bx * image(x)`` and
-# ``iy = by * image(y)``; valuations that differ only in weights share them,
-# together with a table of the integer images of monomials.  Each valuation
-# owns an engine, attached the first time a polynomial reaches it, so a warm
-# call neither hashes the valuation nor touches a Fraction: phi is scaled by
-# the positive integer ``lcm(den c) * bx^R * by^S`` (R, S its largest
-# exponents), which makes every term's multiplier an integer and leaves the
-# support, and so the value, unchanged.
+# The strict-transform path pushes phi through the program one chart at a
+# time, as the blow-up proofs do, on integer coefficients: phi's
+# denominators are cleared once, and a positive constant factor never
+# changes a value.  At each center the chart substitutes into phi, the
+# largest power e of the new exceptional coordinate is divided out, and
+# ``e`` times that coordinate's level value is added to the result; what is
+# left is the strict transform, valued with the next level's values.  A
+# unique least term there is the answer.  Charts at 0 and infinity only map
+# exponents, so they keep every term's value and every tie; only a chart at
+# a center c != 0 can settle one.  After the last center the valuation is
+# monomial in the frame's coordinates: the remainder, usually a few terms,
+# is rewritten in them and its weighted order taken.
 # ---------------------------------------------------------------------------
 
 
@@ -254,170 +253,106 @@ def _step_images(step: ProjPoint) -> Tuple[BivarPoly, BivarPoly]:
     return _X, BivarPoly({(1, 1): ONE, (1, 0): step.value})
 
 
-@lru_cache(maxsize=None)
-def _images(
-    steps: Tuple[ProjPoint, ...], frame: LinearFrame
-) -> Tuple[BivarPoly, BivarPoly]:
-    """Images of x and y under the full program (steps, then frame).
-
-    Recursing on the step prefix lets programs that share a prefix of centers,
-    such as a meet and its inputs, share the cached images of that prefix.
-    """
-    if not frame.is_identity():
-        ex, ey = _images(steps, IDENTITY_FRAME)
-        inv = frame.inverse()
-        fx, fy = inv.row_form(0), inv.row_form(1)
-        return ex.substitute(fx, fy), ey.substitute(fx, fy)
-    if not steps:
-        return _X, _Y
-    ex, ey = _images(steps[:-1], IDENTITY_FRAME)
-    sx, sy = _step_images(steps[-1])
-    return ex.substitute(sx, sy), ey.substitute(sx, sy)
-
-
 _IntPoly = Dict[Tuple[int, int], int]
 
 
-def _clear(p: BivarPoly) -> Tuple[_IntPoly, int]:
-    """``(b * p, b)`` with b the least denominator making ``b * p`` integral."""
-    denom = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (denom // c.denominator) for e, c in p.terms.items()}, denom
+def _binomial_row(a: int, b: int, n: int) -> List[int]:
+    """The coefficients of ``(a*X + b*Y)^n``, the j-th being that of ``X^(n-j) * Y^j``."""
+    return [math.comb(n, j) * a ** (n - j) * b**j for j in range(n + 1)]
 
 
-def _mac(acc: _IntPoly, k: int, terms: Iterable[Tuple[Tuple[int, int], int]]) -> None:
-    """``acc += k * p`` in place, p given by its ``(exponents, coefficient)`` pairs."""
-    get = acc.get
-    for e, m in terms:
-        w = get(e, 0) + k * m
-        if w:
-            acc[e] = w
-        elif e in acc:
-            del acc[e]
+def _chart(f: _IntPoly, step: ProjPoint) -> Tuple[int, _IntPoly]:
+    """``(e, g)``: the chart of one center applied to f, with g its strict
+    transform and e the power of the exceptional coordinate divided out
+    (y at infinity, else x), up to a positive constant factor.
 
-
-def _mul(p: _IntPoly, q: _IntPoly) -> _IntPoly:
-    if len(p) > len(q):  # one accumulate pass per term of the shorter factor
-        p, q = q, p
+    e is the least total degree of f: the chart maps a form of degree d to
+    the exceptional coordinate to the d-th times a nonzero polynomial.  At
+    infinity ``x <- x*y`` sends ``x^r y^s`` to ``x^r y^(r+s)``; at 0,
+    ``y <- x*y`` sends it to ``x^(r+s) y^s``; at ``c = a/b``, ``y <- x*(y + c)``
+    sends ``b^s x^r y^s`` to ``x^(r+s) (b*y + a)^s``, so every term is scaled
+    by ``b^(top - s)`` for the largest y exponent ``top``."""
+    e = min(r + s for r, s in f)
+    if step.is_inf:
+        return e, {(r, r + s - e): k for (r, s), k in f.items()}
+    a, b = step.as_pair()
+    if not a:
+        return e, {(r + s - e, s): k for (r, s), k in f.items()}
+    top = max(s for _, s in f)
+    rows: Dict[int, List[int]] = {}
     out: _IntPoly = {}
-    for (a, b), c in p.items():
-        _mac(out, c, zip([(a + u, b + v) for u, v in q], q.values()))
-    return out
+    get = out.get
+    for (r, s), k in f.items():
+        row = rows.get(s)
+        if row is None:
+            row = rows[s] = _binomial_row(a, b, s)
+        if b != 1:
+            k *= b ** (top - s)
+        d = r + s - e
+        for j, m in enumerate(row):
+            out[d, j] = get((d, j), 0) + k * m
+    return e, {t: k for t, k in out.items() if k}
 
 
-@lru_cache(maxsize=None)
-class _ImageState:
-    """Cleared substitution images plus the table of monomial images.
+def _in_frame(f: _IntPoly, frame: LinearFrame) -> _IntPoly:
+    """f rewritten in the coordinates ``(u, v) = frame * (x, y)``, up to a
+    constant factor on each homogeneous part.
 
-    Keyed on (steps, frame) only: valuations that differ in weights alone
-    share this state, so renormalization costs nothing extra.
-    """
-
-    def __init__(self, steps: Tuple[ProjPoint, ...], frame: LinearFrame):
-        ex, ey = _images(steps, frame)
-        self.ix, self.bx = _clear(ex)
-        self.iy, self.by = _clear(ey)
-        self.powers: Dict[Tuple[int, int], _IntPoly] = {
-            (0, 0): {(0, 0): 1}, (1, 0): self.ix, (0, 1): self.iy,
-        }
-
-    def _power(self, n: int, axis: int) -> _IntPoly:
-        """``ix^n`` (axis 0) or ``iy^n`` (axis 1) by square-and-multiply.
-
-        The squares ``base^(2^k)`` are kept in the table like any other power,
-        and the product starts from the largest power of the base already
-        there, so a run of nearby exponents costs one small multiply each.
-        """
-        powers = self.powers
-
-        def key(k: int) -> Tuple[int, int]:
-            return (k, 0) if axis == 0 else (0, k)
-
-        out = powers.get(key(n))
-        if out is not None:
-            return out
-        bit = 1
-        while 2 * bit <= n:
-            if key(2 * bit) not in powers:
-                half = powers[key(bit)]
-                powers[key(2 * bit)] = _mul(half, half)
-            bit *= 2
-        done = max(e[axis] for e in powers if e[1 - axis] == 0 and e[axis] <= n)
-        out = powers[key(done)]
-        while done < n:
-            bit = 1 << ((n - done).bit_length() - 1)
-            out = _mul(out, powers[key(bit)])
-            done += bit
-        powers[key(n)] = out
-        return out
-
-    def monomial_image(self, r: int, s: int) -> _IntPoly:
-        """The integer image ``ix^r * iy^s`` of x^r y^s."""
-        powers = self.powers
-        out = powers.get((r, s))
-        if out is None:
-            if s == 0:
-                out = self._power(r, 0)
-            elif r == 0:
-                out = self._power(s, 1)
-            elif (r, s - 1) in powers:
-                out = _mul(powers[(r, s - 1)], self.iy)
-            elif (r - 1, s) in powers:
-                out = _mul(powers[(r - 1, s)], self.ix)
-            else:
-                out = _mul(self._power(r, 0), self._power(s, 1))
-            powers[(r, s)] = out
-        return out
+    With the rows scaled to integers ``(a, b), (c, d)``, which changes no
+    value of u or v, the inverse is ``x = (d*u - b*v)/det`` and
+    ``y = (-c*u + a*v)/det``.  The factor ``det^-(r+s)`` of the term
+    ``x^r y^s`` is constant on each homogeneous part of f, and a linear
+    change of coordinates keeps those parts apart, so it is left out."""
+    lcm = math.lcm(*(p.denominator for row in frame.rows for p in row))
+    (a, b), (c, d) = ([p.numerator * (lcm // p.denominator) for p in row] for row in frame.rows)
+    out: _IntPoly = {}
+    get = out.get
+    for (r, s), k in f.items():
+        us, vs = _binomial_row(d, -b, r), _binomial_row(-c, a, s)
+        for i, m in enumerate(us):
+            for j, n in enumerate(vs):
+                t = (r - i + s - j, i + j)
+                out[t] = get(t, 0) + k * m * n
+    return {t: k for t, k in out.items() if k}
 
 
-class _Engine:
-    """Evaluation state of one valuation, stored on it by ``evaluate``."""
+def _least(f: Iterable[Tuple[int, int]], vx: _Num, vy: _Num) -> Tuple[_Num, bool]:
+    """The least value ``r*vx + s*vy`` over the exponents of f, terms that
+    contain an infinite coordinate left out (None when every term does), and
+    whether two terms reach it."""
+    least, tie = None, False
+    for r, s in f:
+        if (r and vx is None) or (s and vy is None):
+            continue
+        v = (r * vx if r else 0) + (s * vy if s else 0)
+        if least is None or v < least:
+            least, tie = v, False
+        elif v == least:
+            tie = True
+    return least, tie
 
-    def __init__(self, nu: QuasiMonomialVal):
-        self.state = state = _ImageState(nu.steps, nu.frame)
-        self.bx, self.by = state.bx, state.by
-        w1, w2 = nu.weights
-        if is_inf(w2):
-            self.mode = ("y_inf", w1)
-        elif is_inf(w1):
-            self.mode = ("x_inf", w2)
-        else:
-            q = math.lcm(w1.denominator, w2.denominator)
-            self.mode = ("finite", int(w1 * q), int(w2 * q), q)
 
-    def order_of_support(self, support: Iterable[Tuple[int, int]]) -> ExtRat:
-        mode = self.mode
-        if mode[0] == "finite":
-            _, p1, p2, q = mode
-            return Fraction(min(r * p1 + s * p2 for r, s in support), q)
-        kind, w = mode
-        idx = 1 if kind == "y_inf" else 0
-        finite = [e[1 - idx] for e in support if e[idx] == 0]
-        # a term containing the infinite-weight coordinate still contributes
-        # finitely when its exponent there is zero; otherwise it is ignored
-        if not finite:
-            return INF
-        return min(finite) * w
-
-    def evaluate(self, phi: BivarPoly) -> ExtRat:
-        terms = phi.terms
-        if not terms:
-            return INF
-        lcm = math.lcm(*[c.denominator for c in terms.values()])
-        bx, by = self.bx, self.by
-        top_r = max(r for r, _ in terms) if bx != 1 else 0
-        top_s = max(s for _, s in terms) if by != 1 else 0
-        powers, image = self.state.powers, self.state.monomial_image
-        acc: _IntPoly = {}
-        for e, c in terms.items():
-            k = c.numerator * (lcm // c.denominator)
-            if bx != 1:
-                k *= bx ** (top_r - e[0])
-            if by != 1:
-                k *= by ** (top_s - e[1])
-            _mac(acc, k, (powers.get(e) or image(*e)).items())
-        if not acc:  # the program substitution is injective; defensive only
-            return INF
-        return self.order_of_support(acc)
+def _strict_transform(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
+    """v(phi) by strict transforms, level by level; phi is nonzero."""
+    q, levels = _level_numerators(nu)
+    den = math.lcm(*(c.denominator for c in phi.terms.values()))
+    f = {t: c.numerator * (den // c.denominator) for t, c in phi.terms.items()}
+    acc = 0
+    for step, (vx, vy) in zip(nu.steps, islice(levels, 1, None)):
+        e, f = _chart(f, step)
+        # the exceptional coordinate's value is finite on a legal program:
+        # an infinite one would make both values at the level above infinite
+        acc += e * (vy if step.is_inf else vx)
+        if step.is_inf or not step.value:
+            continue  # an exponent map keeps every term's value, so the tie stands
+        least, tie = _least(f, vx, vy)
+        if not tie:
+            return _value(None if least is None else acc + least, q)
+    if not nu.frame.is_identity():
+        f = _in_frame(f, nu.frame)
+    _, n1, n2 = _weight_numerators(nu)
+    least, _ = _least(f, n1, n2)
+    return _value(None if least is None else acc + least, q)
 
 
 def _row_direction(frame: LinearFrame, row: int) -> ProjPoint:
@@ -435,7 +370,7 @@ def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
     larger weight (an infinite weight included).  Equal finite weights make
     the head terminal."""
     if nu.steps:
-        return direction_of_center(nu.steps[0])
+        return nu.steps[0].negate()
     w1, w2 = nu.weights
     if w1 == w2:
         return None
@@ -464,7 +399,7 @@ def _vanishes_at(root: Tuple[int, int], terms: List[Tuple[Tuple[int, int], Fract
 
 def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
     """The value of nu on phi: read off the level-0 values when the least
-    terms cannot cancel, else computed by the substitution engine."""
+    terms cannot cancel, else computed by strict transforms."""
     terms = phi.terms
     if not terms:
         return INF
@@ -494,11 +429,7 @@ def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
             if len(table) < _VALUE_TABLE_SIZE:
                 table[least] = value
         return value
-    engine = nu.__dict__.get("_engine")
-    if engine is None:
-        engine = _Engine(nu)
-        object.__setattr__(nu, "_engine", engine)
-    return engine.evaluate(phi)
+    return _strict_transform(nu, phi)
 
 
 def evaluate_naive(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
@@ -542,6 +473,16 @@ def _levels_back(steps: Sequence[ProjPoint], vx: _Num, vy: _Num) -> List[Tuple[_
     return levels
 
 
+def _weight_numerators(nu: QuasiMonomialVal) -> Tuple[int, _Num, _Num]:
+    """``(q, n1, n2)``: the weights as integer numerators over q, the lcm of
+    the finite weights' denominators."""
+    w1, w2 = nu.weights
+    q = math.lcm(*(w.denominator for w in (w1, w2) if w is not INF))
+    n1 = None if w1 is INF else w1.numerator * (q // w1.denominator)
+    n2 = None if w2 is INF else w2.numerator * (q // w2.denominator)
+    return q, n1, n2
+
+
 def _level_numerators(nu: QuasiMonomialVal) -> Tuple[int, List[Tuple[_Num, _Num]]]:
     """``(q, levels)``: ``(v(x_i), v(y_i))`` at every level i, level 0 being the
     original x, y, as integer numerators over q, the lcm of the finite
@@ -551,10 +492,7 @@ def _level_numerators(nu: QuasiMonomialVal) -> Tuple[int, List[Tuple[_Num, _Num]
     ``(d, -b)`` and ``(-c, a)`` up to scale; the recursion back to level 0 adds
     integers only."""
     (a, b), (c, d) = nu.frame.rows
-    w1, w2 = nu.weights
-    q = math.lcm(*(w.denominator for w in (w1, w2) if w is not INF))
-    n1 = None if w1 is INF else w1.numerator * (q // w1.denominator)
-    n2 = None if w2 is INF else w2.numerator * (q // w2.denominator)
+    q, n1, n2 = _weight_numerators(nu)
     vx = _min_num(n1 if d else None, n2 if b else None)
     vy = _min_num(n1 if c else None, n2 if a else None)
     return q, _levels_back(nu.steps, vx, vy)
@@ -699,13 +637,13 @@ def _canonicalize_raw(nu: QuasiMonomialVal) -> CanonicalForm:
         # tests/test_valuation.py::TestCanonical::test_curve_fold_invariant
         d = _row_direction(nu.frame, big)
         while steps and d in (ZERO_POINT, INF_POINT):
-            d = direction_of_center(steps.pop())
+            d = steps.pop().negate()
         return CanonicalForm(tuple(steps), Curve(d, nu.weights[1 - big]))
     if w1 == w2:
         return CanonicalForm(tuple(steps), Divisorial(w1))
     q = math.lcm(w1.denominator, w2.denominator)
     a, b = w1.numerator * (q // w1.denominator), w2.numerator * (q // w2.denominator)
-    center = direction_of_center(_row_direction(nu.frame, 0 if a > b else 1))
+    center = _row_direction(nu.frame, 0 if a > b else 1).negate()
     steps.append(center)
     small, large = min(a, b), max(a, b)
     a, b = (large - small, small) if center.is_inf else (small, large - small)
@@ -739,7 +677,7 @@ def from_canonical(form: CanonicalForm) -> QuasiMonomialVal:
     if t.direction.is_inf:
         return QuasiMonomialVal(form.steps + (INF_POINT,), IDENTITY_FRAME, (INF, t.gamma))
     return QuasiMonomialVal(
-        form.steps + (center_of_direction(t.direction),),
+        form.steps + (t.direction.negate(),),
         IDENTITY_FRAME,
         (t.gamma, INF),
     )
@@ -785,7 +723,7 @@ def _walk_numerators(form: CanonicalForm) -> Tuple[int, Iterator[_NumLevel]]:
     elif t.direction.is_inf:
         steps, last = form.steps + (INF_POINT,), (None, g)
     else:
-        steps, last = form.steps + (center_of_direction(t.direction),), (g, None)
+        steps, last = form.steps + (t.direction.negate(),), (g, None)
     return q, _walk_levels(steps, _levels_back(steps, *last), t)
 
 
@@ -844,7 +782,7 @@ def dilatation_length(nu: QuasiMonomialVal) -> Union[int, Infinity]:
 
 def _exceptional(center) -> Optional[ProjPoint]:
     """The one direction valued above the multiplicity at a level with this center."""
-    return None if center is TERMINAL else direction_of_center(center)
+    return None if center is TERMINAL else center.negate()
 
 
 def exceptional_direction(nu: QuasiMonomialVal) -> Optional[ProjPoint]:

@@ -1,12 +1,15 @@
-"""Deep dilatation chains: the integer chain kernel against Fraction references.
+"""Deep dilatation chains: the integer chain kernel against Fraction
+references, and evaluation by strict transforms.
 
 Seeded programs of 50-500 levels mix runs of the centers 0 and infinity with
 free centers, end in weight pairs whose continued fractions have partial
 quotients up to 10^3, and sometimes carry a frame or a curve terminal.  The
 references live in this file: canonicalization by iterating ``dilate`` one
 step at a time, level values by the plain Fraction recursion, and a meet that
-walks Fraction multiplicities.  Work is bounded by counting constructions and
-steps, not by wall time.
+walks Fraction multiplicities.  Evaluation is checked against literal
+substitution on short prefixes of these programs, and by the valuation laws
+on the whole programs.  Work is bounded by counting constructions, steps and
+terms, not by wall time.
 """
 
 import itertools
@@ -21,7 +24,7 @@ from valtree.cli import main
 from valtree.jsonio import valuation_to_json
 from valtree.poly import BivarPoly, IDENTITY_FRAME, LinearFrame
 from valtree.rationals import INF, is_inf
-from valtree.testkit import DEFAULT_SEED, euclid_multiplicity_oracle
+from valtree.testkit import DEFAULT_SEED, curvette, euclid_multiplicity_oracle
 from valtree.valuation import (
     CanonicalForm,
     Comparison,
@@ -36,8 +39,8 @@ from valtree.valuation import (
     canonicalize,
     compare,
     dilate,
-    direction_of_center,
     evaluate,
+    evaluate_naive,
     from_canonical,
     meet,
     monomial,
@@ -158,7 +161,7 @@ def reference_canonical(nu):
             p, q = head.frame.rows[big]
             d = INF_POINT if q == 0 else ProjPoint(p / q)
             while steps and d in (ZERO_POINT, INF_POINT):
-                d = direction_of_center(steps.pop())
+                d = steps.pop().negate()
             return CanonicalForm(tuple(steps), Curve(d, head.weights[1 - big]))
         step = dilate(head)
         if isinstance(step, Terminal):
@@ -419,3 +422,98 @@ class TestMeet:
         w = meet.__wrapped__(nu, mu)
         assert len(calls) <= 4
         assert compare(nu, mu) is Comparison.LT and canonicalize(w) == canonicalize(nu)
+
+
+# ---------------------------------------------------------------------------
+# evaluation by strict transforms
+# ---------------------------------------------------------------------------
+
+
+def chain_curvettes(steps, max_terms, max_degree):
+    """Curvette equations along a chain: for each prefix, the curve through
+    the next center and a curve that leaves it there.  Stops before the
+    first prefix whose pair has an equation of more than max_terms terms or
+    of degree above max_degree; the sizes grow with the prefix."""
+    out = []
+    for j, step in enumerate(steps):
+        d = step.negate()
+        pair = [curvette(steps[:j], d), curvette(steps[:j], ProjPoint(1 if d.is_inf else d.value + 1))]
+        if any(len(c.terms) > max_terms or c.total_degree() > max_degree for c in pair):
+            break
+        out += pair
+    return out
+
+
+class TestEvaluate:
+    """evaluate on the deep programs.  Literal substitution is the oracle on
+    prefixes of ``ORACLE_DEPTH`` centers, as deep as it finishes in about a
+    second over these inputs; deeper, the valuation laws need no oracle."""
+
+    ORACLE_DEPTH = 6
+
+    def record_work(self, monkeypatch):
+        """Per strict-transform call, the term counts of its charts' results."""
+        calls = []
+        transform, chart = valuation._strict_transform, valuation._chart
+
+        def counting_transform(nu, phi):
+            calls.append([])
+            return transform(nu, phi)
+
+        def counting_chart(f, step):
+            e, g = chart(f, step)
+            calls[-1].append(len(g))
+            return e, g
+
+        monkeypatch.setattr(valuation, "_strict_transform", counting_transform)
+        monkeypatch.setattr(valuation, "_chart", counting_chart)
+        return calls
+
+    def test_prefixes_against_literal_substitution(self, monkeypatch):
+        """Prefixes of the programs and of their canonical rebuilds, framed
+        ones included, on curvettes of their own chains (ties that cancel
+        level after level), on the equations of the frame's rows (ties that
+        only the frame rewrite settles), and on both perturbed."""
+        calls = self.record_work(monkeypatch)
+        in_frame, rewrites = valuation._in_frame, []
+        monkeypatch.setattr(valuation, "_in_frame", lambda f, frame: rewrites.append(f) or in_frame(f, frame))
+        programs = [(program.steps, program.frame, program.weights) for nu in PROGRAMS[::2]
+                    for program in (nu, from_canonical(canonicalize(nu)))]
+        programs += [(nu.steps, frame, nu.weights) for nu in PROGRAMS[1::6] for frame in FRAMES]
+        for steps, frame, weights in programs:
+            try:
+                p = QuasiMonomialVal(steps[:self.ORACLE_DEPTH], frame, weights)
+            except ValueError:  # the prefix makes a curve program illegal
+                continue
+            polys = chain_curvettes(p.steps, 12, 12)
+            polys += [curvette(p.steps, valuation._row_direction(p.frame, i)) for i in (0, 1)]
+            polys += [c + X ** (c.total_degree() + 1) for c in polys] + [c * c for c in polys[:3]]
+            for phi in polys:
+                assert evaluate(p, phi) == evaluate_naive(p, phi), (p, phi)
+        assert len(calls) >= 50 and max(map(len, calls)) == self.ORACLE_DEPTH
+        assert len(rewrites) >= 10
+
+    def test_laws_on_whole_programs(self, monkeypatch):
+        """On each program and on its canonical rebuild (50-3,000 levels),
+        curvettes of the rebuilt chain take the same value under both
+        programs, ``v(fg) = v(f) + v(g)``, and ``v(f+g) = min(v(f), v(g))``
+        when those differ.  Inputs are bounded by term counts and degree, and
+        so are the strict transforms."""
+        calls = self.record_work(monkeypatch)
+        checked = 0
+        for nu in PROGRAMS:
+            full = from_canonical(canonicalize(nu))
+            family = chain_curvettes(full.steps, 20, 100)
+            for phi in family:
+                assert evaluate(nu, phi) == evaluate(full, phi), (nu, phi)
+            for f in family[-6:] + family[:2]:
+                vf = evaluate(full, f)
+                for g in family[-3:] + [X + Y]:
+                    vg = evaluate(full, g)
+                    assert evaluate(full, f * g) == vf + vg, (nu, f, g)
+                    if vf != vg:
+                        assert evaluate(full, f + g) == min(vf, vg), (nu, f, g)
+                    checked += 1
+        assert checked >= 1000
+        assert max(map(len, calls)) >= 80  # some transforms follow the chain deep
+        assert max(max(c, default=0) for c in calls) <= 60

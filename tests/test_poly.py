@@ -178,7 +178,10 @@ class TestSubstitute:
             inv = frame.inverse()
             fx, fy = inv.row_form(0), inv.row_form(1)
             want = (expand(ex, fx, fy), expand(ey, fx, fy))
-            assert valuation._images(nu.steps, frame) == want
+            got = (X, Y)
+            for step in nu.steps:
+                got = tuple(p.substitute(*valuation._step_images(step)) for p in got)
+            assert tuple(p.substitute(fx, fy) for p in got) == want
             phi = gen_poly(seed, max_deg=4)
             assert frame_apply(phi, frame) == expand(phi, fx, fy)
 

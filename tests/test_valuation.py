@@ -21,11 +21,9 @@ from valtree.valuation import (
     TERMINAL,
     Terminal,
     canonicalize,
-    center_of_direction,
     dilatation_length,
     dilate,
     direction_enumeration,
-    direction_of_center,
     equal_valuations,
     evaluate,
     evaluate_naive,
@@ -56,8 +54,11 @@ class TestProjPoint:
         ]
 
     def test_center_direction_involution(self):
+        """Centers and directions convert by ``negate``, its own inverse."""
         for c in (ProjPoint(Fraction(2, 3)), ProjPoint(0), INF_POINT):
-            assert center_of_direction(direction_of_center(c)) == c
+            assert c.negate().negate() == c
+        assert ProjPoint(Fraction(2, 3)).negate() == ProjPoint(Fraction(-2, 3))
+        assert INF_POINT.negate() == INF_POINT
 
     def test_form(self):
         assert ProjPoint(2).form() == poly_parse("2*x + y")
@@ -133,7 +134,7 @@ class TestEvaluate:
         assert evaluate(monomial(1, 2), BivarPoly.monomial(3, 50000)) == 100003
 
     def test_differential_against_naive(self, monkeypatch):
-        """The integer engine against literal substitution on every program shape.
+        """evaluate against literal substitution on every program shape.
 
         Shapes: centers with denominators (images with non-unit contents),
         the framed programs meet builds, an infinite weight on either side,
@@ -148,7 +149,9 @@ class TestEvaluate:
             for steps in ((Fraction(2, 3),), (Fraction(-5, 2), 3), (Fraction(1, 3), INF_POINT, Fraction(7, 4)))
             for w in ((1, 1), (2, 5), (Fraction(3, 2), INF))
         ]
-        assert any(valuation._ImageState(nu.steps, nu.frame).by != 1 for nu in contents)
+        # fractional centers: their charts scale the terms by powers of a
+        # denominator, and the composed images have non-integer coefficients
+        assert any(not c.is_inf and c.value.denominator != 1 for nu in contents for c in nu.steps)
         shear = LinearFrame(((1, 0), (1, 1)))
         curves = [
             QuasiMonomialVal(steps, frame, w)
@@ -178,7 +181,7 @@ class TestEvaluate:
             meet.__wrapped__(nu, mu)
         monkeypatch.undo()
         # literal substitution of degree-8 polynomials through deeper framed
-        # programs takes seconds each; the engine's cost is not the limit here
+        # programs takes seconds each; evaluate's cost is not the limit here
         framed = [p for p in framed if len(p.steps) <= 5]
         assert len(framed) >= 5
         programs = chains + contents + curves + framed
@@ -204,24 +207,24 @@ class TestEvaluate:
                 for nu in family:
                     assert evaluate(nu, phi) == evaluate_naive(nu, phi)
 
-    def test_leading_term_tiers_agree_with_engine_and_naive(self, monkeypatch):
-        """evaluate against a fresh image engine and literal substitution, on
-        inputs that reach every tier: an infinite level-0 value, a unique
-        least term, ties with v(x) = v(y) that do and do not cancel, and ties
-        with v(x) != v(y)."""
-        ties, engine_calls = [], []
-        vanishes, engine_evaluate = valuation._vanishes_at, valuation._Engine.evaluate
+    def test_leading_term_tiers_and_strict_transforms_agree_with_naive(self, monkeypatch):
+        """evaluate against literal substitution, on inputs that reach every
+        tier and the strict-transform path: an infinite level-0 value, a
+        unique least term, ties with v(x) = v(y) that do and do not cancel,
+        and ties with v(x) != v(y)."""
+        ties, transform_calls = [], []
+        vanishes, transform = valuation._vanishes_at, valuation._strict_transform
 
         def recording_vanishes(root, terms):
             ties.append(vanishes(root, terms))
             return ties[-1]
 
-        def counting_engine(self, phi):
-            engine_calls.append(phi)
-            return engine_evaluate(self, phi)
+        def counting_transform(nu, phi):
+            transform_calls.append(phi)
+            return transform(nu, phi)
 
         monkeypatch.setattr(valuation, "_vanishes_at", recording_vanishes)
-        monkeypatch.setattr(valuation._Engine, "evaluate", counting_engine)
+        monkeypatch.setattr(valuation, "_strict_transform", counting_transform)
         rng = random.Random(DEFAULT_SEED + 9)
         shear = LinearFrame(((1, 0), (1, 1)))
         # v(x) = 2, v(y) = 1 and v(x - y^2) = 3: x - y^2 ties and cancels
@@ -255,19 +258,18 @@ class TestEvaluate:
                     ell**3 * Fraction(2, 7) + other**4,
                 ]
             for phi in polys:
-                want = valuation._Engine(nu).evaluate(phi)
-                assert evaluate(nu, phi) == want == evaluate_naive(nu, phi), (nu, phi)
-        assert engine_calls and True in ties and False in ties
+                assert evaluate(nu, phi) == evaluate_naive(nu, phi), (nu, phi)
+        assert transform_calls and True in ties and False in ties
         assert evaluate(parabola, X - Y**2) == 3 and evaluate(parabola, X + Y**2) == 2
 
-    def test_seeded_polynomials_agree_with_engine(self):
-        """The leading-term tiers against a fresh engine on 1,500 seeded pairs."""
+    def test_seeded_polynomials_agree_with_naive(self):
+        """The leading-term tiers and strict transforms against literal
+        substitution on 1,500 seeded pairs."""
         polys = sample_polys(DEFAULT_SEED + 10, 60, max_deg=5)
         for s in range(25):
             nu = gen_qmv(DEFAULT_SEED + 950 + s, max_depth=8)
-            engine = valuation._Engine(nu)
             for phi in polys:
-                assert evaluate(nu, phi) == engine.evaluate(phi)
+                assert evaluate(nu, phi) == evaluate_naive(nu, phi)
 
     def test_generated_pairs_agree_with_naive(self):
         """One-pass tiers and the value table against literal substitution, on
@@ -293,8 +295,8 @@ class TestEvaluate:
 
 class TestEvaluateWork:
     # a 16-center chain drawn as benchmarks/evaluate_scaling.py draws them;
-    # its composed y image has 2,979 terms of degree 341.  Each test builds a
-    # fresh copy, so no engine is attached to it yet
+    # its composed y image has 2,979 terms of degree 341, while the strict
+    # transforms of the polynomials below keep a handful of terms
     DEEP = QuasiMonomialVal(
         tuple(ProjPoint(c) for c in (
             2, Fraction(-2, 3), -2, 0, INF, -1, 0, -1, 1, -2, -2, INF, 0, Fraction(2, 3), 1, INF,
@@ -302,21 +304,21 @@ class TestEvaluateWork:
         weights=(Fraction(5, 42), Fraction(1, 21)),
     )
 
-    def count_image_builds(self, monkeypatch):
-        calls = []
-        images, state = valuation._images, valuation._ImageState
+    def count_charts(self, monkeypatch):
+        """The term count of each strict transform a chart returns, in order."""
+        sizes = []
+        chart = valuation._chart
 
-        def counting(fn, name):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
+        def counting(f, step):
+            e, g = chart(f, step)
+            sizes.append(len(g))
+            return e, g
 
-        monkeypatch.setattr(valuation, "_images", counting(images, "_images"))
-        monkeypatch.setattr(valuation, "_ImageState", counting(state, "_ImageState"))
-        return calls
+        monkeypatch.setattr(valuation, "_chart", counting)
+        return sizes
 
     def test_unique_least_term_builds_no_images(self, monkeypatch):
+        """A unique least term at level 0 runs no chart at all."""
         nu = QuasiMonomialVal(self.DEEP.steps, self.DEEP.frame, self.DEEP.weights)
         vx, vy = valuation._level_values(nu)[0]
         assert vx == vy
@@ -326,21 +328,29 @@ class TestEvaluateWork:
             if len({r + s for r, s in phi.terms}) == len(phi.terms)
         ]
         assert len(polys) > 10
-        calls = self.count_image_builds(monkeypatch)
+        sizes = self.count_charts(monkeypatch)
         for phi in polys:
             assert evaluate(nu, phi) == min(r + s for r, s in phi.terms) * vx
-        assert calls == []
+        assert sizes == []
 
-    def test_form_divisible_by_the_exceptional_form_builds_images_once(self, monkeypatch):
+    def test_tie_divisible_by_the_exceptional_form_does_bounded_work(self, monkeypatch):
+        """A tie the head's exceptional form divides runs at most one chart
+        per center, on strict transforms of a few terms."""
         nu = QuasiMonomialVal(self.DEEP.steps, self.DEEP.frame, self.DEEP.weights)
         ell = poly_parse("y - 2*x")  # the direction of the first center, 2
         assert valuation._head_exceptional(nu).form() == ell
-        calls = self.count_image_builds(monkeypatch)
+        sizes = self.count_charts(monkeypatch)
         assert evaluate(nu, ell) == evaluate_naive(nu, ell) > m_value(nu)
-        assert calls.count("_ImageState") == 1
+        assert sizes == [1]  # the chart at 2 takes y - 2x to the single term y
+        for phi in (ell**2 + X**3, ell**3 + Y**4, ell**3 * X + Y**5 - X**6):
+            del sizes[:]
+            assert evaluate(nu, phi) > min(r + s for r, s in phi.terms) * m_value(nu)
+            assert 1 <= len(sizes) <= len(nu.steps)
+            assert max(sizes) <= 8
 
     def test_warm_evaluate_never_hashes_the_valuation(self, monkeypatch):
-        """The engine lives on the valuation: no cache lookup keyed by it."""
+        """evaluate keeps its state on the valuation (its level-0 numerators
+        and value table) and runs no cache lookup keyed by it."""
         nu = QuasiMonomialVal((ProjPoint(Fraction(3, 5)), INF_POINT), SWAP, (Fraction(4, 3), 1))
         polys = fraction_polys(random.Random(DEFAULT_SEED + 7), 10)
         for phi in polys:
@@ -508,7 +518,7 @@ class TestCanonical:
                         for center in reversed(steps[kept:]):
                             assert d in (zero, INF_POINT) and center.is_inf == d.is_inf
                             folded[int(d.is_inf)] += 1
-                            d = direction_of_center(center)
+                            d = center.negate()
                         assert form.terminal == Curve(d, form.terminal.gamma)
                         rebuilt = from_canonical(form)
                         for phi in (X, Y, X + Y, poly_parse("y^2 - x^3 + x*y")):
@@ -592,7 +602,7 @@ class TestLevelValues:
             if i <= n:
                 tail = from_canonical(CanonicalForm(form.steps[i:], form.terminal))
             else:  # one level into a curve's eventually-constant tail
-                curve = Curve(direction_of_center(center), form.terminal.gamma)
+                curve = Curve(center.negate(), form.terminal.gamma)
                 tail = from_canonical(CanonicalForm((), curve))
             self.check_level_zero(tail)
             assert m == m_value(tail) == min(evaluate(tail, X), evaluate(tail, Y))
@@ -600,7 +610,7 @@ class TestLevelValues:
                 assert all(evaluate(tail, d.form()) == m
                            for d in itertools.islice(direction_enumeration(), 4))
                 continue
-            exc = direction_of_center(center)
+            exc = center.negate()
             assert e == evaluate(tail, exc.form()) and e > m
             others = [d for d in itertools.islice(direction_enumeration(), 4) if d != exc]
             assert all(evaluate(tail, d.form()) == m for d in others)
