@@ -8,6 +8,7 @@ curve types, whose support generator is a linear form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -17,7 +18,6 @@ from .poly import (
     IDENTITY_FRAME,
     LinearFrame,
     divide_out_linear,
-    frame_apply,
 )
 from .rationals import INF, ExtRat, is_inf
 from .valuation import (
@@ -25,6 +25,7 @@ from .valuation import (
     QuasiMonomialVal,
     UnsupportedDeepCurveError,
     _canonicalize_raw,
+    _in_frame,
     _require_normalized,
     evaluate,
 )
@@ -110,12 +111,24 @@ def gen_pair(gen: BivarPoly) -> Tuple[int, int]:
 
 
 def rank2_eval(rho: Rank2Val, phi: BivarPoly) -> Union[Rank2Value, ExtRat]:
-    """Lex-min over the support of componentwise r*wx + s*wy; inf on zero."""
-    psi = frame_apply(phi, rho.frame)
-    if psi.is_zero():
+    """Lex-min over the support of componentwise r*wx + s*wy; inf on zero.
+
+    The support of phi in the frame coordinates is that of ``frame_apply``;
+    ``_in_frame`` finds it on integer coefficients, and the second
+    components are compared as numerators over one common denominator."""
+    if phi.is_zero():
         return INF
+    support = phi.terms
+    if not rho.frame.is_identity():
+        lcm = math.lcm(*(c.denominator for c in support.values()))
+        support = _in_frame(
+            {t: c.numerator * (lcm // c.denominator) for t, c in support.items()}, rho.frame
+        )
     (x0, x1), (y0, y1) = rho.wx, rho.wy
-    return min((r * x0 + s * y0, r * x1 + s * y1) for r, s in psi.terms)
+    den = math.lcm(x1.denominator, y1.denominator)
+    nx, ny = x1.numerator * (den // x1.denominator), y1.numerator * (den // y1.denominator)
+    first, second = min((r * x0 + s * y0, r * nx + s * ny) for r, s in support)
+    return first, Fraction(second, den)
 
 
 def rank1_section(rho: Rank2Val) -> Optional[QuasiMonomialVal]:

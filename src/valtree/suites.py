@@ -202,6 +202,9 @@ _PROBE_DIRECTIONS = (
 )
 
 
+_REFUTATION_PROBES = (_X, _Y, _X + _Y, _X - _Y, _X * _Y)
+
+
 def _refutation_pool(
     cand: QuasiMonomialVal,
     nu: QuasiMonomialVal,
@@ -209,7 +212,7 @@ def _refutation_pool(
     fallback: Sequence[BivarPoly],
 ) -> List[BivarPoly]:
     """Polynomials likely to separate a too-deep candidate from an input."""
-    pool = [_X, _Y, _X + _Y, _X - _Y, _X * _Y]
+    pool = list(_REFUTATION_PROBES)
     chain = canonicalize(cand).steps
     dirs = list(_PROBE_DIRECTIONS)
     for side in (nu, mu):
@@ -252,8 +255,7 @@ def criterion_5(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
                 continue
             pool = _refutation_pool(cand, nu, mu, phis)
             if not any(
-                evaluate(cand, phi) > evaluate(nu, phi)
-                or evaluate(cand, phi) > evaluate(mu, phi)
+                (v := evaluate(cand, phi)) > evaluate(nu, phi) or v > evaluate(mu, phi)
                 for phi in pool
             ):
                 return _fail(
@@ -313,18 +315,20 @@ def criterion_8(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     for q in range(n_quads):
         pairs = [gen_unit_pair(seed + 4507 * q + j) for j in range(4)]
         forms = [pair_form(p) for p in pairs]
+        # the relation and the strictness of every form, each computed once
+        sim = [[sim_pairs(p1, p2) for p2 in pairs] for p1 in pairs]
+        strict = [[evaluate(nu, form) > 1 for nu in vals] for form in forms]
         for a in range(4):
-            if not sim_pairs(pairs[a], pairs[a]):
+            if not sim[a][a]:
                 return _fail(8, name, f"quad {q}: relation not reflexive", pairs[a])
             for b in range(4):
-                r = sim_pairs(pairs[a], pairs[b])
-                if r != sim_pairs(pairs[b], pairs[a]):
+                r = sim[a][b]
+                if r != sim[b][a]:
                     return _fail(8, name, f"quad {q}: relation not symmetric", (a, b))
                 for c in range(4):
-                    if r and sim_pairs(pairs[b], pairs[c]) and not sim_pairs(pairs[a], pairs[c]):
+                    if r and sim[b][c] and not sim[a][c]:
                         return _fail(8, name, f"quad {q}: relation not transitive", (a, b, c))
-                for nu in vals:
-                    sa, sb = evaluate(nu, forms[a]) > 1, evaluate(nu, forms[b]) > 1
+                for sa, sb in zip(strict[a], strict[b]):
                     if r and sa != sb:
                         return _fail(8, name, f"quad {q}: similar pairs split strictness", (a, b))
                     if sa and sb and not r:

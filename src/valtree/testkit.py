@@ -121,7 +121,8 @@ def _tail_weights(
     while True:
         w1 = _rat_from_rng(rng, denom_bound)
         w2 = _rat_from_rng(rng, denom_bound)
-        p, q = (w1 / w2).as_integer_ratio()
+        # the Euclid quotients of w1/w2, unreduced: a common factor leaves them alone
+        p, q = w1.numerator * w2.denominator, w1.denominator * w2.numerator
         length = 0
         while q:
             length += p // q

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .poly import _cached_hash
 from .rationals import ExtRat, Infinity, ONE, ZERO, is_inf
 from .valuation import (
     Comparison,
@@ -84,6 +85,8 @@ class RootedTree:
             if is_inf(length) and self.n_children(path):
                 raise ValueError("infinite edges must end in leaves")
         self._grids: Dict[int, Tuple["TreePoint", ...]] = {}
+        # one point object per node, so memos keyed by points mostly hit by identity
+        self._nodes: Dict[Path, TreePoint] = {(): TreePoint(self, (), ZERO)}
 
     def n_children(self, path: Path) -> int:
         return self._kids.get(tuple(path), 0)
@@ -95,13 +98,14 @@ class RootedTree:
         return [()] + sorted(self.edges.keys())
 
     def root_point(self) -> "TreePoint":
-        return TreePoint(self, (), ZERO)
+        return self._nodes[()]
 
     def node_point(self, path: Path) -> "TreePoint":
         path = tuple(path)
-        if not path:
-            return self.root_point()
-        return TreePoint(self, path, self.edge_length(path))
+        point = self._nodes.get(path)
+        if point is None:
+            point = self._nodes[path] = TreePoint(self, path, self.edge_length(path))
+        return point
 
     def point(self, path: Path, t) -> "TreePoint":
         """Canonical point at offset t on the parent edge of `path`."""
@@ -149,6 +153,9 @@ class TreePoint:
     path: Path
     t: ExtRat
 
+    def __hash__(self) -> int:
+        return _cached_hash(self, (self.tree, self.path, self.t))
+
     def is_root(self) -> bool:
         return not self.path
 
@@ -171,7 +178,12 @@ def t_leq(p: TreePoint, q: TreePoint) -> bool:
 
 def t_meet(p: TreePoint, q: TreePoint) -> TreePoint:
     """Deepest common point of the two root paths."""
-    tree = _same_tree(p, q)
+    _same_tree(p, q)
+    return _meet(p, q)
+
+
+def _meet(p: TreePoint, q: TreePoint) -> TreePoint:
+    """``t_meet`` for two points already known to share a tree."""
     if p.path == q.path:
         return p if p.t <= q.t else q
     k = 0
@@ -183,7 +195,7 @@ def t_meet(p: TreePoint, q: TreePoint) -> TreePoint:
         return p
     if k == len(q.path):
         return q
-    return tree.node_point(p.path[:k])
+    return p.tree.node_point(p.path[:k])
 
 
 def t_segment_member(
@@ -272,7 +284,9 @@ class PathParam:
         self.tree = tree
         self.style = style
         self._depth: Dict[Path, ExtRat] = {(): ZERO}
-        self._recips: Dict[Tuple[Path, ExtRat], Fraction] = {}
+        # 1/Psi(p) per point as a pair (numerator, denominator) in lowest
+        # terms with a positive denominator; (0, 1) at infinity
+        self._recips: Dict[TreePoint, Tuple[int, int]] = {}
 
     def _node_depth(self, path: Path) -> ExtRat:
         if path not in self._depth:
@@ -287,17 +301,22 @@ class PathParam:
         return ONE + self._node_depth(p.path[:-1]) + p.t
 
     def recip(self, p: TreePoint) -> Fraction:
-        """``1/Psi(p)``, 0 at infinity; memoized per point, up to ``_MEMO_SIZE``."""
+        """``1/Psi(p)``, 0 at infinity.
+
+        Kept per point, up to ``_MEMO_SIZE`` points, as the integer pair
+        that ``t_dpsi`` reads; the Fraction is built on each call."""
+        return Fraction(*self._recip_pair(p))
+
+    def _recip_pair(self, p: TreePoint) -> Tuple[int, int]:
         if p.tree is not self.tree:
             raise ForeignPointError("point is not on the parametrized tree")
-        key = (p.path, p.t)
-        value = self._recips.get(key)
-        if value is None:
+        pair = self._recips.get(p)
+        if pair is None:
             v = self.psi(p)
-            value = ZERO if is_inf(v) else 1 / v
+            pair = (0, 1) if is_inf(v) else (v.denominator, v.numerator)
             if len(self._recips) < _MEMO_SIZE:
-                self._recips[key] = value
-        return value
+                self._recips[p] = pair
+        return pair
 
     def point_at_psi(self, tau: TreePoint, value: ExtRat) -> TreePoint:
         """The unique point on [root, tau] with the given Psi-value."""
@@ -313,10 +332,18 @@ class PathParam:
         return self.tree.root_point()
 
 
+def _dpsi_pair(psi: PathParam, p: TreePoint, q: TreePoint) -> Tuple[int, int]:
+    """``t_dpsi`` as an integer pair (numerator, positive denominator), not
+    in lowest terms: ``2/Psi(m) - 1/Psi(p) - 1/Psi(q)`` at the meet m."""
+    np_, dp = psi._recip_pair(p)
+    nq, dq = psi._recip_pair(q)  # both on psi's tree now, so they share it
+    nw, dw = psi._recip_pair(_meet(p, q))
+    return (2 * nw * dp - np_ * dw) * dq - nq * dw * dp, dw * dp * dq
+
+
 def t_dpsi(psi: PathParam, p: TreePoint, q: TreePoint) -> Fraction:
     """The parametrization metric: reciprocal drops from the meet to each point."""
-    rw = psi.recip(t_meet(p, q))
-    return (rw - psi.recip(p)) + (rw - psi.recip(q))
+    return Fraction(*_dpsi_pair(psi, p, q))
 
 
 def t_inf_set(S: Sequence[TreePoint], tau: TreePoint, psi: PathParam) -> TreePoint:
@@ -542,16 +569,17 @@ def ball_in_subbasic_check(
     tree = _same_tree(sigma, tau, gamma)
     if gamma == tau or not t_tangent_equiv(tau, sigma, gamma):
         raise PreconditionViolatedError("gamma must lie in the tangent class of sigma")
-    eps = t_dpsi(psi, gamma, tau)
+    eps_num, eps_den = _dpsi_pair(psi, gamma, tau)
     checked = 0
     violations = []
     for alpha in tree.grid_points(samples) + [sigma, gamma]:
-        if t_dpsi(psi, gamma, alpha) >= eps:
+        num, den = _dpsi_pair(psi, gamma, alpha)
+        if num * eps_den >= eps_num * den:  # d(gamma, alpha) >= eps; both dens > 0
             continue
         checked += 1
         if not t_tangent_equiv(tau, sigma, alpha):
             violations.append(alpha)
-    return BallReport(eps, checked, tuple(violations))
+    return BallReport(Fraction(eps_num, eps_den), checked, tuple(violations))
 
 
 def build_star(n_branches: int, length=ONE) -> RootedTree:

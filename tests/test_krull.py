@@ -14,7 +14,14 @@ from valtree.krull import (
     rank1_section,
     rank2_eval,
 )
-from valtree.poly import BivarPoly, IDENTITY_FRAME, divide_out_linear, poly_parse
+from valtree.poly import (
+    BivarPoly,
+    IDENTITY_FRAME,
+    LinearFrame,
+    divide_out_linear,
+    frame_apply,
+    poly_parse,
+)
 from valtree.rationals import INF, is_inf
 from valtree.testkit import sample_polys
 from valtree.valuation import (
@@ -154,3 +161,62 @@ class TestSection:
         section = rank1_section(rho)
         assert section is not None
         assert equal_valuations(normalize(section), monomial(1, INF))
+
+
+def _reference_rank2(rho, phi):
+    """``rank2_eval`` the Fraction way: ``frame_apply``, then the lex-min."""
+    psi = frame_apply(phi, rho.frame)
+    if psi.is_zero():
+        return INF
+    (x0, x1), (y0, y1) = rho.wx, rho.wy
+    return min((r * x0 + s * y0, r * x1 + s * y1) for r, s in psi.terms)
+
+
+class TestIntegerSupport:
+    """``rank2_eval`` reads the support through the integer frame change and
+    takes the lex-min on numerators; these compare it with the reference."""
+
+    POLYS = sample_polys(2024, 60) + [
+        BivarPoly.zero(),
+        BivarPoly({(1, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4), (2, 1): Fraction(5, 6)}),
+        BivarPoly({(0, 0): Fraction(2, 3), (3, 0): Fraction(1, 9)}),
+    ]
+
+    def _check(self, rho):
+        for phi in self.POLYS:
+            got, want = rank2_eval(rho, phi), _reference_rank2(rho, phi)
+            assert got == want, (rho, phi)
+            if not is_inf(want):
+                assert type(got[0]) is int and type(got[1]) is Fraction
+
+    def test_identity_frame(self):
+        for wx, wy in (
+            ((1, Fraction(0)), (1, Fraction(1))),
+            ((0, Fraction(1, 3)), (1, Fraction(5, 2))),
+            ((2, Fraction(-7, 4)), (0, Fraction(3, 10))),
+        ):
+            self._check(Rank2Val(wx, wy))
+
+    def test_frames_of_lifted_curves(self):
+        directions = [ProjPoint(d) for d in (0, 1, -2, Fraction(1, 3), Fraction(-5, 2))]
+        curves = [monomial(1, INF), monomial(INF, 1)] + [
+            normalize(from_canonical(CanonicalForm((), Curve(d, Fraction(3, 2)))))
+            for d in directions
+        ]
+        frames = set()
+        for nu in curves:
+            result = krull_lift(nu)
+            assert isinstance(result, KrullRank2)
+            frames.add(result.val.frame)
+            self._check(result.val)
+        # direction 0 and the axis curves lift under the identity frame
+        assert IDENTITY_FRAME in frames and len(frames - {IDENTITY_FRAME}) == 4
+
+    def test_rational_frames(self):
+        for rows in (
+            ((1, 0), (1, 2)),
+            ((0, 1), (1, 0)),
+            ((Fraction(1, 2), Fraction(1, 3)), (1, Fraction(-2, 5))),
+        ):
+            rho = Rank2Val((1, Fraction(1, 2)), (0, Fraction(2, 3)), LinearFrame(rows))
+            self._check(rho)

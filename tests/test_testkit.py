@@ -65,6 +65,28 @@ class TestGenerators:
             if not is_inf(lam):
                 assert lam <= 4 + 4 + 1
 
+    def test_tail_weights_match_the_fraction_formula(self, monkeypatch):
+        """``_tail_weights`` takes the Euclid length from unreduced numerators;
+        the reference below reduces w1/w2 first, as the quotients allow."""
+        from valtree import testkit
+
+        def fraction_tail_weights(rng, denom_bound, cap):
+            while True:
+                w1 = testkit._rat_from_rng(rng, denom_bound)
+                w2 = testkit._rat_from_rng(rng, denom_bound)
+                p, q = (w1 / w2).as_integer_ratio()
+                length = 0
+                while q:
+                    length += p // q
+                    p, q = q, p % q
+                if length <= cap:
+                    return w1, w2
+
+        bounds = ((4, 10), (2, 12))
+        got = [[gen_qmv(s, d, b) for s in range(500)] for d, b in bounds]
+        monkeypatch.setattr(testkit, "_tail_weights", fraction_tail_weights)
+        assert got == [[gen_qmv(s, d, b) for s in range(500)] for d, b in bounds]
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             gen_poly(1, max_terms=0)

@@ -10,6 +10,7 @@ from valtree.rationals import INF, ONE, is_inf
 from valtree.testkit import DEFAULT_SEED, brute_meet_oracle, gen_tree
 from valtree.tree import (
     AxiomReport,
+    BallReport,
     BasePointEqualsRepError,
     EmptySetError,
     FI_X,
@@ -21,6 +22,7 @@ from valtree.tree import (
     RootedTree,
     TangentRef,
     TooFewBranchesError,
+    TreePoint,
     ball_in_subbasic_check,
     build_star,
     chain_infimum,
@@ -412,3 +414,77 @@ class TestMemos:
                 assert alpha.path[0] not in branches
                 assert all(class_member(ref, alpha) for ref in refs)
                 assert not class_member(TangentRef(alpha, center), alpha)
+
+
+def _ref_recip(psi, p):
+    v = psi.psi(p)
+    return Fraction(0) if is_inf(v) else 1 / v
+
+
+def _ref_dpsi(psi, p, q):
+    """The metric in Fraction arithmetic, from ``psi.psi`` at the meet."""
+    rw = _ref_recip(psi, t_meet(p, q))
+    return (rw - _ref_recip(psi, p)) + (rw - _ref_recip(psi, q))
+
+
+class TestIntegerMetric:
+    """``t_dpsi`` and ``ball_in_subbasic_check`` compute on integer pairs;
+    these check them against Fraction references built from ``psi.psi``."""
+
+    def test_dpsi_matches_the_fraction_reference(self):
+        saw_inf = saw_root = False
+        for s in range(30):
+            t = gen_tree(s, inf_prob=0.3)
+            psi = PathParam(t)
+            pts = t.grid_points(2)
+            saw_inf |= any(is_inf(psi.psi(p)) for p in pts)
+            saw_root |= any(p.is_root() for p in pts)
+            for p in pts:
+                for q in pts:
+                    got = t_dpsi(psi, p, q)
+                    assert type(got) is Fraction
+                    assert got == _ref_dpsi(psi, p, q), (s, p, q)
+        assert saw_inf and saw_root
+
+    def test_ball_report_matches_a_reference_loop(self):
+        rng = random.Random(DEFAULT_SEED)
+        configs = 0
+        for s in range(30):
+            t = gen_tree(s)
+            psi = PathParam(t)
+            pts = t.grid_points(2)
+            for _ in range(10):
+                tau, sigma = rng.choice(pts), rng.choice(pts)
+                if sigma == tau:
+                    continue
+                gammas = [g for g in pts if g != tau and t_tangent_equiv(tau, sigma, g)]
+                gamma = rng.choice(gammas)
+                eps = _ref_dpsi(psi, gamma, tau)
+                checked, violations = 0, []
+                for alpha in t.grid_points(3) + [sigma, gamma]:
+                    if _ref_dpsi(psi, gamma, alpha) >= eps:
+                        continue
+                    checked += 1
+                    if not t_tangent_equiv(tau, sigma, alpha):
+                        violations.append(alpha)
+                want = BallReport(eps, checked, tuple(violations))
+                assert ball_in_subbasic_check(psi, sigma, tau, gamma, samples=3) == want
+                configs += 1
+        assert configs > 200
+
+    def test_equal_points_hash_equal(self):
+        for s in range(10):
+            t = gen_tree(s, inf_prob=0.3)
+            for p in t.grid_points(2):
+                twins = [t.point(p.path, p.t), TreePoint(t, p.path, p.t)]
+                if p.path and p.t == t.edge_length(p.path):
+                    twins.append(t.node_point(p.path))
+                for q in twins:
+                    assert q == p and hash(q) == hash(p)
+                    assert {p: 1}.get(q) == 1
+            # every meet of grid points is a grid point, found by its hash
+            pts = t.grid_points(1)
+            table = {p: p for p in pts}
+            for p, q in itertools.product(pts, repeat=2):
+                m = t_meet(p, q)
+                assert table[m] == m and hash(table[m]) == hash(m)
