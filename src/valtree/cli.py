@@ -3,6 +3,11 @@ tree checks, and the property suites.  JSON in, JSON or table out.
 
 Exit codes: 0 success/pass, 1 check failure (witness printed), 2 usage or
 format error.  Every run echoes its effective configuration to stderr.
+
+Two limits are checked while the arguments are read, before any work: no
+number in an argument or input file may have more than ``MAX_DIGITS``
+digits, and ``--samples`` may be at most ``MAX_SAMPLES``.  Going over
+either exits 2 with a message that names the limit.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from typing import List, Optional
 
@@ -61,6 +67,14 @@ from .valuation import (
 _X = BivarPoly.var_x()
 _Y = BivarPoly.var_y()
 
+# Python's default limit on converting an int from text: checking it here
+# names the limit, where Python's own message would name a setting to raise
+MAX_DIGITS = 4300
+_LONG_NUMBER = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+# the work of a sampled check grows with its samples: on a five-edge tree,
+# ``tree ball-check`` takes about 1.4 s and 31 MB at this limit
+MAX_SAMPLES = 10_000
+
 
 def _emit(doc) -> None:
     print(json.dumps(doc))
@@ -71,10 +85,17 @@ def _emit(doc) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _short_numbers(text: str) -> str:
+    """The text, if none of its numbers is longer than ``MAX_DIGITS`` digits."""
+    if _LONG_NUMBER.search(text):
+        raise argparse.ArgumentTypeError(f"numbers are limited to {MAX_DIGITS} digits")
+    return text
+
+
 def _json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.loads(_short_numbers(fh.read()))
     except OSError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     except json.JSONDecodeError as exc:
@@ -83,15 +104,22 @@ def _json_file(path: str):
 
 def _json_text(text: str):
     try:
-        return json.loads(text)
+        return json.loads(_short_numbers(text))
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _seed_value(text: str) -> int:
-    value = int(text)
+    value = int(_short_numbers(text))
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
+    return value
+
+
+def _samples_value(text: str) -> int:
+    value = int(_short_numbers(text))
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"samples are limited to {MAX_SAMPLES}")
     return value
 
 
@@ -523,12 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--poly",
                 action="append",
+                type=_short_numbers,
                 metavar="STR",
                 required=polyflag == "required",
                 help="polynomial in x and y",
             )
         if samples is not None:
-            p.add_argument("--samples", type=int, default=samples, metavar="N")
+            p.add_argument("--samples", type=_samples_value, default=samples, metavar="N")
 
     tree = top.add_parser("tree", help="tree topology operations").add_subparsers(
         dest="op", required=True
@@ -558,9 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="alias for --tree",
             )
         if points:
-            p.add_argument("--points", nargs="+", required=True, metavar="PT")
+            p.add_argument(
+                "--points", nargs="+", type=_short_numbers, required=True, metavar="PT"
+            )
         if samples is not None:
-            p.add_argument("--samples", type=int, default=samples, metavar="N")
+            p.add_argument("--samples", type=_samples_value, default=samples, metavar="N")
 
     suite = top.add_parser("suite", help="property suites").add_subparsers(
         dest="op", required=True

@@ -7,11 +7,12 @@ Counts shrink proportionally for quick smoke runs but never below one.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .krull import KrullRank2, KrullSameRank1, Rank2Val, krull_lift, rank1_section, rank2_eval
 from .poly import BivarPoly, IDENTITY_FRAME
@@ -60,6 +61,7 @@ from .valuation import (
     ProjPoint,
     QuasiMonomialVal,
     TERMINAL,
+    ValueNumerators,
     canonicalize,
     common_minimizer,
     compare,
@@ -210,9 +212,11 @@ def _refutation_pool(
     nu: QuasiMonomialVal,
     mu: QuasiMonomialVal,
     fallback: Sequence[BivarPoly],
-) -> List[BivarPoly]:
-    """Polynomials likely to separate a too-deep candidate from an input."""
-    pool = list(_REFUTATION_PROBES)
+) -> Iterator[BivarPoly]:
+    """Polynomials likely to separate a too-deep candidate from an input,
+    the fixed probes first.  Drawn lazily: the probes refute most candidates,
+    and then no curvette is built."""
+    yield from _REFUTATION_PROBES
     chain = canonicalize(cand).steps
     dirs = list(_PROBE_DIRECTIONS)
     for side in (nu, mu):
@@ -226,42 +230,109 @@ def _refutation_pool(
         if d in seen:
             continue
         seen.add(d)
-        pool.append(curvette(chain, d))
-    pool.extend(fallback)
-    return pool
+        yield curvette(chain, d)
+    yield from fallback
+
+
+_MEET_NAME = "meet is the greatest common lower bound"
 
 
 def criterion_5(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "meet is the greatest common lower bound"
     n_pairs = _count(200, scale)
     n_polys = _count(500, scale)
-    for i in range(n_pairs):
-        nu = gen_qmv(seed + 2 * i + 1, max_depth=4, denom_bound=10)
-        mu = gen_qmv(seed + 2 * i + 2, max_depth=4, denom_bound=10)
-        w = meet(nu, mu)
-        phis = sample_polys(seed + 31 * i, n_polys, max_deg=3, max_terms=3, coeff_bound=5)
-        for phi in phis:
-            if evaluate(w, phi) > min(evaluate(nu, phi), evaluate(mu, phi)):
-                return _fail(5, name, f"pair {i}: not a lower bound at {phi}", (nu, mu, phi))
-        if not equal_valuations(meet(nu, nu), nu):
-            return _fail(5, name, f"pair {i}: meet not idempotent", nu)
-        if not equal_valuations(meet(mu, nu), w):
-            return _fail(5, name, f"pair {i}: meet not commutative", (nu, mu))
-        rho = gen_qmv(seed + 7919 * i + 3, max_depth=4, denom_bound=10)
-        if not equal_valuations(meet(meet(nu, mu), rho), meet(nu, meet(mu, rho))):
-            return _fail(5, name, f"pair {i}: meet not associative", (nu, mu, rho))
-        for cand in _divisorial_truncations(nu) + _divisorial_truncations(mu):
-            if compare(w, cand) is not Comparison.LT:
-                continue
-            pool = _refutation_pool(cand, nu, mu, phis)
-            if not any(
-                (v := evaluate(cand, phi)) > evaluate(nu, phi) or v > evaluate(mu, phi)
-                for phi in pool
-            ):
-                return _fail(
-                    5, name, f"pair {i}: candidate above the meet never refuted", (nu, mu, cand)
-                )
-    return _ok(5, name, f"{n_pairs} pairs: bound x{n_polys}, laws, maximality")
+    # every pair below the index passed, so from there on this loop returns,
+    # or raises, what a loop over all the pairs would
+    for i in range(_first_failing_pair(seed, n_pairs, n_polys), n_pairs):
+        failure = _criterion_5_pair(seed, i, n_polys)
+        if failure is not None:
+            return failure
+    return _ok(5, _MEET_NAME, f"{n_pairs} pairs: bound x{n_polys}, laws, maximality")
+
+
+def _criterion_5_pair(seed: int, i: int, n_polys: int) -> Optional[SuiteResult]:
+    """Criterion 5 on its pair i: the failure, or None when the pair passes."""
+    nu = gen_qmv(seed + 2 * i + 1, max_depth=4, denom_bound=10)
+    mu = gen_qmv(seed + 2 * i + 2, max_depth=4, denom_bound=10)
+    w = meet(nu, mu)
+    phis = sample_polys(seed + 31 * i, n_polys, max_deg=3, max_terms=3, coeff_bound=5)
+    values = ValueNumerators((w, nu, mu))
+    for phi in phis:
+        n_w, n_nu, n_mu = values(phi)
+        if n_w > n_nu or n_w > n_mu:
+            return _fail(5, _MEET_NAME, f"pair {i}: not a lower bound at {phi}", (nu, mu, phi))
+    if not equal_valuations(meet(nu, nu), nu):
+        return _fail(5, _MEET_NAME, f"pair {i}: meet not idempotent", nu)
+    if not equal_valuations(meet(mu, nu), w):
+        return _fail(5, _MEET_NAME, f"pair {i}: meet not commutative", (nu, mu))
+    rho = gen_qmv(seed + 7919 * i + 3, max_depth=4, denom_bound=10)
+    if not equal_valuations(meet(meet(nu, mu), rho), meet(nu, meet(mu, rho))):
+        return _fail(5, _MEET_NAME, f"pair {i}: meet not associative", (nu, mu, rho))
+    for cand in _divisorial_truncations(nu) + _divisorial_truncations(mu):
+        if compare(w, cand) is not Comparison.LT:
+            continue
+        pool = _refutation_pool(cand, nu, mu, phis)
+        if not any(
+            (v := evaluate(cand, phi)) > evaluate(nu, phi) or v > evaluate(mu, phi)
+            for phi in pool
+        ):
+            return _fail(
+                5, _MEET_NAME, f"pair {i}: candidate above the meet never refuted", (nu, mu, cand)
+            )
+    return None
+
+
+def _criterion_5_share(seed: int, j: int, k: int, n_pairs: int, n_polys: int) -> Optional[int]:
+    """The first of the pairs j, j + k, j + 2k, ... that fails or raises, or None."""
+    for i in range(j, n_pairs, k):
+        try:
+            if _criterion_5_pair(seed, i, n_polys) is not None:
+                return i
+        except Exception:
+            return i
+    return None
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _first_failing_pair(seed: int, n_pairs: int, n_polys: int) -> int:
+    """A pair index below which every pair of criterion 5 passes: the lowest
+    that fails or raises, else n_pairs.
+
+    The pairs are independent, so with k CPUs, k shares of them run at once:
+    share j holds pairs j, j + k, j + 2k, ..., share 0 runs in this process
+    and the others in forked workers.  A forked worker starts with the
+    library imported, where a spawned one would import it again.  Only ints
+    cross to a worker and back.  With one CPU, without fork, while other
+    threads run (a fork copies a lock one of them may hold, but not the
+    thread), or when a worker cannot start or dies, the answer is 0 and the
+    caller checks every pair itself."""
+    k = min(_cpu_count(), n_pairs)
+    if k == 1:
+        return 0
+    import multiprocessing  # here, so that importing the suites stays cheap
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 0
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            workers = [
+                pool.submit(_criterion_5_share, seed, j, k, n_pairs, n_polys) for j in range(1, k)
+            ]
+            firsts = [_criterion_5_share(seed, 0, k, n_pairs, n_polys)]
+            firsts += [w.result() for w in workers]
+    except (OSError, BrokenProcessPool):
+        return 0
+    return min((i for i in firsts if i is not None), default=n_pairs)
 
 
 def criterion_6(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:

@@ -231,6 +231,8 @@ _Y = BivarPoly.var_y()
 # numerator and whether it ties.  A value they settle is ``least / q``; it
 # comes from a table on the valuation keyed by the numerator, filled up to
 # ``_VALUE_TABLE_SIZE`` entries, so repeated values build no Fraction.
+# ``ValueNumerators`` makes the same pass for several valuations, on
+# numerators rescaled to one shared denominator, and returns them unbuilt.
 #
 # The strict-transform path pushes phi through the program one chart at a
 # time, as the blow-up proofs do, on integer coefficients: phi's
@@ -332,9 +334,10 @@ def _least(f: Iterable[Tuple[int, int]], vx: _Num, vy: _Num) -> Tuple[_Num, bool
     return least, tie
 
 
-def _strict_transform(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
-    """v(phi) by strict transforms, level by level; phi is nonzero."""
-    q, levels = _level_numerators(nu)
+def _strict_transform(nu: QuasiMonomialVal, phi: BivarPoly) -> _Num:
+    """v(phi) by strict transforms, level by level, as a numerator over the
+    program's q (None for infinity); phi is nonzero."""
+    _, levels = _level_numerators(nu)
     den = math.lcm(*(c.denominator for c in phi.terms.values()))
     f = {t: c.numerator * (den // c.denominator) for t, c in phi.terms.items()}
     acc = 0
@@ -347,12 +350,12 @@ def _strict_transform(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
             continue  # an exponent map keeps every term's value, so the tie stands
         least, tie = _least(f, vx, vy)
         if not tie:
-            return _value(None if least is None else acc + least, q)
+            return None if least is None else acc + least
     if not nu.frame.is_identity():
         f = _in_frame(f, nu.frame)
     _, n1, n2 = _weight_numerators(nu)
     least, _ = _least(f, n1, n2)
-    return _value(None if least is None else acc + least, q)
+    return None if least is None else acc + least
 
 
 def _row_direction(frame: LinearFrame, row: int) -> ProjPoint:
@@ -418,18 +421,78 @@ def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
             least, tie = v, False
         elif v == least:
             tie = True
-    if tie and p1 == p2:  # tier 3: the tie cancels only if l divides the tied form
-        tie = root is not None and _vanishes_at(
-            root, [t for t in terms.items() if (t[0][0] + t[0][1]) * p1 == least]
+    if tie and not _tie_stands(phi, least, p1, p2, root):
+        return _value(_strict_transform(nu, phi), q)
+    # tier 2, or a tier-3 tie that cannot cancel
+    value = table.get(least)
+    if value is None:
+        value = Fraction(least, q)
+        if len(table) < _VALUE_TABLE_SIZE:
+            table[least] = value
+    return value
+
+
+def _tie_stands(
+    phi: BivarPoly, least: int, p1: int, p2: int, root: Optional[Tuple[int, int]]
+) -> bool:
+    """Tier 3: whether a least term value reached twice is still v(phi).  It
+    is when v(x) = v(y) and the head's exceptional form does not divide the
+    tied form; the numerators may be those of any common denominator."""
+    return p1 == p2 and (
+        root is None
+        or not _vanishes_at(
+            root, [t for t in phi.terms.items() if (t[0][0] + t[0][1]) * p1 == least]
         )
-    if not tie:  # tier 2, or a tier-3 tie that cannot cancel
-        value = table.get(least)
-        if value is None:
-            value = Fraction(least, q)
-            if len(table) < _VALUE_TABLE_SIZE:
-                table[least] = value
-        return value
-    return _strict_transform(nu, phi)
+    )
+
+
+class ValueNumerators:
+    """The values of several valuations on one polynomial at a time, as
+    integer numerators over one denominator ``den``, the lcm of their q's,
+    with ``INF`` for an infinite value.  Numerators compare as the values
+    do, ``INF`` above every integer, so no Fraction is built.
+
+    Each valuation's level-0 numerators are scaled once, by ``den / q``.  A
+    call walks phi's exponents once per valuation for the least term value.
+    A tie goes to tier 3 and then to the strict transforms, and an infinite
+    level-0 value to tier 1, as in ``evaluate``, whose values the numerators
+    are: ``n / den == evaluate(nu, phi)``."""
+
+    __slots__ = ("den", "_scaled")
+
+    def __init__(self, vals: Sequence[QuasiMonomialVal]):
+        levels = [_level_numerators(nu) for nu in vals]
+        self.den = math.lcm(*(q for q, _ in levels))
+        self._scaled = []
+        for nu, (q, ((nx, ny), *_)) in zip(vals, levels):
+            m = self.den // q
+            p1 = None if nx is None else nx * m
+            p2 = None if ny is None else ny * m
+            root = None if nu._lead is None else nu._lead[3]
+            self._scaled.append((nu, m, p1, p2, root))
+
+    def __call__(self, phi: BivarPoly) -> List[Union[int, Infinity]]:
+        terms = phi.terms
+        if not terms:
+            return [INF] * len(self._scaled)
+        out = []
+        for nu, m, p1, p2, root in self._scaled:
+            if p1 is None or p2 is None:  # tier 1: pure powers never tie
+                least, tie = _least(terms, p1, p2)
+            else:  # tiers 2 and 3: the pass ``evaluate`` makes
+                least = None
+                for r, s in terms:
+                    v = r * p1 + s * p2
+                    if least is None or v < least:
+                        least, tie = v, False
+                    elif v == least:
+                        tie = True
+            if tie and not _tie_stands(phi, least, p1, p2, root):
+                least = _strict_transform(nu, phi)
+                if least is not None:
+                    least *= m
+            out.append(INF if least is None else least)
+        return out
 
 
 def evaluate_naive(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:

@@ -379,6 +379,63 @@ class TestExitCodes:
         assert err.splitlines()[-1] == STEP_LIMIT_ERROR % 999
 
 
+
+class TestInputLimits:
+    """The digit and sample limits are checked while the arguments are read:
+    over either, the CLI exits 2 before any work, naming the limit."""
+
+    @staticmethod
+    def refused(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "config:" not in err  # nothing ran
+        return err.splitlines()[-1]
+
+    SAMPLED = [
+        ("val", "witness", "--valuation", '{"weights":["1","2"]}', "--valuation", '{"weights":["2","1"]}'),
+        ("tree", "check", "--tree", "TREE"),
+        ("tree", "ball-check", "--tree", "TREE", "--points", "0/0", "0/0", "0/0"),
+        ("tree", "countability"),
+    ]
+
+    @pytest.mark.parametrize("command", SAMPLED, ids=lambda c: " ".join(c[:2]))
+    def test_samples_over_the_limit_are_2(self, capsys, tree_file, command):
+        argv = [tree_file if a == "TREE" else a for a in command]
+        limit = cli_module.MAX_SAMPLES
+        last = self.refused(capsys, *argv, "--samples", str(limit + 1))
+        assert last.endswith(f"error: argument --samples: samples are limited to {limit}")
+        assert cli_module.build_parser().parse_args(argv + ["--samples", str(limit)]).samples == limit
+
+    def test_the_sample_limit_admits_the_defaults(self, tree_file):
+        parse = cli_module.build_parser().parse_args
+        defaults = [parse([tree_file if a == "TREE" else a for a in c]).samples for c in self.SAMPLED]
+        assert defaults == [50, 6, 3, 20]
+        assert max(defaults) <= cli_module.MAX_SAMPLES
+
+    def test_a_5000_digit_weight_is_2(self, capsys, tmp_path):
+        long, limit = "7" * 5000, cli_module.MAX_DIGITS
+        doc = '{"weights":["%s","1"]}' % long
+        path = tmp_path / "long.json"
+        path.write_text('{"weights":[%s,"1"]}' % long)  # a JSON number, too long to read
+        for argv in (
+            ("val", "mvalue", "--valuation", doc),
+            ("val", "mvalue", "--in", str(path)),
+            ("val", "eval", "--valuation", '{"weights":["1","1"]}', "--poly", f"{long}*x"),
+            ("val", "eval", "--valuation", '{"weights":["1","1"]}', "--poly", f"x^{long}"),
+        ):
+            last = self.refused(capsys, *argv)
+            assert last.endswith(f"numbers are limited to {limit} digits")
+            assert "set_int_max_str_digits" not in last
+
+    def test_the_digit_limit_admits_a_number_of_its_length(self, capsys):
+        code, out, _ = run(
+            capsys, "val", "eval", "--valuation", '{"weights":["1","%s"]}' % ("9" * 4300), "--poly", "x"
+        )
+        assert (code, out) == (0, "1\n")
+
+
 class TestOptimizedMode:
     def test_python_O_prints_what_the_library_prints(self, capsys, tmp_path):
         """Results must not depend on assert statements, which ``-O`` strips.

@@ -20,6 +20,7 @@ from valtree.valuation import (
     QuasiMonomialVal,
     TERMINAL,
     Terminal,
+    ValueNumerators,
     canonicalize,
     dilatation_length,
     dilate,
@@ -291,6 +292,84 @@ class TestEvaluate:
         assert len(table) == valuation._VALUE_TABLE_SIZE
         assert all(value == Fraction(n, 7) for n, value in table.items())
         assert evaluate(nu, X**200 * Y) == Fraction(605, 7)  # past the bound: fresh
+
+
+class TestValueNumerators:
+    """``ValueNumerators`` against ``evaluate``: each numerator over the shared
+    denominator is the Fraction value, so the numerators compare exactly as
+    the values do, infinity included."""
+
+    @staticmethod
+    def record_paths(monkeypatch):
+        """The tier-3 answers and the strict-transform calls, as they happen."""
+        ties, transforms = [], []
+        vanishes, transform = valuation._vanishes_at, valuation._strict_transform
+
+        def recording_vanishes(root, terms):
+            ties.append(vanishes(root, terms))
+            return ties[-1]
+
+        def counting_transform(nu, phi):
+            transforms.append(phi)
+            return transform(nu, phi)
+
+        monkeypatch.setattr(valuation, "_vanishes_at", recording_vanishes)
+        monkeypatch.setattr(valuation, "_strict_transform", counting_transform)
+        return ties, transforms
+
+    @staticmethod
+    def assert_agree(vals, polys):
+        values = ValueNumerators(vals)
+        for phi in polys:
+            got = values(phi)
+            want = [evaluate(nu, phi) for nu in vals]
+            assert [n if n is INF else Fraction(n, values.den) for n in got] == want, (vals, phi)
+            for (a, u), (b, v) in itertools.product(zip(got, want), repeat=2):
+                assert (a > b, a == b, a < b) == (u > v, u == v, u < v), (vals, phi)
+
+    @pytest.mark.parametrize("depth", [4, 8])
+    def test_generated_triples(self, monkeypatch, depth):
+        ties, transforms = self.record_paths(monkeypatch)
+        polys = sample_polys(DEFAULT_SEED + 14, 60, max_deg=3, max_terms=3, coeff_bound=5)
+        polys += sample_polys(DEFAULT_SEED + 15, 20)
+        for s in range(30):
+            seed = DEFAULT_SEED + 3000 + 3 * s
+            nu, mu = gen_qmv(seed, max_depth=depth), gen_qmv(seed + 1, max_depth=depth)
+            self.assert_agree((meet(nu, mu), nu, mu), polys)
+            self.assert_agree((nu, mu, gen_qmv(seed + 2, max_depth=depth)), polys)
+        assert transforms and True in ties and False in ties
+
+    def test_every_tier_and_the_strict_transforms(self, monkeypatch):
+        """Infinite weights (tier 1), ties with v(x) = v(y) that do and do not
+        cancel (tier 3), ties with v(x) != v(y) and ties the exceptional form
+        divides (strict transforms), over denominators 1, 2, 3 and 7."""
+        ties, transforms = self.record_paths(monkeypatch)
+        shear = LinearFrame(((1, 0), (1, 1)))
+        parabola = QuasiMonomialVal((INF_POINT, ProjPoint(1)), weights=(1, 1))
+        programs = [
+            M_ADIC,
+            monomial(1, INF),
+            monomial(INF, Fraction(2, 3)),
+            QuasiMonomialVal((), SWAP, (1, INF)),
+            QuasiMonomialVal((ProjPoint(Fraction(2, 3)), INF_POINT), shear, (Fraction(3, 2), INF)),
+            QuasiMonomialVal((), shear, (Fraction(1, 7), Fraction(3, 7))),
+            QuasiMonomialVal((ProjPoint(Fraction(-5, 2)), ProjPoint(3)), weights=(2, 5)),
+            QuasiMonomialVal((ProjPoint(2),), weights=(Fraction(1, 2), Fraction(1, 2))),
+            parabola,
+        ]
+        polys = [BivarPoly.zero(), BivarPoly.constant(3), X * Y + X**2 + Y**2, X - Y**2 + X * Y]
+        for nu in programs:
+            d = valuation._head_exceptional(nu)
+            if d is not None:
+                ell = d.form()
+                other = ProjPoint(d.value + 1).form() if not d.is_inf else Y
+                polys += [ell, ell**2 + X**3 * Y, ell * other + Y**4 - X**5, other**2 + ell * X]
+        polys += sample_polys(DEFAULT_SEED + 16, 40, max_deg=4)
+        for vals in itertools.combinations(programs, 3):
+            self.assert_agree(vals, polys)
+        assert transforms and True in ties and False in ties
+        values = ValueNumerators((parabola, M_ADIC))
+        assert values(X - Y**2) == [3 * values.den, values.den]  # a tie that cancels
 
 
 class TestEvaluateWork:
