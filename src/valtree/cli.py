@@ -6,8 +6,10 @@ format error.  Every run echoes its effective configuration to stderr.
 
 Two limits are checked while the arguments are read, before any work: no
 number in an argument or input file may have more than ``MAX_DIGITS``
-digits, and ``--samples`` may be at most ``MAX_SAMPLES``.  Going over
-either exits 2 with a message that names the limit.
+digits, and ``--samples`` must be at least 1 and at most ``MAX_SAMPLES``.
+Going over either exits 2 with a message that names the limit, as do
+``tree countability`` with more than ``MAX_NEIGHBORHOODS`` samples and a
+computed value too long to print.
 """
 
 from __future__ import annotations
@@ -74,6 +76,12 @@ _LONG_NUMBER = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 # the work of a sampled check grows with its samples: on a five-edge tree,
 # ``tree ball-check`` takes about 1.4 s and 31 MB at this limit
 MAX_SAMPLES = 10_000
+# ``tree countability`` names its neighborhoods on distinct branches of this
+# star and needs two branches more for its witness
+STAR_BRANCHES = 1000
+MAX_NEIGHBORHOODS = STAR_BRANCHES - 2
+# the text of Python's ValueError for an int too long to print
+_INT_TEXT_LIMIT = "integer string conversion"
 
 
 def _emit(doc) -> None:
@@ -118,6 +126,8 @@ def _seed_value(text: str) -> int:
 
 def _samples_value(text: str) -> int:
     value = int(_short_numbers(text))
+    if value < 1:
+        raise argparse.ArgumentTypeError("samples must be at least 1")
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"samples are limited to {MAX_SAMPLES}")
     return value
@@ -459,15 +469,19 @@ def _cmd_tree_ball_check(args) -> int:
 
 
 def _cmd_tree_countability(args) -> int:
-    n_branches = 1000
-    star = build_star(n_branches)
+    if args.samples > MAX_NEIGHBORHOODS:
+        raise FormatError(
+            f"tree countability --samples is limited to {MAX_NEIGHBORHOODS}, "
+            f"the neighborhoods its {STAR_BRANCHES}-branch star admits"
+        )
+    star = build_star(STAR_BRANCHES)
     _, refs = star_neighborhoods(star, args.samples, random.Random(args.seed))
     alpha = star_witness(star, refs)
     inside = all(class_member(ref, alpha) for ref in refs)
     if args.json:
         _emit(
             {
-                "branches": n_branches,
+                "branches": STAR_BRANCHES,
                 "neighborhoods": len(refs),
                 "witness": format_point(alpha),
                 "in_all": inside,
@@ -475,7 +489,7 @@ def _cmd_tree_countability(args) -> int:
         )
     else:
         print(
-            f"star with {n_branches} branches; {len(refs)} neighborhoods of the center"
+            f"star with {STAR_BRANCHES} branches; {len(refs)} neighborhoods of the center"
         )
         print(
             f"witness {format_point(alpha)} lies in all of them, on a branch none of them names"
@@ -608,7 +622,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, ValueError) and _INT_TEXT_LIMIT in message:
+            # a computed value over Python's own limit, which is left as it is
+            message = f"a result has more than {MAX_DIGITS} digits, the most that is printed"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError, OverflowError) as exc:
         print(f"error: input too large to process ({type(exc).__name__})", file=sys.stderr)

@@ -3,12 +3,15 @@
 Each suite runs an exact check at full published counts when scale=1 and
 returns a SuiteResult; `run_all` executes the fifteen suites in order.
 Counts shrink proportionally for quick smoke runs but never below one.
+The criteria that loop over independent items hand them to `_run_items`,
+which checks them in one process per CPU and returns what the loop would.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -34,6 +37,7 @@ from .tree import (
     ForkedIntervalPoset,
     PathParam,
     RootedTree,
+    TreePoint,
     ball_in_subbasic_check,
     build_star,
     chain_infimum,
@@ -99,6 +103,136 @@ def _ok(criterion: int, name: str, detail: str) -> SuiteResult:
 
 def _fail(criterion: int, name: str, detail: str, witness: object = None) -> SuiteResult:
     return SuiteResult(criterion, name, False, detail, witness)
+
+
+# ---------------------------------------------------------------------------
+# independent checks, split over the CPUs
+# ---------------------------------------------------------------------------
+
+# A check item(i) returns the criterion's failure, or None when item i passes.
+Item = Callable[[int], Optional[SuiteResult]]
+
+# The items are handed out as one-byte tickets, each a run of consecutive
+# items, so that taking one is a single read that cannot come back short.
+_TICKETS = 256
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _take_first(item: Item, tickets: int, per: int, n: int) -> int:
+    """Check the ``per`` items of every ticket taken from the pipe
+    ``tickets`` until none is left or one fails or raises: that item, else n."""
+    while ticket := os.read(tickets, 1):
+        start = ticket[0] * per
+        for i in range(start, min(start + per, n)):
+            try:
+                if item(i) is not None:
+                    return i
+            except Exception:
+                return i
+    return n
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 64):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _first_failing(item: Item, n: int) -> int:
+    """An index below which every one of the n items passes: the lowest that
+    fails or raises, else n.
+
+    With k CPUs, k processes check the items at once: this one and k - 1
+    forked children, which start with everything this process has built.
+    Each takes the next ticket from one pipe whenever it is free, so a
+    process whose CPU the host takes away holds the others up by one ticket
+    at most.  The tickets leave the pipe in order, and a process stops
+    taking them at its first failure, so every item below the lowest failure
+    found was checked and passed.  A child writes one decimal int to its
+    own pipe and leaves by ``os._exit``, so it runs no exit handler and
+    flushes no stdio buffer.  Every child is reaped before this returns, and
+    killed first unless all of them answered.  With one CPU, without fork,
+    while other threads run (a fork copies a lock one of them may hold, but
+    not the thread), when a pipe or child cannot be made, or when a child
+    dies without answering, the answer is 0 and the caller checks every
+    item itself."""
+    k = min(_cpu_count(), n)
+    if k <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    children: List[Tuple[int, int]] = []  # (pid, read end of its pipe)
+    tickets = None
+    answered = False
+    try:
+        per = -(-n // _TICKETS)  # items per ticket
+        tickets, w = os.pipe()
+        try:
+            os.write(w, bytes(range(-(-n // per))))
+        finally:
+            os.close(w)  # so that a reader meets the end once every ticket is taken
+        for _ in range(1, k):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                try:
+                    os.write(w, b"%d" % _take_first(item, tickets, per, n))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        firsts = [_take_first(item, tickets, per, n)]
+        for _, r in children:
+            text = _read_all(r)
+            if not text:
+                return 0
+            firsts.append(int(text))
+        answered = True
+        return min(firsts)
+    except OSError:
+        return 0
+    finally:
+        if tickets is not None:
+            os.close(tickets)
+        if not answered:
+            import signal  # here, so that importing the suites stays cheap
+
+            for pid, _ in children:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        for pid, r in children:
+            os.close(r)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
+                pass
+
+
+def _run_items(item: Item, n: int, raised: Optional[Exception] = None) -> Optional[SuiteResult]:
+    """The first failure among the n items, checked in order, else None;
+    when none fails, ``raised`` (an exception met while drawing items past
+    the n-th) is raised.  The items below ``_first_failing`` passed, so from
+    there on this returns, or raises, what a loop over all of them would."""
+    for i in range(_first_failing(item, n), n):
+        failure = item(i)
+        if failure is not None:
+            return failure
+    if raised is not None:
+        raise raised
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +374,8 @@ _MEET_NAME = "meet is the greatest common lower bound"
 def criterion_5(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     n_pairs = _count(200, scale)
     n_polys = _count(500, scale)
-    # every pair below the index passed, so from there on this loop returns,
-    # or raises, what a loop over all the pairs would
-    for i in range(_first_failing_pair(seed, n_pairs, n_polys), n_pairs):
-        failure = _criterion_5_pair(seed, i, n_polys)
-        if failure is not None:
-            return failure
-    return _ok(5, _MEET_NAME, f"{n_pairs} pairs: bound x{n_polys}, laws, maximality")
+    failure = _run_items(lambda i: _criterion_5_pair(seed, i, n_polys), n_pairs)
+    return failure or _ok(5, _MEET_NAME, f"{n_pairs} pairs: bound x{n_polys}, laws, maximality")
 
 
 def _criterion_5_pair(seed: int, i: int, n_polys: int) -> Optional[SuiteResult]:
@@ -279,60 +408,6 @@ def _criterion_5_pair(seed: int, i: int, n_polys: int) -> Optional[SuiteResult]:
                 5, _MEET_NAME, f"pair {i}: candidate above the meet never refuted", (nu, mu, cand)
             )
     return None
-
-
-def _criterion_5_share(seed: int, j: int, k: int, n_pairs: int, n_polys: int) -> Optional[int]:
-    """The first of the pairs j, j + k, j + 2k, ... that fails or raises, or None."""
-    for i in range(j, n_pairs, k):
-        try:
-            if _criterion_5_pair(seed, i, n_polys) is not None:
-                return i
-        except Exception:
-            return i
-    return None
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _first_failing_pair(seed: int, n_pairs: int, n_polys: int) -> int:
-    """A pair index below which every pair of criterion 5 passes: the lowest
-    that fails or raises, else n_pairs.
-
-    The pairs are independent, so with k CPUs, k shares of them run at once:
-    share j holds pairs j, j + k, j + 2k, ..., share 0 runs in this process
-    and the others in forked workers.  A forked worker starts with the
-    library imported, where a spawned one would import it again.  Only ints
-    cross to a worker and back.  With one CPU, without fork, while other
-    threads run (a fork copies a lock one of them may hold, but not the
-    thread), or when a worker cannot start or dies, the answer is 0 and the
-    caller checks every pair itself."""
-    k = min(_cpu_count(), n_pairs)
-    if k == 1:
-        return 0
-    import multiprocessing  # here, so that importing the suites stays cheap
-    import threading
-
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return 0
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            workers = [
-                pool.submit(_criterion_5_share, seed, j, k, n_pairs, n_polys) for j in range(1, k)
-            ]
-            firsts = [_criterion_5_share(seed, 0, k, n_pairs, n_polys)]
-            firsts += [w.result() for w in workers]
-    except (OSError, BrokenProcessPool):
-        return 0
-    return min((i for i in firsts if i is not None), default=n_pairs)
 
 
 def criterion_6(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
@@ -368,14 +443,17 @@ def criterion_6(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
 def criterion_7(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     name = "a shared m-value minimizer exists for every pair"
     n = _count(200, scale)
-    for i in range(n):
+
+    def pair(i: int) -> Optional[SuiteResult]:
         nu = gen_qmv(seed + 11 * i + 4)
         mu = gen_qmv(seed + 11 * i + 5)
         a, b = common_minimizer(nu, mu)
         form = BivarPoly.linear_form(a, b)
         if evaluate(nu, form) != m_value(nu) or evaluate(mu, form) != m_value(mu):
             return _fail(7, name, f"pair {i}: {a}x+{b}y is not minimal for both", (nu, mu))
-    return _ok(7, name, f"{n} pairs minimized exactly")
+        return None
+
+    return _run_items(pair, n) or _ok(7, name, f"{n} pairs minimized exactly")
 
 
 def criterion_8(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
@@ -383,7 +461,8 @@ def criterion_8(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     n_quads = _count(100, scale)
     n_vals = _count(20, scale)
     vals = [gen_qmv(seed + 13 * j + 6) for j in range(n_vals)]
-    for q in range(n_quads):
+
+    def quad(q: int) -> Optional[SuiteResult]:
         pairs = [gen_unit_pair(seed + 4507 * q + j) for j in range(4)]
         forms = [pair_form(p) for p in pairs]
         # the relation and the strictness of every form, each computed once
@@ -404,7 +483,9 @@ def criterion_8(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
                         return _fail(8, name, f"quad {q}: similar pairs split strictness", (a, b))
                     if sa and sb and not r:
                         return _fail(8, name, f"quad {q}: two strict pairs not similar", (a, b))
-    return _ok(8, name, f"{n_quads} quadruples x {n_vals} valuations")
+        return None
+
+    return _run_items(quad, n_quads) or _ok(8, name, f"{n_quads} quadruples x {n_vals} valuations")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +530,8 @@ def criterion_10(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     name = "value axioms hold exactly"
     n = _count(1000, scale)
     one, zero = BivarPoly.constant(1), BivarPoly.zero()
-    for i in range(n):
+
+    def triple(i: int) -> Optional[SuiteResult]:
         nu = gen_qmv(seed + 17 * i + 7)
         phi, psi = sample_polys(seed + 17 * i + 8, 2, max_deg=3, max_terms=3, coeff_bound=5)
         vp, vq = evaluate(nu, phi), evaluate(nu, psi)
@@ -459,7 +541,9 @@ def criterion_10(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
             return _fail(10, name, f"triple {i}: sum bound fails", (nu, phi, psi))
         if evaluate(nu, one) != 0 or not is_inf(evaluate(nu, zero)):
             return _fail(10, name, f"triple {i}: unit/zero values off", nu)
-    return _ok(10, name, f"{n} triples, zero violations")
+        return None
+
+    return _run_items(triple, n) or _ok(10, name, f"{n} triples, zero violations")
 
 
 # ---------------------------------------------------------------------------
@@ -470,63 +554,81 @@ def criterion_10(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
 def criterion_11(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     name = "tangent classes: segment test and metric additivity"
     target = _count(1000, scale)
-    done = 0
+    triples: List[Tuple[PathParam, TreePoint, TreePoint, TreePoint]] = []
+    raised = None
     tree_seed = seed
-    while done < target:
-        tree = gen_tree(tree_seed)
-        tree_seed += 1
-        psi = PathParam(tree)
-        pts = tree.grid_points(2)
-        rng = random.Random(tree_seed * 31)
-        for _ in range(min(50, target - done)):
-            tau, sigma, alpha = (rng.choice(pts) for _ in range(3))
-            if sigma == tau or alpha == tau:
-                continue
-            done += 1
-            prim = t_tangent_equiv(tau, sigma, alpha)
-            if prim != t_tangent_equiv_definitional(tau, sigma, alpha):
-                return _fail(11, name, "tangent implementations disagree", (tau, sigma, alpha))
-            if prim == t_segment_member(tau, alpha, sigma):
-                return _fail(11, name, "segment biconditional fails", (tau, sigma, alpha))
-            if t_segment_member(tau, alpha, sigma):
-                lhs = t_dpsi(psi, alpha, sigma)
-                rhs = t_dpsi(psi, alpha, tau) + t_dpsi(psi, tau, sigma)
-                if lhs != rhs:
-                    return _fail(11, name, "distance not additive through the midpoint", (tau, sigma, alpha))
-            mid = t_meet(alpha, sigma)
-            if t_dpsi(psi, alpha, sigma) != t_dpsi(psi, alpha, mid) + t_dpsi(psi, mid, sigma):
-                return _fail(11, name, "distance not additive through the join", (alpha, sigma))
-    return _ok(11, name, f"{done} triples, dual implementations agree")
+    try:
+        while len(triples) < target:
+            tree = gen_tree(tree_seed)
+            tree_seed += 1
+            psi = PathParam(tree)
+            pts = tree.grid_points(2)
+            rng = random.Random(tree_seed * 31)
+            for _ in range(min(50, target - len(triples))):
+                tau, sigma, alpha = (rng.choice(pts) for _ in range(3))
+                if sigma == tau or alpha == tau:
+                    continue
+                triples.append((psi, tau, sigma, alpha))
+    except Exception as exc:  # raised once the triples drawn before it pass
+        raised = exc
+
+    def triple(i: int) -> Optional[SuiteResult]:
+        psi, tau, sigma, alpha = triples[i]
+        prim = t_tangent_equiv(tau, sigma, alpha)
+        if prim != t_tangent_equiv_definitional(tau, sigma, alpha):
+            return _fail(11, name, "tangent implementations disagree", (tau, sigma, alpha))
+        if prim == t_segment_member(tau, alpha, sigma):
+            return _fail(11, name, "segment biconditional fails", (tau, sigma, alpha))
+        if t_segment_member(tau, alpha, sigma):
+            lhs = t_dpsi(psi, alpha, sigma)
+            rhs = t_dpsi(psi, alpha, tau) + t_dpsi(psi, tau, sigma)
+            if lhs != rhs:
+                return _fail(11, name, "distance not additive through the midpoint", (tau, sigma, alpha))
+        mid = t_meet(alpha, sigma)
+        if t_dpsi(psi, alpha, sigma) != t_dpsi(psi, alpha, mid) + t_dpsi(psi, mid, sigma):
+            return _fail(11, name, "distance not additive through the join", (alpha, sigma))
+        return None
+
+    failure = _run_items(triple, len(triples), raised)
+    return failure or _ok(11, name, f"{len(triples)} triples, dual implementations agree")
 
 
 def criterion_12(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     name = "metric balls sit inside tangent classes"
     target = _count(1000, scale)
-    done = 0
+    configs: List[Tuple[PathParam, TreePoint, TreePoint, TreePoint]] = []
+    raised = None
     tree_seed = seed + 101
-    while done < target:
-        tree = gen_tree(tree_seed)
-        tree_seed += 1
-        psi = PathParam(tree)
-        pts = tree.grid_points(2)
-        rng = random.Random(tree_seed * 37)
-        for _ in range(min(40, target - done)):
-            tau, sigma = rng.choice(pts), rng.choice(pts)
-            if sigma == tau:
-                continue
-            gammas = [sigma]
-            extra = next(
-                (g for g in pts if g != tau and g != sigma and t_tangent_equiv(tau, sigma, g)),
-                None,
-            )
-            if extra is not None and rng.random() < 0.5:
-                gammas.append(extra)
-            for gamma in gammas:
-                rep = ball_in_subbasic_check(psi, sigma, tau, gamma, samples=3)
-                done += 1
-                if not rep.ok():
-                    return _fail(12, name, f"violations at config {done}", (tau, sigma, gamma, rep))
-    return _ok(12, name, f"{done} configurations, zero violations")
+    try:
+        while len(configs) < target:
+            tree = gen_tree(tree_seed)
+            tree_seed += 1
+            psi = PathParam(tree)
+            pts = tree.grid_points(2)
+            rng = random.Random(tree_seed * 37)
+            for _ in range(min(40, target - len(configs))):
+                tau, sigma = rng.choice(pts), rng.choice(pts)
+                if sigma == tau:
+                    continue
+                extra = next(
+                    (g for g in pts if g != tau and g != sigma and t_tangent_equiv(tau, sigma, g)),
+                    None,
+                )
+                configs.append((psi, tau, sigma, sigma))
+                if extra is not None and rng.random() < 0.5:
+                    configs.append((psi, tau, sigma, extra))
+    except Exception as exc:  # raised once the configurations drawn before it pass
+        raised = exc
+
+    def config(i: int) -> Optional[SuiteResult]:
+        psi, tau, sigma, gamma = configs[i]
+        rep = ball_in_subbasic_check(psi, sigma, tau, gamma, samples=3)
+        if not rep.ok():
+            return _fail(12, name, f"violations at config {i + 1}", (tau, sigma, gamma, rep))
+        return None
+
+    failure = _run_items(config, len(configs), raised)
+    return failure or _ok(12, name, f"{len(configs)} configurations, zero violations")
 
 
 def criterion_13(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
@@ -548,7 +650,8 @@ def criterion_13(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
 def criterion_14(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     name = "set infima agree with folded binary meets"
     n_trees = _count(100, scale)
-    for i in range(n_trees):
+
+    def tree_check(i: int) -> Optional[SuiteResult]:
         tree = gen_tree(seed + 23 * i + 9, max_nodes=30)
         psi = PathParam(tree)
         pts = tree.grid_points(1)
@@ -563,6 +666,11 @@ def criterion_14(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
             got = t_inf_set(S, tau, psi)
             if got != want:
                 return _fail(14, name, f"tree {i}: mismatch for tau={tau}", (S, tau))
+        return None
+
+    failure = _run_items(tree_check, n_trees)
+    if failure is not None:
+        return failure
     spine = RootedTree({(0,): Fraction(5, 2)})
     psi = PathParam(spine)
     tip = spine.node_point((0,))
@@ -600,14 +708,18 @@ def criterion_15(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
             return _fail(15, name, f"curve {i}: section does not invert the lift", nu)
         lifts.append(k.val)
     n_products = _count(500, scale)
-    for i in range(n_products):
+
+    def product(i: int) -> Optional[SuiteResult]:
         rho = lifts[i % len(lifts)]
         phi, psi = sample_polys(seed + 37 * i + 12, 2, max_deg=3, max_terms=3, coeff_bound=5)
         vp, vq = rank2_eval(rho, phi), rank2_eval(rho, psi)
         got = rank2_eval(rho, phi * psi)
         if got != (vp[0] + vq[0], vp[1] + vq[1]):
             return _fail(15, name, f"product {i}: {got} != {vp}+{vq}", (phi, psi))
-    return _ok(15, name, f"{n_curves} curves inverted; {n_products} products additive")
+        return None
+
+    failure = _run_items(product, n_products)
+    return failure or _ok(15, name, f"{n_curves} curves inverted; {n_products} products additive")
 
 
 ALL_CRITERIA: Tuple[Callable[..., SuiteResult], ...] = (

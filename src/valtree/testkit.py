@@ -117,18 +117,24 @@ def _rat_from_rng(rng: random.Random, denom_bound: int, lo: int = 1, hi: int = 6
 def _tail_weights(
     rng: random.Random, denom_bound: int, cap: int
 ) -> Tuple[Fraction, Fraction]:
-    """A weight pair whose subtractive program has at most cap levels."""
+    """A weight pair whose subtractive program has at most cap levels.
+
+    Each weight is drawn as ``_rat_from_rng`` draws it, denominator first,
+    but as integers: only the accepted pair is made into Fractions."""
+    bits = rng.getrandbits
     while True:
-        w1 = _rat_from_rng(rng, denom_bound)
-        w2 = _rat_from_rng(rng, denom_bound)
+        d1 = _randint(bits, 1, denom_bound)
+        n1 = _randint(bits, 1, 6 * d1)
+        d2 = _randint(bits, 1, denom_bound)
+        n2 = _randint(bits, 1, 6 * d2)
         # the Euclid quotients of w1/w2, unreduced: a common factor leaves them alone
-        p, q = w1.numerator * w2.denominator, w1.denominator * w2.numerator
+        p, q = n1 * d2, d1 * n2
         length = 0
         while q:
             length += p // q
             p, q = q, p % q
         if length <= cap:
-            return w1, w2
+            return Fraction(n1, d1), Fraction(n2, d2)
 
 
 def gen_qmv(seed: int, max_depth: int = 4, denom_bound: int = 10) -> QuasiMonomialVal:

@@ -4,9 +4,12 @@ Run with -s to see the per-criterion lines as they pass; each test fails
 with the criterion's own detail and witness if the property breaks.
 """
 
-import multiprocessing
+import itertools
 import os
+import subprocess
+import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,19 +82,84 @@ class TestCriterion8Guards:
         assert detail.endswith("two strict pairs not similar")
 
 
+def assert_no_children():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_shared(monkeypatch, criterion, k, seed=DEFAULT_SEED, scale=0.2):
+    """The criterion with its items checked by k processes."""
+    monkeypatch.setattr(suites, "_cpu_count", lambda: k)
+    try:
+        return criterion(seed, scale=scale)
+    finally:
+        assert_no_children()
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 1000, 1001])
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_tickets_cover_every_item_once(monkeypatch, tmp_path, k, n):
+    """Above 256 items a ticket holds several, the last one maybe fewer."""
+    log = tmp_path / "items.txt"
+
+    def item(i):
+        with open(log, "a") as fh:
+            fh.write(f"{i}\n")
+
+    monkeypatch.setattr(suites, "_cpu_count", lambda: k)
+    try:
+        assert suites._first_failing(item, n) == n
+    finally:
+        assert_no_children()
+    assert sorted(map(int, log.read_text().split())) == list(range(n))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_lowest_failing_item_is_found(monkeypatch, k):
+    def item(i):
+        if i == 900:
+            raise ZeroDivisionError("broken on purpose")
+        return "failed" if i in (517, 518) else None
+
+    monkeypatch.setattr(suites, "_cpu_count", lambda: k)
+    try:
+        assert suites._first_failing(item, 1001) == 517
+        assert suites._first_failing(lambda i: item(i + 400), 601) == 117
+    finally:
+        assert_no_children()
+
+
+# the criteria besides 5 (see TestCriterion5Shares) that split their items
+SPLIT = (7, 8, 10, 11, 12, 14, 15)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 991])
+@pytest.mark.parametrize("n", SPLIT, ids=[f"criterion_{n}" for n in SPLIT])
+def test_share_counts_give_one_result(monkeypatch, n, seed):
+    """A criterion whose items are split over the CPUs answers the same with
+    one, two and three processes."""
+    criterion = ALL_CRITERIA[n - 1]
+    results = [run_shared(monkeypatch, criterion, k, seed) for k in (1, 2, 3)]
+    assert results[0].passed, results[0].detail
+    assert len({(r.passed, r.detail) for r in results}) == 1
+
+
+def point_key(p):
+    """A tree point by value: the trees of two runs are equal, not the same."""
+    return tuple(sorted(p.tree.edges.items())), p.path, p.t
+
+
 class TestCriterion5Shares:
-    """Criterion 5 checks its pairs in shares, one per CPU, the first in this
-    process and the others in forked workers.  The workers inherit a
-    monkeypatch, so these tests can break a pair in any share; the answer
-    must be the serial one whatever the share count."""
+    """Criterion 5 checks its pairs in one process per CPU, this one and
+    forked children, each taking the next pairs whenever it is free.  A
+    process's share is the pairs it took.  The children inherit a
+    monkeypatch, so these tests can break a pair whichever process takes it;
+    the answer must be the serial one whatever the process count."""
 
     @staticmethod
     def _run(monkeypatch, k, seed=DEFAULT_SEED):
-        monkeypatch.setattr(suites, "_cpu_count", lambda: k)
-        try:
-            return suites.criterion_5(seed, scale=0.2)
-        finally:
-            assert multiprocessing.active_children() == []
+        return run_shared(monkeypatch, suites.criterion_5, k, seed)
 
     @staticmethod
     def _break_meet(monkeypatch, pairs, broken):
@@ -107,37 +175,46 @@ class TestCriterion5Shares:
         assert len({(r.passed, r.detail) for r in results}) == 1
 
     def test_each_share_runs_its_pairs_in_order_in_its_own_process(self, monkeypatch, tmp_path):
-        log, pair = tmp_path / "pairs.txt", suites._criterion_5_pair
+        log, pair, parent = tmp_path / "pairs.txt", suites._criterion_5_pair, os.getpid()
+        waited = []
+
+        def children_logged():
+            return {line.split()[0] for line in log.read_text().splitlines()} - {str(parent)}
 
         def logged(seed, i, n_polys):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {i}\n")
+                fh.write(f"{os.getpid()} {os.getppid()} {i}\n")
+            if os.getpid() == parent and not waited:
+                # this process holds its first pair until both children have
+                # taken one, so that every process gets a share
+                waited.append(i)
+                deadline = time.monotonic() + 30
+                while len(children_logged()) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
             return pair(seed, i, n_polys)
 
         monkeypatch.setattr(suites, "_criterion_5_pair", logged)
         assert self._run(monkeypatch, 3).passed
         shares = {}
         for line in log.read_text().splitlines():
-            pid, i = map(int, line.split())
+            pid, ppid, i = map(int, line.split())
+            assert pid == parent or ppid == parent
             shares.setdefault(pid, []).append(i)
-        assert len(shares) == 3 and shares[os.getpid()] == list(range(0, 40, 3))
-        assert sorted(map(tuple, shares.values())) == [tuple(range(j, 40, 3)) for j in range(3)]
+        assert len(shares) == 3
+        assert all(share == sorted(set(share)) for share in shares.values())
+        assert sorted(i for share in shares.values() for i in share) == list(range(40))
 
     def test_other_threads_keep_the_pairs_in_this_process(self, monkeypatch):
-        started = suites._criterion_5_share
+        def no_fork():
+            raise AssertionError("a share was sent to a child")
 
-        def only_here(seed, j, k, n_pairs, n_polys):
-            if j:
-                raise AssertionError("a share was sent to a worker")
-            return started(seed, j, k, n_pairs, n_polys)
-
-        monkeypatch.setattr(suites, "_criterion_5_share", only_here)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(threading, "active_count", lambda: 2)
         assert self._run(monkeypatch, 2).passed
 
     def test_lowest_failing_pair_is_reported(self, monkeypatch):
         # pairs 3 and 8 are incomparable, so "meet = the first input" is not
-        # commutative there; with 2 and 3 shares they lie in different ones
+        # commutative there; pair 3 is reported whichever processes take them
         self._break_meet(monkeypatch, (3, 8), lambda nu, mu: nu)
         serial = self._run(monkeypatch, 1)
         assert not serial.passed
@@ -153,7 +230,7 @@ class TestCriterion5Shares:
             raise ZeroDivisionError("broken on purpose")
 
         self._break_meet(monkeypatch, (5,), broken)
-        for k in (1, 2, 3):  # pair 5 runs here, in share 1 and in share 2
+        for k in (1, 2, 3):  # pair 5 runs in whichever process takes it
             with pytest.raises(ZeroDivisionError, match="broken on purpose"):
                 self._run(monkeypatch, k)
 
@@ -169,3 +246,141 @@ class TestCriterion5Shares:
         result = self._run(monkeypatch, 2)
         assert result.passed, result.detail
         assert result.detail == "40 pairs: bound x100, laws, maximality"
+
+    def test_an_interrupt_here_kills_the_children(self, monkeypatch):
+        parent, pair = os.getpid(), suites._criterion_5_pair
+
+        def interrupted(seed, i, n_polys):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return pair(seed, i, n_polys)
+
+        monkeypatch.setattr(suites, "_criterion_5_pair", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self._run(monkeypatch, 3)
+
+    def test_a_pipe_that_cannot_be_made_leaves_the_pairs_here(self, monkeypatch):
+        def no_pipe():
+            raise OSError("too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        result = self._run(monkeypatch, 3)
+        assert result.detail == "40 pairs: bound x100, laws, maximality"
+
+
+class TestTreeCriteriaShares:
+    """Criteria 11 and 12 draw their items in this process, one tree after
+    another, then check them in one process per CPU.  A check broken on
+    purpose at two items must give the serial first failure, whichever
+    processes take them."""
+
+    BROKEN = (5, 6)
+
+    @staticmethod
+    def _recorded(monkeypatch, criterion, name):
+        """The arguments of every call to the suites' name, in one process."""
+        calls, real = [], getattr(suites, name)
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(suites, name, record)
+        assert run_shared(monkeypatch, criterion, 1).passed
+        monkeypatch.setattr(suites, name, real)
+        return calls
+
+    def test_criterion_11_reports_the_first_broken_triple(self, monkeypatch):
+        triples = self._recorded(monkeypatch, suites.criterion_11, "t_tangent_equiv_definitional")
+        # a distance made longer by 1 breaks the join check only where the
+        # join of alpha and sigma is neither of them
+        apart = [
+            i for i, (tau, sigma, alpha) in enumerate(triples)
+            if suites.t_meet(alpha, sigma) not in (alpha, sigma)
+        ]
+        broken = [i for i in apart if i >= 5][:2]
+        longer = {(point_key(triples[i][2]), point_key(triples[i][1])) for i in broken}
+        t_dpsi = suites.t_dpsi
+
+        def stretched(psi, p, q):
+            d = t_dpsi(psi, p, q)
+            return d + 1 if (point_key(p), point_key(q)) in longer else d
+
+        monkeypatch.setattr(suites, "t_dpsi", stretched)
+        results = [run_shared(monkeypatch, suites.criterion_11, k) for k in (1, 2, 3)]
+        tau, sigma, alpha = triples[broken[0]]
+        answers = {(r.passed, r.detail, tuple(map(point_key, r.witness))) for r in results}
+        assert len(answers) == 1
+        ((passed, _, witness),) = answers
+        assert not passed and point_key(alpha) in witness and point_key(sigma) in witness
+
+    @staticmethod
+    def _config_key(sigma, tau, gamma):
+        return point_key(sigma), point_key(tau), point_key(gamma)
+
+    def _break_configs(self, monkeypatch, configs, broken):
+        bad = {self._config_key(*configs[i][1:4]) for i in broken}
+        check = suites.ball_in_subbasic_check
+
+        def failing(psi, sigma, tau, gamma, samples):
+            rep = check(psi, sigma, tau, gamma, samples=samples)
+            if self._config_key(sigma, tau, gamma) in bad:
+                return type(rep)(rep.epsilon, rep.checked, (gamma,))
+            return rep
+
+        monkeypatch.setattr(suites, "ball_in_subbasic_check", failing)
+
+    def test_criterion_12_reports_the_first_broken_config(self, monkeypatch):
+        configs = self._recorded(monkeypatch, suites.criterion_12, "ball_in_subbasic_check")
+        keys = [self._config_key(*c[1:4]) for c in configs]
+        first = self.BROKEN[0]
+        assert keys.index(keys[first]) == first  # no earlier config is the same
+        self._break_configs(monkeypatch, configs, self.BROKEN)
+        for k in (1, 2, 3):
+            result = run_shared(monkeypatch, suites.criterion_12, k)
+            assert not result.passed
+            assert result.detail == f"violations at config {first + 1}"
+
+    def _raise_while_drawing(self, monkeypatch, after):
+        """The suites' t_tangent_equiv, which only the drawing calls, raises
+        on its call number ``after``."""
+        calls, equiv = itertools.count(), suites.t_tangent_equiv
+
+        def raising(*args):
+            if next(calls) == after:
+                raise ZeroDivisionError("broken on purpose")
+            return equiv(*args)
+
+        monkeypatch.setattr(suites, "t_tangent_equiv", raising)
+
+    def test_criterion_12_reports_a_broken_config_drawn_before_a_raise(self, monkeypatch):
+        configs = self._recorded(monkeypatch, suites.criterion_12, "ball_in_subbasic_check")
+        self._break_configs(monkeypatch, configs, self.BROKEN)
+        for k in (1, 2, 3):
+            self._raise_while_drawing(monkeypatch, 100)
+            result = run_shared(monkeypatch, suites.criterion_12, k)
+            assert result.detail == f"violations at config {self.BROKEN[0] + 1}"
+
+    def test_criterion_12_raises_while_drawing_when_nothing_failed_before(self, monkeypatch):
+        for k in (1, 2, 3):
+            self._raise_while_drawing(monkeypatch, 100)
+            with pytest.raises(ZeroDivisionError, match="broken on purpose"):
+                run_shared(monkeypatch, suites.criterion_12, k)
+
+
+def test_the_suites_import_no_process_pool():
+    """The children are bare forks: a run of the suites imports neither
+    ``multiprocessing`` nor ``concurrent.futures``."""
+    code = (
+        "import sys\n"
+        "from valtree.cli import main\n"
+        "from valtree.suites import ALL_CRITERIA\n"
+        "assert all(c(7, scale=0.05).passed for c in ALL_CRITERIA)\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(suites.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout == "[]\n"

@@ -408,6 +408,40 @@ class TestInputLimits:
         assert last.endswith(f"error: argument --samples: samples are limited to {limit}")
         assert cli_module.build_parser().parse_args(argv + ["--samples", str(limit)]).samples == limit
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    @pytest.mark.parametrize("command", SAMPLED, ids=lambda c: " ".join(c[:2]))
+    def test_samples_below_one_are_2(self, capsys, tree_file, command, samples):
+        argv = [tree_file if a == "TREE" else a for a in command]
+        last = self.refused(capsys, *argv, "--samples", samples)
+        assert last.endswith("error: argument --samples: samples must be at least 1")
+        assert cli_module.build_parser().parse_args(argv + ["--samples", "1"]).samples == 1
+
+    def test_countability_samples_are_limited_by_its_star(self, capsys):
+        limit = cli_module.MAX_NEIGHBORHOODS
+        assert limit == 998
+        code, _, err = run(capsys, "tree", "countability", "--samples", str(limit + 1))
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "error: tree countability --samples is limited to 998, "
+            "the neighborhoods its 1000-branch star admits"
+        )
+        code, out, _ = run(capsys, "tree", "countability", "--samples", str(limit), "--json")
+        assert code == 0 and json.loads(out)["neighborhoods"] == limit
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python prints ints of any length"
+    )
+    def test_a_result_over_the_digit_limit_is_2(self, capsys):
+        before = sys.get_int_max_str_digits()
+        code, out, err = run(
+            capsys, "val", "eval", "--valuation", '{"weights":["1","%s"]}' % ("9" * 4300), "--poly", "y^2"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: a result has more than {cli_module.MAX_DIGITS} digits, the most that is printed"
+        )
+        assert sys.get_int_max_str_digits() == before
+
     def test_the_sample_limit_admits_the_defaults(self, tree_file):
         parse = cli_module.build_parser().parse_args
         defaults = [parse([tree_file if a == "TREE" else a for a in c]).samples for c in self.SAMPLED]

@@ -66,14 +66,18 @@ class TestGenerators:
                 assert lam <= 4 + 4 + 1
 
     def test_tail_weights_match_the_fraction_formula(self, monkeypatch):
-        """``_tail_weights`` takes the Euclid length from unreduced numerators;
-        the reference below reduces w1/w2 first, as the quotients allow."""
+        """``_tail_weights`` draws integers, takes the Euclid length from
+        unreduced numerators and makes Fractions of the accepted pair only;
+        the reference below draws Fractions with the plain calls and reduces
+        w1/w2 first, as the quotients allow."""
         from valtree import testkit
 
         def fraction_tail_weights(rng, denom_bound, cap):
             while True:
-                w1 = testkit._rat_from_rng(rng, denom_bound)
-                w2 = testkit._rat_from_rng(rng, denom_bound)
+                den = rng.randint(1, denom_bound)
+                w1 = Fraction(rng.randint(1, 6 * den), den)
+                den = rng.randint(1, denom_bound)
+                w2 = Fraction(rng.randint(1, 6 * den), den)
                 p, q = (w1 / w2).as_integer_ratio()
                 length = 0
                 while q:
@@ -83,9 +87,9 @@ class TestGenerators:
                     return w1, w2
 
         bounds = ((4, 10), (2, 12))
-        got = [[gen_qmv(s, d, b) for s in range(500)] for d, b in bounds]
+        got = [[gen_qmv(s, d, b) for s in range(2000)] for d, b in bounds]
         monkeypatch.setattr(testkit, "_tail_weights", fraction_tail_weights)
-        assert got == [[gen_qmv(s, d, b) for s in range(500)] for d, b in bounds]
+        assert got == [[gen_qmv(s, d, b) for s in range(2000)] for d, b in bounds]
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
