@@ -19,10 +19,13 @@ term gives the value.  Past the last center the remainder is rewritten in
 the frame coordinates and its weighted order taken.
 
 Each valuation on the path parse -> normalize -> meet is built once: a
-construction runs the level recursion once and keeps the level-0 numerators,
-``normalize`` derives the rescaled program from them without running it
-again when both are finite, and centers, frames and valuations keep their
-hashes.
+construction runs the level recursion once and keeps one integer record of
+the level-0 numerators (see ``QuasiMonomialVal``), which ``normalize``
+rescales without running the recursion again.  What derives from one
+valuation, the record and its canonical form, is kept on it and freed with
+it.  The one module-level table is ``meet``'s pair cache: a pair has no
+single object to hold its meet, and ``compare`` meets again the pair an
+operation has just met.
 
 Conventions, fixed once and used everywhere:
 
@@ -53,7 +56,7 @@ from .poly import (
     frame_apply,
     weighted_order,
 )
-from .rationals import INF, ExtRat, Infinity, ONE, ZERO, is_inf, scale
+from .rationals import INF, ExtRat, Infinity, ONE, ZERO, is_inf
 
 
 class EmptySetError(ValueError):
@@ -141,6 +144,15 @@ class QuasiMonomialVal:
 
     The default instance is the order of vanishing at the origin (the m-adic
     valuation): no steps, identity frame, weights (1, 1).
+
+    Beside the fields each program keeps one record of what derives from
+    them, ``_lead = (nx, ny, q, root, values)``: the level-0 values as
+    numerators over q, the lcm of the finite weights' denominators (None for
+    an infinite one), the zero of the head's exceptional form when nx = ny
+    (``_head_root``), and a table from a numerator n to ``Fraction(n, q)`` for
+    the values ``evaluate`` has returned, at most ``_VALUE_TABLE_SIZE`` of
+    them.  ``_canonicalize_raw`` adds the canonical form as ``_form`` when it
+    first builds it.  Equality, hash and repr read only the three fields.
     """
 
     steps: Tuple[ProjPoint, ...] = ()
@@ -167,7 +179,8 @@ class QuasiMonomialVal:
                 "illegal program: every element of the maximal ideal "
                 "would get value infinity"
             )
-        self._set_level0(q, nx, ny, _head_root(self) if nx == ny else None)
+        root = _head_root(self) if nx == ny else None
+        object.__setattr__(self, "_lead", (nx, ny, q, root, {}))
 
     @classmethod
     def _derived(
@@ -185,18 +198,8 @@ class QuasiMonomialVal:
         object.__setattr__(nu, "steps", steps)
         object.__setattr__(nu, "frame", frame)
         object.__setattr__(nu, "weights", weights)
-        nu._set_level0(q, nx, ny, root)
+        object.__setattr__(nu, "_lead", (nx, ny, q, root, {}))
         return nu
-
-    def _set_level0(self, q: int, nx: _Num, ny: _Num, root: Optional[Tuple[int, int]]) -> None:
-        """Keep the level-0 values, and ``_lead = (nx, ny, q, root, values)``
-        when both are finite, else None; values maps a numerator n to
-        ``Fraction(n, q)`` for the values ``evaluate`` has returned, at most
-        ``_VALUE_TABLE_SIZE`` of them.  Kept beside the fields like the
-        engine: equality, hash and repr read only steps, frame and weights."""
-        object.__setattr__(self, "_level0", (_value(nx, q), _value(ny, q)))
-        lead = None if nx is None or ny is None else (nx, ny, q, root, {})
-        object.__setattr__(self, "_lead", lead)
 
     def __hash__(self) -> int:
         return _cached_hash(self, (self.steps, self.frame, self.weights))
@@ -227,12 +230,13 @@ _Y = BivarPoly.var_y()
 # 4. anything else (a tie with v(x) != v(y), or f divisible by l) goes to the
 #    strict-transform path.
 #
-# Tiers 2 and 3 share one pass over phi's exponents that keeps the least
-# numerator and whether it ties.  A value they settle is ``least / q``; it
-# comes from a table on the valuation keyed by the numerator, filled up to
+# ``_least_numerators`` is the one pass for tiers 1-3: per row ``(nu, m,
+# p1, p2, root)`` it walks phi's exponents once and keeps the least
+# numerator and whether it ties.  ``ValueNumerators`` runs it over one row
+# per valuation, on numerators rescaled to one shared denominator, and
+# returns them unbuilt; ``evaluate`` runs it on one row with m = 1 and reads
+# ``least / q`` from the table in the valuation's record, filled up to
 # ``_VALUE_TABLE_SIZE`` entries, so repeated values build no Fraction.
-# ``ValueNumerators`` makes the same pass for several valuations, on
-# numerators rescaled to one shared denominator, and returns them unbuilt.
 #
 # The strict-transform path pushes phi through the program one chart at a
 # time, as the blow-up proofs do, on integer coefficients: phi's
@@ -400,30 +404,47 @@ def _vanishes_at(root: Tuple[int, int], terms: List[Tuple[Tuple[int, int], Fract
     return not sum(c.numerator * (den // c.denominator) * rx**r * ry**s for (r, s), c in terms)
 
 
-def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
-    """The value of nu on phi: read off the level-0 values when the least
-    terms cannot cancel, else computed by strict transforms."""
+def _least_numerators(rows: Sequence[tuple], phi: BivarPoly) -> List[Union[int, Infinity]]:
+    """The tier pass: per row ``(nu, m, p1, p2, root)``, the value of nu on
+    phi as a numerator over ``m*q``, ``INF`` for infinity, where p1 and p2
+    are nu's level-0 numerators times m (None for infinity) and root is that
+    of its ``_lead``.  Tiers 1-3 read the least term value; a tie they cannot
+    settle goes to the strict transforms."""
     terms = phi.terms
     if not terms:
+        return [INF] * len(rows)
+    out = []
+    for nu, m, p1, p2, root in rows:
+        if p1 is None or p2 is None:  # tier 1: pure powers never tie
+            least, tie = _least(terms, p1, p2)
+        else:  # tiers 2 and 3
+            least = None
+            for r, s in terms:
+                v = r * p1 + s * p2
+                if least is None or v < least:
+                    least, tie = v, False
+                elif v == least:
+                    tie = True
+        # tier 3: a tie stands when v(x) = v(y) and the head's exceptional
+        # form does not divide the tied form, that is, the form is nonzero at
+        # root; any other tie goes to the strict transforms
+        if tie and (p1 != p2 or root is not None and _vanishes_at(
+            root, [((r, s), c) for (r, s), c in terms.items() if (r + s) * p1 == least]
+        )):
+            least = _strict_transform(nu, phi)
+            if least is not None:
+                least *= m
+        out.append(INF if least is None else least)
+    return out
+
+
+def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
+    """The value of nu on phi: the tier pass on nu's own record, one row
+    with m = 1.  A finite value comes from the record's table."""
+    nx, ny, q, root, table = nu._lead
+    (least,) = _least_numerators(((nu, 1, nx, ny, root),), phi)
+    if least is INF:
         return INF
-    lead = nu._lead
-    if lead is None:
-        # tier 1: only the pure powers of the finite coordinate are finite
-        vx, vy = nu._level0
-        finite, axis = (vx, 1) if vy is INF else (vy, 0)
-        least = min((e[1 - axis] for e in terms if not e[axis]), default=None)
-        return INF if least is None else least * finite
-    p1, p2, q, root, table = lead
-    least = None
-    for r, s in terms:
-        v = r * p1 + s * p2
-        if least is None or v < least:
-            least, tie = v, False
-        elif v == least:
-            tie = True
-    if tie and not _tie_stands(phi, least, p1, p2, root):
-        return _value(_strict_transform(nu, phi), q)
-    # tier 2, or a tier-3 tie that cannot cancel
     value = table.get(least)
     if value is None:
         value = Fraction(least, q)
@@ -432,67 +453,30 @@ def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
     return value
 
 
-def _tie_stands(
-    phi: BivarPoly, least: int, p1: int, p2: int, root: Optional[Tuple[int, int]]
-) -> bool:
-    """Tier 3: whether a least term value reached twice is still v(phi).  It
-    is when v(x) = v(y) and the head's exceptional form does not divide the
-    tied form; the numerators may be those of any common denominator."""
-    return p1 == p2 and (
-        root is None
-        or not _vanishes_at(
-            root, [t for t in phi.terms.items() if (t[0][0] + t[0][1]) * p1 == least]
-        )
-    )
-
-
 class ValueNumerators:
     """The values of several valuations on one polynomial at a time, as
     integer numerators over one denominator ``den``, the lcm of their q's,
     with ``INF`` for an infinite value.  Numerators compare as the values
     do, ``INF`` above every integer, so no Fraction is built.
 
-    Each valuation's level-0 numerators are scaled once, by ``den / q``.  A
-    call walks phi's exponents once per valuation for the least term value.
-    A tie goes to tier 3 and then to the strict transforms, and an infinite
-    level-0 value to tier 1, as in ``evaluate``, whose values the numerators
-    are: ``n / den == evaluate(nu, phi)``."""
+    Each valuation's level-0 numerators are read off its ``_lead`` and
+    scaled once, by ``m = den / q``; a call is the tier pass ``evaluate``
+    makes, over one row per valuation, so ``n / den == evaluate(nu, phi)``."""
 
-    __slots__ = ("den", "_scaled")
+    __slots__ = ("den", "_rows")
 
     def __init__(self, vals: Sequence[QuasiMonomialVal]):
-        levels = [_level_numerators(nu) for nu in vals]
-        self.den = math.lcm(*(q for q, _ in levels))
-        self._scaled = []
-        for nu, (q, ((nx, ny), *_)) in zip(vals, levels):
+        self.den = math.lcm(*(nu._lead[2] for nu in vals))
+        self._rows = []
+        for nu in vals:
+            nx, ny, q, root, _ = nu._lead
             m = self.den // q
-            p1 = None if nx is None else nx * m
-            p2 = None if ny is None else ny * m
-            root = None if nu._lead is None else nu._lead[3]
-            self._scaled.append((nu, m, p1, p2, root))
+            self._rows.append(
+                (nu, m, None if nx is None else nx * m, None if ny is None else ny * m, root)
+            )
 
     def __call__(self, phi: BivarPoly) -> List[Union[int, Infinity]]:
-        terms = phi.terms
-        if not terms:
-            return [INF] * len(self._scaled)
-        out = []
-        for nu, m, p1, p2, root in self._scaled:
-            if p1 is None or p2 is None:  # tier 1: pure powers never tie
-                least, tie = _least(terms, p1, p2)
-            else:  # tiers 2 and 3: the pass ``evaluate`` makes
-                least = None
-                for r, s in terms:
-                    v = r * p1 + s * p2
-                    if least is None or v < least:
-                        least, tie = v, False
-                    elif v == least:
-                        tie = True
-            if tie and not _tie_stands(phi, least, p1, p2, root):
-                least = _strict_transform(nu, phi)
-                if least is not None:
-                    least *= m
-            out.append(INF if least is None else least)
-        return out
+        return _least_numerators(self._rows, phi)
 
 
 def evaluate_naive(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
@@ -507,10 +491,6 @@ def evaluate_naive(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
 # A level value is an integer numerator over the program's one denominator q,
 # or None standing for infinity.
 _Num = Optional[int]
-
-
-def _value(n: _Num, q: int) -> ExtRat:
-    return INF if n is None else Fraction(n, q)
 
 
 def _min_num(u: _Num, v: _Num) -> _Num:
@@ -561,15 +541,10 @@ def _level_numerators(nu: QuasiMonomialVal) -> Tuple[int, List[Tuple[_Num, _Num]
     return q, _levels_back(nu.steps, vx, vy)
 
 
-def _level_values(nu: QuasiMonomialVal) -> List[Tuple[ExtRat, ExtRat]]:
-    """The level values of ``_level_numerators`` as exact rationals."""
-    q, levels = _level_numerators(nu)
-    return [(_value(vx, q), _value(vy, q)) for vx, vy in levels]
-
-
 def m_value(nu: QuasiMonomialVal) -> Fraction:
     """The value of the maximal ideal: min of the values of x and y."""
-    return min(nu._level0)
+    nx, ny, q = nu._lead[:3]
+    return Fraction(_min_num(nx, ny), q)
 
 
 def monomial(g1, g2) -> QuasiMonomialVal:
@@ -581,38 +556,32 @@ M_ADIC = QuasiMonomialVal()
 
 
 def is_normalized(nu: QuasiMonomialVal) -> bool:
-    return m_value(nu) == 1
+    nx, ny, q = nu._lead[:3]
+    return _min_num(nx, ny) == q
 
 
 def normalize(nu: QuasiMonomialVal) -> QuasiMonomialVal:
     """Scale the weights so the maximal ideal gets value exactly 1.
 
     Scaling by ``1/m`` scales every level value by it, keeps the program
-    legal and keeps its head, so when both level-0 values are finite the
-    result is built from nu's level-0 numerators: with ``m = min(nx, ny)/q``,
-    the weights become ``n_i/m`` for the weights' numerators ``n_i`` over q,
-    and the level-0 values ``nx/m``, ``ny/m``."""
-    lead = nu._lead
-    if lead is None:  # a curve program: its level recursion is one number
-        m = m_value(nu)
-        if m == 1:
-            return nu
-        inv = 1 / m
-        w1, w2 = nu.weights
-        return QuasiMonomialVal(nu.steps, nu.frame, (scale(inv, w1), scale(inv, w2)))
-    nx, ny, q, root, _ = lead
-    m = min(nx, ny)
+    legal and keeps its head, so the result is built from nu's record: with
+    ``m = min(nx, ny)/q``, the weights become ``n_i/m`` for the weights'
+    numerators ``n_i`` over q, and the level-0 values ``nx/m``, ``ny/m``,
+    an infinite one staying infinite."""
+    nx, ny, q, root, _ = nu._lead
+    m = _min_num(nx, ny)
     if m == q:
         return nu
     weights = tuple(
         w if w is INF else Fraction(w.numerator * (q // w.denominator), m) for w in nu.weights
     )
     q = math.lcm(*(w.denominator for w in weights if w is not INF))
-    return QuasiMonomialVal._derived(nu.steps, nu.frame, weights, q, nx * q // m, ny * q // m, root)
+    nx, ny = (None if n is None else n * q // m for n in (nx, ny))
+    return QuasiMonomialVal._derived(nu.steps, nu.frame, weights, q, nx, ny, root)
 
 
 def _require_normalized(nu: QuasiMonomialVal, op: str) -> None:
-    if m_value(nu) != 1:
+    if not is_normalized(nu):
         raise PreconditionViolatedError(f"{op} requires a normalized valuation")
 
 
@@ -681,8 +650,18 @@ def dilate(nu: QuasiMonomialVal) -> Union[Continue, Terminal]:
 MAX_CHAIN_STEPS = 10**6
 
 
-@lru_cache(maxsize=None)
 def _canonicalize_raw(nu: QuasiMonomialVal) -> CanonicalForm:
+    """The canonical form, built by ``_build_canonical`` on the first call
+    and kept on nu as ``_form``: it lives as long as nu does."""
+    try:
+        return nu._form
+    except AttributeError:
+        form = _build_canonical(nu)
+        object.__setattr__(nu, "_form", form)
+        return form
+
+
+def _build_canonical(nu: QuasiMonomialVal) -> CanonicalForm:
     """The canonical form, built without a valuation per dilatation step.
 
     The head is settled once: a curve if a weight is infinite, a terminal if
@@ -731,7 +710,6 @@ def canonicalize(nu: QuasiMonomialVal) -> CanonicalForm:
     return _canonicalize_raw(nu)
 
 
-@lru_cache(maxsize=None)
 def from_canonical(form: CanonicalForm) -> QuasiMonomialVal:
     """Rebuild a concrete program from a canonical form."""
     t = form.terminal
@@ -761,12 +739,7 @@ class _TerminalMarker:
 TERMINAL = _TerminalMarker()
 
 
-_Level = Tuple[object, Fraction, Optional[ExtRat]]
 _NumLevel = Tuple[object, int, _Num]
-
-
-def _curve_tail_center(direction: ProjPoint) -> ProjPoint:
-    return INF_POINT if direction.is_inf else ZERO_POINT
 
 
 def _walk_numerators(form: CanonicalForm) -> Tuple[int, Iterator[_NumLevel]]:
@@ -799,24 +772,9 @@ def _walk_levels(
     if isinstance(t, Divisorial):
         yield TERMINAL, g, None
         return
-    constant = _curve_tail_center(t.direction)
+    constant = INF_POINT if t.direction.is_inf else ZERO_POINT
     while True:
         yield constant, g, None
-
-
-def _fraction_level(level: _NumLevel, q: int) -> _Level:
-    center, m, e = level
-    if e is None:
-        return center, Fraction(m, q), None if center is TERMINAL else INF
-    return center, Fraction(m, q), Fraction(e, q)
-
-
-def _walk(form: CanonicalForm) -> Iterator[_Level]:
-    """Yield (center, m, e) per level of a canonical chain: the levels of
-    ``_walk_numerators`` as exact rationals, e being None at a divisorial end."""
-    q, levels = _walk_numerators(form)
-    for level in levels:
-        yield _fraction_level(level, q)
 
 
 def multiplicity_stream(nu: QuasiMonomialVal):
@@ -848,14 +806,8 @@ def _exceptional(center) -> Optional[ProjPoint]:
     return None if center is TERMINAL else center.negate()
 
 
-def exceptional_direction(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
-    """The class [a:b] with nu(a*x + b*y) > 1, or None for the m-adic valuation."""
-    _require_normalized(nu, "exceptional_direction")
-    return _head_exceptional(nu)
-
-
 def _monomial_meet(
-    prefix: Sequence[ProjPoint], level_a: _Level, level_b: _Level,
+    prefix: Sequence[ProjPoint], level_a: _NumLevel, q_a: int, level_b: _NumLevel, q_b: int,
     side_a: QuasiMonomialVal, side_b: QuasiMonomialVal,
 ) -> QuasiMonomialVal:
     """Meet when the level multiplicities first differ.
@@ -863,10 +815,14 @@ def _monomial_meet(
     The shared coordinate gets the smaller multiplicity; the complementary
     coordinate must be the exceptional direction of the smaller side (a
     generic choice would drop strictly below the true infimum).  Both are
-    read off the two walks' entries at the level: a linear form has value
-    ``m`` there unless it is the level's exceptional form, valued ``e``.
+    read off the two walks' entries at the level, numerators over q_a and
+    q_b scaled to their lcm: a linear form has value ``m`` there unless it
+    is the level's exceptional form, valued ``e``.
     """
+    q = math.lcm(q_a, q_b)
     (c_a, m_a, e_a), (c_b, m_b, e_b) = level_a, level_b
+    k_a, k_b = q // q_a, q // q_b
+    m_a, m_b = m_a * k_a, m_b * k_b
     exc_a, exc_b = _exceptional(c_a), _exceptional(c_b)
     if m_a < m_b:
         small, small_exc = side_a, exc_a
@@ -875,10 +831,12 @@ def _monomial_meet(
     if small_exc is None:
         return small
     x_dir = next(d for d in direction_enumeration() if d != exc_a and d != exc_b)
-    v_x = min(m_a, m_b)
-    v_y = min(e_a if exc_a == small_exc else m_a, e_b if exc_b == small_exc else m_b)
+    y_a = m_a if exc_a != small_exc else None if e_a is None else e_a * k_a
+    y_b = m_b if exc_b != small_exc else None if e_b is None else e_b * k_b
     frame = LinearFrame((x_dir.as_pair(), small_exc.as_pair()))
-    result = QuasiMonomialVal(tuple(prefix), frame, (v_x, v_y))
+    v_y = _min_num(y_a, y_b)
+    weights = (Fraction(min(m_a, m_b), q), INF if v_y is None else Fraction(v_y, q))
+    result = QuasiMonomialVal(tuple(prefix), frame, weights)
     return from_canonical(_canonicalize_raw(result))
 
 
@@ -902,9 +860,7 @@ def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
     for level_a, level_b in islice(zip(walk_a, walk_b), bound):
         (c_a, m_a, _), (c_b, m_b, _) = level_a, level_b
         if m_a * q_b != m_b * q_a:
-            return _monomial_meet(
-                prefix, _fraction_level(level_a, q_a), _fraction_level(level_b, q_b), nu, mu
-            )
+            return _monomial_meet(prefix, level_a, q_a, level_b, q_b, nu, mu)
         if c_a is TERMINAL:
             return nu
         if c_b is TERMINAL:

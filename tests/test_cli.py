@@ -369,7 +369,7 @@ class TestExitCodes:
         """(1, N) has N - 1 steps: under a limit of 999, (1, 1000) prints and
         (1, 1001) exits 2."""
         monkeypatch.setattr(valuation, "MAX_CHAIN_STEPS", 999)
-        valuation._canonicalize_raw.cache_clear()
+        # each call parses a fresh valuation, which holds no canonical form yet
         code, out, _ = run(capsys, "val", "canon", "--valuation", '{"weights":["1","1000"]}')
         assert code == 0
         assert len(json.loads(out)["steps"]) == 999

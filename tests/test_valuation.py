@@ -1,7 +1,9 @@
 """Quasi-monomial valuations: evaluation, normalization, canonical forms."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,26 @@ from valtree.valuation import (
 X = BivarPoly.var_x()
 Y = BivarPoly.var_y()
 SWAP = LinearFrame(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+
+
+def level_values(nu):
+    """``valuation._level_numerators`` as exact rationals."""
+    q, levels = valuation._level_numerators(nu)
+    return [tuple(INF if n is None else Fraction(n, q) for n in level) for level in levels]
+
+
+def record_values(nu):
+    """The level-0 values kept in a program's record, as exact rationals."""
+    nx, ny, q = nu._lead[:3]
+    return tuple(INF if n is None else Fraction(n, q) for n in (nx, ny))
+
+
+def walk(form):
+    """``valuation._walk_numerators`` as exact rationals: (center, m, e) per
+    level, e being None at a divisorial end and INF for an infinite value."""
+    q, levels = valuation._walk_numerators(form)
+    for center, m, e in levels:
+        yield center, Fraction(m, q), (None if center is TERMINAL else INF) if e is None else Fraction(e, q)
 
 
 class TestProjPoint:
@@ -318,11 +340,19 @@ class TestValueNumerators:
         return ties, transforms
 
     @staticmethod
-    def assert_agree(vals, polys):
+    def assert_agree(vals, polys, naive=None):
+        """The numerators against ``evaluate``, which makes the same tier pass
+        on one row.  Given a dict ``naive``, the values are also checked
+        against literal substitution, kept there per (valuation, polynomial)."""
         values = ValueNumerators(vals)
         for phi in polys:
             got = values(phi)
             want = [evaluate(nu, phi) for nu in vals]
+            if naive is not None:
+                for nu, v in zip(vals, want):
+                    if (nu, phi) not in naive:
+                        naive[nu, phi] = evaluate_naive(nu, phi)
+                    assert v == naive[nu, phi], (nu, phi)
             assert [n if n is INF else Fraction(n, values.den) for n in got] == want, (vals, phi)
             for (a, u), (b, v) in itertools.product(zip(got, want), repeat=2):
                 assert (a > b, a == b, a < b) == (u > v, u == v, u < v), (vals, phi)
@@ -332,11 +362,13 @@ class TestValueNumerators:
         ties, transforms = self.record_paths(monkeypatch)
         polys = sample_polys(DEFAULT_SEED + 14, 60, max_deg=3, max_terms=3, coeff_bound=5)
         polys += sample_polys(DEFAULT_SEED + 15, 20)
+        # literal substitution through the depth-8 programs would take seconds
+        naive = {} if depth == 4 else None
         for s in range(30):
             seed = DEFAULT_SEED + 3000 + 3 * s
             nu, mu = gen_qmv(seed, max_depth=depth), gen_qmv(seed + 1, max_depth=depth)
-            self.assert_agree((meet(nu, mu), nu, mu), polys)
-            self.assert_agree((nu, mu, gen_qmv(seed + 2, max_depth=depth)), polys)
+            self.assert_agree((meet(nu, mu), nu, mu), polys, naive)
+            self.assert_agree((nu, mu, gen_qmv(seed + 2, max_depth=depth)), polys, naive)
         assert transforms and True in ties and False in ties
 
     def test_every_tier_and_the_strict_transforms(self, monkeypatch):
@@ -365,8 +397,11 @@ class TestValueNumerators:
                 other = ProjPoint(d.value + 1).form() if not d.is_inf else Y
                 polys += [ell, ell**2 + X**3 * Y, ell * other + Y**4 - X**5, other**2 + ell * X]
         polys += sample_polys(DEFAULT_SEED + 16, 40, max_deg=4)
+        naive = {}
         for vals in itertools.combinations(programs, 3):
-            self.assert_agree(vals, polys)
+            self.assert_agree(vals, polys, naive)
+        # tier 1: curve programs value the nonzero multiples of their curve infinite
+        assert sum(is_inf(v) for (_, phi), v in naive.items() if not phi.is_zero()) > 10
         assert transforms and True in ties and False in ties
         values = ValueNumerators((parabola, M_ADIC))
         assert values(X - Y**2) == [3 * values.den, values.den]  # a tie that cancels
@@ -399,7 +434,8 @@ class TestEvaluateWork:
     def test_unique_least_term_builds_no_images(self, monkeypatch):
         """A unique least term at level 0 runs no chart at all."""
         nu = QuasiMonomialVal(self.DEEP.steps, self.DEEP.frame, self.DEEP.weights)
-        vx, vy = valuation._level_values(nu)[0]
+        vx, vy = level_values(nu)[0]
+        assert record_values(nu) == (vx, vy)
         assert vx == vy
         polys = [X, Y, X**3 * Y + Y**7, BivarPoly.monomial(40, 2) + X**50]
         polys += [
@@ -489,7 +525,7 @@ class TestNormalize:
         pairs = self.rescaled_programs()
         assert len(pairs) > 600
         assert sum(not p.frame.is_identity() for p, _ in pairs) > 300
-        assert sum(p._lead is None for p, _ in pairs) > 100
+        assert sum(None in p._lead[:2] for p, _ in pairs) > 100
         polys = sample_polys(DEFAULT_SEED + 701, 6, max_deg=3)
         for _, big in pairs:
             got = normalize(big)
@@ -497,16 +533,16 @@ class TestNormalize:
             want = QuasiMonomialVal(big.steps, big.frame, tuple(scale(1 / m, w) for w in big.weights))
             assert (got.steps, got.frame, got.weights) == (want.steps, want.frame, want.weights)
             assert got == want and hash(got) == hash(want)
-            assert got._level0 == want._level0 and m_value(got) == m_value(want) == 1
-            assert (got._lead and got._lead[:4]) == (want._lead and want._lead[:4])
+            assert record_values(got) == record_values(want) and m_value(got) == m_value(want) == 1
+            assert got._lead[:4] == want._lead[:4]
             assert [evaluate(got, phi) for phi in polys] == [evaluate(want, phi) for phi in polys]
 
     def test_normalize_runs_no_level_recursion(self, monkeypatch):
-        """Programs with both level-0 values finite; a curve program is
-        rebuilt, and its recursion only carries one number."""
-        scaled = [big for _, big in self.rescaled_programs()
-                  if big._lead is not None and not is_normalized(big)]
+        """Every program is rescaled from its record, curve programs (one
+        level-0 value infinite) included."""
+        scaled = [big for _, big in self.rescaled_programs() if not is_normalized(big)]
         assert len(scaled) > 600
+        assert sum(None in nu._lead[:2] for nu in scaled) > 100
         calls = []
         levels_back = valuation._levels_back
         monkeypatch.setattr(valuation, "_levels_back", lambda *a: calls.append(1) or levels_back(*a))
@@ -673,11 +709,11 @@ class TestLevelValues:
         return vals + [alternating_chain(rng, n) for n in range(1, 13) for _ in range(3)]
 
     def check_level_zero(self, nu):
-        assert valuation._level_values(nu)[0] == (evaluate(nu, X), evaluate(nu, Y))
+        assert level_values(nu)[0] == record_values(nu) == (evaluate(nu, X), evaluate(nu, Y))
 
     def check_walk(self, form):
         n = len(form.steps)
-        for i, (center, m, e) in enumerate(itertools.islice(valuation._walk(form), n + 2)):
+        for i, (center, m, e) in enumerate(itertools.islice(walk(form), n + 2)):
             if i <= n:
                 tail = from_canonical(CanonicalForm(form.steps[i:], form.terminal))
             else:  # one level into a curve's eventually-constant tail
@@ -717,8 +753,8 @@ class TestLevelValues:
             for w in ((1, 1), (2, 2), (1, 2), (3, 1), (1, INF), (INF, Fraction(2, 5)))
         ]
         for nu in programs:
-            walk = valuation._walk(valuation._canonicalize_raw(nu))
-            assert valuation._head_exceptional(nu) == valuation._exceptional(next(walk)[0]), nu
+            _, levels = valuation._walk_numerators(valuation._canonicalize_raw(nu))
+            assert valuation._head_exceptional(nu) == valuation._exceptional(next(levels)[0]), nu
             assert m_value(nu) == min(evaluate(nu, X), evaluate(nu, Y))
 
     def test_framed_programs_built_by_meet(self, monkeypatch):
@@ -802,3 +838,52 @@ class TestCachedHash:
             form_twin = CanonicalForm(tuple(form.steps), form.terminal)
             assert hash(form) == hash(form_twin) == hash((form.steps, form.terminal))
             assert repr(twin) == repr(nu) and twin.__dict__.keys() >= {"_hash"}
+
+
+class TestMemoPolicy:
+    """What derives from one valuation is kept on it and freed with it; the
+    pair cache of ``meet`` is the one module-level table."""
+
+    @staticmethod
+    def fresh_programs():
+        """Programs built here, so that no table outside them holds them."""
+        shear = LinearFrame(((1, 0), (1, 1)))
+        for k in range(1, 301):
+            steps = (ProjPoint(Fraction(k, 7)), INF_POINT, ProjPoint(0))[: k % 4]
+            weights = (Fraction(k, 3), Fraction(k + 4, 5))
+            if k % 5 == 0:  # a curve program
+                steps, weights = (), (Fraction(k, 3), INF)
+            yield normalize(QuasiMonomialVal(steps, shear if k % 2 else IDENTITY_FRAME, weights))
+
+    def test_a_canonical_form_is_built_once_per_valuation(self, monkeypatch):
+        calls = []
+        build = valuation._build_canonical
+        monkeypatch.setattr(valuation, "_build_canonical", lambda nu: calls.append(nu) or build(nu))
+        nu = normalize(monomial(2, 7))
+        form = canonicalize(nu)
+        assert canonicalize(nu) is form and valuation._canonicalize_raw(nu) is form
+        assert calls == [nu]
+        twin = QuasiMonomialVal(nu.steps, nu.frame, nu.weights)
+        assert canonicalize(twin) == form and len(calls) == 2
+        assert repr(nu) == repr(twin) and hash(nu) == hash(twin)
+
+    def test_canonical_forms_are_freed_with_their_valuations(self):
+        refs = []
+        for nu in self.fresh_programs():
+            form = canonicalize(nu)
+            refs.append((weakref.ref(nu), weakref.ref(form)))
+        assert len(refs) == 300
+        del nu, form
+        gc.collect()
+        assert [r for pair in refs for r in pair if r() is not None] == []
+
+    def test_meet_holds_the_one_module_level_cache(self):
+        """The scan valbench's ``cache_stats`` makes: every module attribute
+        that has ``cache_info``, through ``__wrapped__``."""
+        cached = set()
+        for name, value in vars(valuation).items():
+            while value is not None and not hasattr(value, "cache_info"):
+                value = getattr(value, "__wrapped__", None)
+            if value is not None:
+                cached.add(name)
+        assert cached == {"meet"}
