@@ -3,6 +3,9 @@
 Field names are part of the wire format; every value printed re-parses to an
 equal object.  Rationals travel as "p" or "p/q" strings, infinity as "inf",
 projective directions as "[p:q]" with a primitive integer representative.
+Every number is written in ASCII digits: a rational field takes exactly
+``p`` or ``p/q`` (``rationals.parse_rat``), and any other spelling is a
+``FormatError`` that names the document and the field.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 from .poly import IDENTITY_FRAME, LinearFrame
-from .rationals import ExtRat, format_extrat, format_rat, parse_extrat
+from .rationals import ExtRat, format_extrat, format_rat, parse_extrat, parse_rat
 from .tree import PathParam, RootedTree, TreePoint, FIPoint, FI_X, FI_Y, fi_seg
 from .valuation import (
     CanonicalForm,
@@ -67,6 +70,16 @@ def _strings(value, where: str, length: int) -> list:
     return entries
 
 
+def _number(parse, text: str, where: str, *keys):
+    """parse(text) for a rational field, or a ValueError naming the field:
+    where, then each key in brackets.  The document's parser turns it into
+    a FormatError that names the document."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}{''.join(f'[{k}]' for k in keys)}: {exc}") from None
+
+
 def _member(obj: dict, key: str, kind: type, where: str):
     """obj[key], checked as ``_typed`` checks it; where names obj."""
     path = f"{where}.{key}" if where else key
@@ -78,10 +91,14 @@ def _member(obj: dict, key: str, kind: type, where: str):
 def _steps_from(data: dict) -> Tuple[ProjPoint, ...]:
     centers = []
     for i, s in enumerate(_typed(data.get("steps", []), list, "steps")):
-        if not (isinstance(s, dict) and isinstance(s.get("center"), str)):
+        text = s.get("center") if isinstance(s, dict) else None
+        if not isinstance(text, str):
             # raises, naming what is wrong with the step
             _member(_typed(s, dict, f"steps[{i}]"), "center", str, f"steps[{i}]")
-        centers.append(_center_from(s["center"]))
+        try:
+            centers.append(_center_from(text))
+        except ValueError as exc:
+            raise ValueError(f"steps[{i}].center: {exc}") from None
     return tuple(centers)
 
 
@@ -90,7 +107,7 @@ def format_direction(d: ProjPoint) -> str:
     return f"[{a}:{b}]"
 
 
-_DIRECTION = re.compile(r"\A\[(-?\d+):(-?\d+)\]\Z")
+_DIRECTION = re.compile(r"\A\[(-?[0-9]+):(-?[0-9]+)\]\Z")
 
 
 def parse_direction(text: str) -> ProjPoint:
@@ -106,7 +123,8 @@ def parse_direction(text: str) -> ProjPoint:
 
 
 def format_center(p: ProjPoint) -> str:
-    return "inf" if p.is_inf else format_rat(p.value)
+    a, b = p.as_pair()
+    return "inf" if not b else str(a) if b == 1 else f"{a}/{b}"
 
 
 # Each center spelling parses once into a shared ProjPoint, which keeps its
@@ -148,18 +166,20 @@ def valuation_from_json(data: dict) -> QuasiMonomialVal:
             if frame_rows is None
             else LinearFrame(
                 tuple(
-                    tuple(Fraction(v) for v in _strings(row, f"frame[{i}]", 2))
+                    tuple(_number(parse_rat, v, "frame", i, j)
+                          for j, v in enumerate(_strings(row, f"frame[{i}]", 2)))
                     for i, row in enumerate(_typed(frame_rows, list, "frame", 2))
                 )
             )
         )
         weights = tuple(
-            parse_extrat(w) for w in _strings(data.get("weights", ["1", "1"]), "weights", 2)
+            _number(parse_extrat, w, "weights", i)
+            for i, w in enumerate(_strings(data.get("weights", ["1", "1"]), "weights", 2))
         )
         return QuasiMonomialVal(steps, frame, weights)
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed valuation: {exc}") from exc
 
 
@@ -187,12 +207,14 @@ def canonical_from_json(data: dict) -> CanonicalForm:
         t = _member(data, "terminal", dict, "")
         if "divisorial" in t:
             gamma = _member(t, "divisorial", str, "terminal")
-            terminal: Union[Divisorial, Curve] = Divisorial(Fraction(gamma))
+            terminal: Union[Divisorial, Curve] = Divisorial(
+                _number(parse_rat, gamma, "terminal.divisorial")
+            )
         else:
             c = _member(t, "curve", dict, "terminal")
             terminal = Curve(
                 parse_direction(_member(c, "direction", str, "terminal.curve")),
-                Fraction(_member(c, "weight", str, "terminal.curve")),
+                _number(parse_rat, _member(c, "weight", str, "terminal.curve"), "terminal.curve.weight"),
             )
         return CanonicalForm(steps, terminal)
     except FormatError:
@@ -209,7 +231,10 @@ def rank2_values_from_json(data: list) -> Tuple[Tuple[int, Fraction], Tuple[int,
     pair = [_strings(w, f"values[{i}]", 2) for i, w in enumerate(_typed(data, list, "values", 2))]
     try:
         (a0, a1), (b0, b1) = pair
-        return (int(a0), Fraction(a1)), (int(b0), Fraction(b1))
+        return (
+            (int(a0), _number(parse_rat, a1, "values", 0, 1)),
+            (int(b0), _number(parse_rat, b1, "values", 1, 1)),
+        )
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed rank-2 values: {exc}") from exc
 
@@ -244,7 +269,7 @@ def tree_from_json(data: dict) -> Tuple[RootedTree, PathParam]:
             for i, kid in enumerate(kids):
                 here = f"{where}.children[{i}]"
                 edge = _member(_typed(kid, dict, here), "edge", str, here)
-                edges[path + (i,)] = parse_extrat(edge)
+                edges[path + (i,)] = _number(parse_extrat, edge, f"{here}.edge")
                 walk(kid.get("node", {}), path + (i,), f"{here}.node")
 
         walk(_member(_member(data, "nodes", dict, ""), "root", dict, "nodes"), (), "nodes.root")
@@ -293,7 +318,7 @@ def parse_fi_point(text: str) -> FIPoint:
     if text in ("Y", "y"):
         return FI_Y
     try:
-        return fi_seg(Fraction(text))
+        return fi_seg(parse_rat(text))
     except ValueError as exc:
         raise FormatError(f"malformed poset point {text!r}: {exc}") from exc
 

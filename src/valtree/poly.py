@@ -8,12 +8,13 @@ is exact: no floats, no approximate cancellation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Tuple, Union
 
-from .rationals import INF, ExtRat, ONE, ZERO, is_inf, scale
+from .rationals import INF, ExtRat, ONE, ZERO, is_inf, parse_rat, scale
 
 Exponents = Tuple[int, int]
 
@@ -228,7 +229,7 @@ class BivarPoly:
         return f"BivarPoly({str(self)!r})"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([xy])|([+\-*^()])|(\S))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)|([xy])|([+\-*^()])|(\S))")
 
 
 def poly_parse(text: str) -> BivarPoly:
@@ -258,7 +259,10 @@ def poly_parse(text: str) -> BivarPoly:
         kind, tok, at = peek()
         if kind == "num":
             pos += 1
-            return BivarPoly.constant(Fraction(tok))
+            try:
+                return BivarPoly.constant(parse_rat(tok))
+            except ValueError as exc:  # the token is p or p/q, so q = 0
+                raise PolyParseError(str(exc), at) from None
         if kind == "var":
             pos += 1
             exp = 1
@@ -335,15 +339,22 @@ def divide_out_linear(phi: BivarPoly, ell: BivarPoly) -> Tuple[int, BivarPoly]:
 
 @dataclass(frozen=True)
 class LinearFrame:
-    """An invertible change of coordinates; each row is the form of one target coordinate."""
+    """An invertible change of coordinates; each row is the form of one target coordinate.
+
+    Beside the rows each frame keeps ``int_rows``, the rows times the lcm of
+    their denominators: integers with the same zeros and ratios."""
 
     rows: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
     def __post_init__(self):
         rows = tuple(tuple(_coerce(v) for v in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        if self.det() == 0:
+        lcm = math.lcm(*(p.denominator for row in rows for p in row))
+        ints = tuple(tuple(p.numerator * (lcm // p.denominator) for p in row) for row in rows)
+        (a, b), (c, d) = ints
+        if a * d == b * c:
             raise SingularFrameError(f"rows {rows} are linearly dependent")
+        object.__setattr__(self, "int_rows", ints)
 
     def __hash__(self) -> int:
         return _cached_hash(self, (self.rows,))

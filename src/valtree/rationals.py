@@ -10,6 +10,7 @@ arithmetic fails loudly instead of silently picking a convention.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -84,9 +85,25 @@ def scale(factor: Union[int, Fraction], value: ExtRat) -> ExtRat:
     return Fraction(factor) * value
 
 
+# The one spelling of a rational, on every Python: ASCII digits, an optional
+# leading "-" and an optional "/q" with q > 0.  Fraction's own parser also
+# takes "+", "_", decimals, exponents and non-ASCII digits, and which of them
+# depends on the Python version.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rat(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` (decimal digits, optional leading -)."""
-    return Fraction(text.strip())
+    """Parse ``p`` or ``p/q`` (ASCII digits, optional leading -, q > 0),
+    blanks around allowed; any other text is a ValueError."""
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is not None:
+        p, q = m.groups()
+        if q is None:
+            return Fraction(int(p))
+        q = int(q)
+        if q:
+            return Fraction(int(p), q)
+    raise ValueError(f"expected p or p/q in ASCII digits with q > 0, got {text!r}")
 
 
 def format_rat(value: Fraction) -> str:
@@ -96,8 +113,8 @@ def format_rat(value: Fraction) -> str:
 
 
 def parse_extrat(text: str) -> ExtRat:
-    stripped = text.strip().lower()
-    if stripped == "inf":
+    """``parse_rat``, or ``INF`` for "inf" in any case."""
+    if text.strip().lower() == "inf":
         return INF
     return parse_rat(text)
 

@@ -20,12 +20,20 @@ the frame coordinates and its weighted order taken.
 
 Each valuation on the path parse -> normalize -> meet is built once: a
 construction runs the level recursion once and keeps one integer record of
-the level-0 numerators (see ``QuasiMonomialVal``), which ``normalize``
-rescales without running the recursion again.  What derives from one
-valuation, the record and its canonical form, is kept on it and freed with
-it.  The one module-level table is ``meet``'s pair cache: a pair has no
-single object to hold its meet, and ``compare`` meets again the pair an
-operation has just met.
+the level-0 and weight numerators (see ``QuasiMonomialVal``), which
+``normalize`` rescales without running the recursion again.  What derives
+from one valuation, the record and its canonical form, is kept on it and
+freed with it; ``meet`` hands its result the canonical form it built.  The
+one module-level table is ``meet``'s pair cache: a pair has no single object
+to hold its meet, and ``compare`` meets again the pair an operation has just
+met.
+
+The chain and order layers read integers: a ``ProjPoint`` keeps its
+primitive pair ``[a:b]`` and a ``LinearFrame`` its integer rows.
+``Fraction``s are built only for the public fields (a point's value, a
+frame's rows, a program's weights, a canonical form's terminal weight) and
+for the values handed back (``evaluate``, ``m_value``,
+``multiplicity_stream``).
 
 Conventions, fixed once and used everywhere:
 
@@ -85,31 +93,47 @@ class ChainTooLongError(ValueError):
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """A point of P^1(Q): a finite rational, or the point at infinity."""
+    """A point of P^1(Q): a finite rational, or the point at infinity.
+
+    Beside its value each point keeps its primitive integer pair ``[a:b]``,
+    set once when it is built: the numerator and denominator of a finite
+    value, ``(1, 0)`` at infinity.  The chain walks and the printer read the
+    pair; equality and hash read the value."""
 
     value: ExtRat
 
     def __post_init__(self):
-        if not isinstance(self.value, (Fraction, Infinity)):
-            object.__setattr__(self, "value", Fraction(self.value))
+        v = self.value
+        if v is INF:
+            pair = (1, 0)
+        else:
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
+                object.__setattr__(self, "value", v)
+            pair = (v.numerator, v.denominator)
+        object.__setattr__(self, "_pair", pair)
 
     def __hash__(self) -> int:
-        return _cached_hash(self, (self.value,))
+        # hashing a program hashes each of its centers: read the kept hash
+        # here, without the call into _cached_hash
+        try:
+            return self._hash
+        except AttributeError:
+            return _cached_hash(self, (self.value,))
 
     @property
     def is_inf(self) -> bool:
-        return is_inf(self.value)
+        return self.value is INF
 
     def negate(self) -> "ProjPoint":
         """The direction of a center, or the center of a direction: the
         finite part negated, infinity kept.  The conversion is its own inverse."""
-        return self if self.is_inf else ProjPoint(-self.value)
+        a, b = self._pair
+        return ProjPoint(-self.value) if a and b else self
 
     def as_pair(self) -> Tuple[int, int]:
         """Primitive integer representative [a:b], with b >= 0."""
-        if self.is_inf:
-            return (1, 0)
-        return (self.value.numerator, self.value.denominator)
+        return self._pair
 
     def form(self) -> BivarPoly:
         a, b = self.as_pair()
@@ -146,13 +170,15 @@ class QuasiMonomialVal:
     valuation): no steps, identity frame, weights (1, 1).
 
     Beside the fields each program keeps one record of what derives from
-    them, ``_lead = (nx, ny, q, root, values)``: the level-0 values as
-    numerators over q, the lcm of the finite weights' denominators (None for
-    an infinite one), the zero of the head's exceptional form when nx = ny
-    (``_head_root``), and a table from a numerator n to ``Fraction(n, q)`` for
-    the values ``evaluate`` has returned, at most ``_VALUE_TABLE_SIZE`` of
-    them.  ``_canonicalize_raw`` adds the canonical form as ``_form`` when it
-    first builds it.  Equality, hash and repr read only the three fields.
+    them, ``_lead = (nx, ny, q, root, n1, n2, values)``: the level-0 values
+    as numerators over q, the lcm of the finite weights' denominators (None
+    for an infinite one), the zero of the head's exceptional form when
+    nx = ny (``_head_root``), the weights as numerators over q, and a table
+    from a numerator n to ``Fraction(n, q)`` for the values ``evaluate`` has
+    returned, at most ``_VALUE_TABLE_SIZE`` of them.  The canonical form is
+    kept as ``_form`` once it is built (``_canonicalize_raw``), or handed in
+    by ``meet`` (``_monomial_meet``).  Equality, hash and repr read only the
+    three fields.
     """
 
     steps: Tuple[ProjPoint, ...] = ()
@@ -165,40 +191,39 @@ class QuasiMonomialVal:
         )
         object.__setattr__(self, "steps", steps)
         w1, w2 = (_coerce_weight(w) for w in self.weights)
-        if is_inf(w1) and is_inf(w2):
+        q, n1, n2 = _weight_numerators(w1, w2)
+        if n1 is None and n2 is None:
             raise BothWeightsInfiniteError("at most one weight may be infinite")
-        if w1 <= 0 or w2 <= 0:
+        if (n1 is not None and n1 <= 0) or (n2 is not None and n2 <= 0):
             raise ValueError("weights must be strictly positive")
         object.__setattr__(self, "weights", (w1, w2))
         if not isinstance(self.frame, LinearFrame):
             object.__setattr__(self, "frame", LinearFrame(self.frame))
-        q, levels = _level_numerators(self)
-        nx, ny = levels[0]
+        nx, ny = _levels_back(steps, *_last_level(self.frame, n1, n2))[0]
         if nx is None and ny is None:
             raise ValueError(
                 "illegal program: every element of the maximal ideal "
                 "would get value infinity"
             )
         root = _head_root(self) if nx == ny else None
-        object.__setattr__(self, "_lead", (nx, ny, q, root, {}))
+        object.__setattr__(self, "_lead", (nx, ny, q, root, n1, n2, {}))
 
     @classmethod
     def _derived(
         cls, steps: Tuple[ProjPoint, ...], frame: LinearFrame, weights: Tuple[ExtRat, ExtRat],
-        q: int, nx: _Num, ny: _Num, root: Optional[Tuple[int, int]],
+        lead: tuple,
     ) -> "QuasiMonomialVal":
-        """A program whose level-0 numerators are already known, built without
-        the checks and the level recursion of ``__post_init__``.
+        """A program whose record is already known, built without the checks
+        and the level recursion of ``__post_init__``.
 
         Precondition: the fields are as ``__post_init__`` leaves them and
-        describe a legal program; q is the lcm of the finite weights'
-        denominators, ``nx/q`` and ``ny/q`` are its level-0 values, and root
-        is ``_head_root`` of the program when they are equal."""
+        describe a legal program, and lead is ``(nx, ny, q, root, n1, n2)``
+        of its record, as ``__post_init__`` would compute them."""
         nu = object.__new__(cls)
         object.__setattr__(nu, "steps", steps)
         object.__setattr__(nu, "frame", frame)
         object.__setattr__(nu, "weights", weights)
-        object.__setattr__(nu, "_lead", (nx, ny, q, root, {}))
+        object.__setattr__(nu, "_lead", (*lead, {}))
         return nu
 
     def __hash__(self) -> int:
@@ -309,8 +334,7 @@ def _in_frame(f: _IntPoly, frame: LinearFrame) -> _IntPoly:
     ``y = (-c*u + a*v)/det``.  The factor ``det^-(r+s)`` of the term
     ``x^r y^s`` is constant on each homogeneous part of f, and a linear
     change of coordinates keeps those parts apart, so it is left out."""
-    lcm = math.lcm(*(p.denominator for row in frame.rows for p in row))
-    (a, b), (c, d) = ([p.numerator * (lcm // p.denominator) for p in row] for row in frame.rows)
+    (a, b), (c, d) = frame.int_rows
     out: _IntPoly = {}
     get = out.get
     for (r, s), k in f.items():
@@ -357,15 +381,16 @@ def _strict_transform(nu: QuasiMonomialVal, phi: BivarPoly) -> _Num:
             return None if least is None else acc + least
     if not nu.frame.is_identity():
         f = _in_frame(f, nu.frame)
-    _, n1, n2 = _weight_numerators(nu)
-    least, _ = _least(f, n1, n2)
+    least, _ = _least(f, *nu._lead[4:6])
     return None if least is None else acc + least
 
 
 def _row_direction(frame: LinearFrame, row: int) -> ProjPoint:
-    """The direction ``[p : q]`` of one row of a frame."""
-    p, q = frame.rows[row]
-    return INF_POINT if q == 0 else ProjPoint(p / q)
+    """The direction ``[p : q]`` of one row of a frame, read off its integer rows."""
+    p, q = frame.int_rows[row]
+    if not q:
+        return INF_POINT
+    return ProjPoint(Fraction(p, q)) if p else ZERO_POINT
 
 
 def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
@@ -441,7 +466,7 @@ def _least_numerators(rows: Sequence[tuple], phi: BivarPoly) -> List[Union[int, 
 def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
     """The value of nu on phi: the tier pass on nu's own record, one row
     with m = 1.  A finite value comes from the record's table."""
-    nx, ny, q, root, table = nu._lead
+    nx, ny, q, root, _, _, table = nu._lead
     (least,) = _least_numerators(((nu, 1, nx, ny, root),), phi)
     if least is INF:
         return INF
@@ -469,7 +494,7 @@ class ValueNumerators:
         self.den = math.lcm(*(nu._lead[2] for nu in vals))
         self._rows = []
         for nu in vals:
-            nx, ny, q, root, _ = nu._lead
+            nx, ny, q, root = nu._lead[:4]
             m = self.den // q
             self._rows.append(
                 (nu, m, None if nx is None else nx * m, None if ny is None else ny * m, root)
@@ -504,10 +529,10 @@ def _levels_back(steps: Sequence[ProjPoint], vx: _Num, vy: _Num) -> List[Tuple[_
     the second factor is a unit unless c = 0."""
     levels = [(vx, vy)]
     for step in reversed(steps):
-        c = step.value
-        if c is INF:
+        a, b = step._pair
+        if not b:  # infinity
             vx = None if vx is None or vy is None else vx + vy
-        elif c:
+        elif a:
             vy = vx
         else:
             vy = None if vx is None or vy is None else vx + vy
@@ -516,29 +541,33 @@ def _levels_back(steps: Sequence[ProjPoint], vx: _Num, vy: _Num) -> List[Tuple[_
     return levels
 
 
-def _weight_numerators(nu: QuasiMonomialVal) -> Tuple[int, _Num, _Num]:
-    """``(q, n1, n2)``: the weights as integer numerators over q, the lcm of
-    the finite weights' denominators."""
-    w1, w2 = nu.weights
-    q = math.lcm(*(w.denominator for w in (w1, w2) if w is not INF))
-    n1 = None if w1 is INF else w1.numerator * (q // w1.denominator)
-    n2 = None if w2 is INF else w2.numerator * (q // w2.denominator)
-    return q, n1, n2
+def _weight_numerators(w1: ExtRat, w2: ExtRat) -> Tuple[int, _Num, _Num]:
+    """``(q, n1, n2)``: two weights as integer numerators over q, the lcm of
+    the finite weights' denominators (None for INF); each weight's numerator
+    and denominator are read once."""
+    p1, d1 = (None, 1) if w1 is INF else (w1.numerator, w1.denominator)
+    p2, d2 = (None, 1) if w2 is INF else (w2.numerator, w2.denominator)
+    q = math.lcm(d1, d2)
+    return (q, None if p1 is None else p1 * (q // d1), None if p2 is None else p2 * (q // d2))
+
+
+def _last_level(frame: LinearFrame, n1: _Num, n2: _Num) -> Tuple[_Num, _Num]:
+    """The values after the last center, for weight numerators n1, n2: the
+    weighted orders of the inverse frame's rows, ``(d, -b)`` and ``(-c, a)``
+    up to scale, of which only the zero entries matter."""
+    (a, b), (c, d) = frame.int_rows
+    return (
+        _min_num(n1 if d else None, n2 if b else None),
+        _min_num(n1 if c else None, n2 if a else None),
+    )
 
 
 def _level_numerators(nu: QuasiMonomialVal) -> Tuple[int, List[Tuple[_Num, _Num]]]:
     """``(q, levels)``: ``(v(x_i), v(y_i))`` at every level i, level 0 being the
     original x, y, as integer numerators over q, the lcm of the finite
-    weights' denominators.
-
-    The last level gets the weighted orders of the inverse frame's rows,
-    ``(d, -b)`` and ``(-c, a)`` up to scale; the recursion back to level 0 adds
-    integers only."""
-    (a, b), (c, d) = nu.frame.rows
-    q, n1, n2 = _weight_numerators(nu)
-    vx = _min_num(n1 if d else None, n2 if b else None)
-    vy = _min_num(n1 if c else None, n2 if a else None)
-    return q, _levels_back(nu.steps, vx, vy)
+    weights' denominators.  The recursion back to level 0 adds integers only."""
+    _, _, q, _, n1, n2, _ = nu._lead
+    return q, _levels_back(nu.steps, *_last_level(nu.frame, n1, n2))
 
 
 def m_value(nu: QuasiMonomialVal) -> Fraction:
@@ -568,16 +597,14 @@ def normalize(nu: QuasiMonomialVal) -> QuasiMonomialVal:
     ``m = min(nx, ny)/q``, the weights become ``n_i/m`` for the weights'
     numerators ``n_i`` over q, and the level-0 values ``nx/m``, ``ny/m``,
     an infinite one staying infinite."""
-    nx, ny, q, root, _ = nu._lead
+    nx, ny, q, root, n1, n2, _ = nu._lead
     m = _min_num(nx, ny)
     if m == q:
         return nu
-    weights = tuple(
-        w if w is INF else Fraction(w.numerator * (q // w.denominator), m) for w in nu.weights
-    )
-    q = math.lcm(*(w.denominator for w in weights if w is not INF))
+    w1, w2 = (INF if n is None else Fraction(n, m) for n in (n1, n2))
+    q, n1, n2 = _weight_numerators(w1, w2)
     nx, ny = (None if n is None else n * q // m for n in (nx, ny))
-    return QuasiMonomialVal._derived(nu.steps, nu.frame, weights, q, nx, ny, root)
+    return QuasiMonomialVal._derived(nu.steps, nu.frame, (w1, w2), (nx, ny, q, root, n1, n2))
 
 
 def _require_normalized(nu: QuasiMonomialVal, op: str) -> None:
@@ -664,28 +691,39 @@ def _canonicalize_raw(nu: QuasiMonomialVal) -> CanonicalForm:
 def _build_canonical(nu: QuasiMonomialVal) -> CanonicalForm:
     """The canonical form, built without a valuation per dilatation step.
 
-    The head is settled once: a curve if a weight is infinite, a terminal if
-    the weights are equal, else the one blow-up ``dilate`` would make, which
-    reads the frame row of the larger weight.  After it the frame is the
-    identity and the chain is Euclid's algorithm on the two weights' integer
-    numerators: each run of the center 0 (or infinity) is one quotient."""
-    steps = list(nu.steps)
-    w1, w2 = nu.weights
-    if w1 is INF or w2 is INF:
-        big = 0 if w1 is INF else 1
+    The head is settled once, on the weights' numerators in the record: a
+    curve if a weight is infinite, a terminal if the weights are equal, else
+    the one blow-up ``dilate`` would make, which reads the frame row of the
+    larger weight (``_euclid_form``)."""
+    _, _, q, _, n1, n2, _ = nu._lead
+    if n1 is None or n2 is None:
+        big = 0 if n1 is None else 1
         # fold trailing steps that merely re-state the curve's own direction;
         # a curve only ends a program that never dilated, and legality makes
         # each folded center match d (0 under 0, inf under inf), see
         # tests/test_valuation.py::TestCanonical::test_curve_fold_invariant
+        steps = list(nu.steps)
         d = _row_direction(nu.frame, big)
         while steps and d in (ZERO_POINT, INF_POINT):
             d = steps.pop().negate()
         return CanonicalForm(tuple(steps), Curve(d, nu.weights[1 - big]))
-    if w1 == w2:
-        return CanonicalForm(tuple(steps), Divisorial(w1))
-    q = math.lcm(w1.denominator, w2.denominator)
-    a, b = w1.numerator * (q // w1.denominator), w2.numerator * (q // w2.denominator)
-    center = _row_direction(nu.frame, 0 if a > b else 1).negate()
+    if n1 == n2:
+        return CanonicalForm(nu.steps, Divisorial(nu.weights[0]))
+    return _euclid_form(nu.steps, _row_direction(nu.frame, 0 if n1 > n2 else 1), n1, n2, q)
+
+
+def _euclid_form(
+    prefix: Sequence[ProjPoint], d: ProjPoint, a: int, b: int, q: int
+) -> CanonicalForm:
+    """The canonical form of the centers prefix followed by a monomial head
+    with the unequal finite weights a/q and b/q, in a frame whose row of the
+    larger weight has direction d.
+
+    The head's blow-up is at d's center; after it the frame is the identity
+    and the chain is Euclid's algorithm on a and b: each run of the center 0
+    (or infinity) is one quotient."""
+    center = d.negate()
+    steps = list(prefix)
     steps.append(center)
     small, large = min(a, b), max(a, b)
     a, b = (large - small, small) if center.is_inf else (small, large - small)
@@ -711,7 +749,9 @@ def canonicalize(nu: QuasiMonomialVal) -> CanonicalForm:
 
 
 def from_canonical(form: CanonicalForm) -> QuasiMonomialVal:
-    """Rebuild a concrete program from a canonical form."""
+    """Rebuild a concrete program from a canonical form.  The form is not
+    trusted: the program is built and checked as any other, and
+    ``canonicalize`` builds its form afresh."""
     t = form.terminal
     if isinstance(t, Divisorial):
         return QuasiMonomialVal(form.steps, IDENTITY_FRAME, (t.gamma, t.gamma))
@@ -812,12 +852,22 @@ def _monomial_meet(
 ) -> QuasiMonomialVal:
     """Meet when the level multiplicities first differ.
 
-    The shared coordinate gets the smaller multiplicity; the complementary
-    coordinate must be the exceptional direction of the smaller side (a
-    generic choice would drop strictly below the true infimum).  Both are
-    read off the two walks' entries at the level, numerators over q_a and
-    q_b scaled to their lcm: a linear form has value ``m`` there unless it
-    is the level's exceptional form, valued ``e``.
+    The meet is the monomial valuation after the shared prefix in a frame
+    of two linear forms: a generic one gets the smaller multiplicity, and
+    the exceptional direction of the smaller side (a generic choice would
+    drop strictly below the true infimum) gets the least value the two sides
+    give it.  Both are read off the two walks' entries at the level,
+    numerators over q_a and q_b scaled to their lcm: a linear form has value
+    ``m`` there unless it is the level's exceptional form, valued ``e``.
+
+    That value ``v_y`` exceeds the smaller multiplicity (an exceptional form
+    is valued above m), so the frame's second row is the head's blow-up and
+    the canonical form follows from the weights alone (``_euclid_form``); the
+    generic row is never read.  ``v_y`` is finite: ``e`` is infinite only on
+    the last center of a curve's chain and its constant tail, and two
+    normalized chains that agree in centers and multiplicities up to a
+    level where both are there have the same curve weight, so their
+    multiplicities agree there too.
     """
     q = math.lcm(q_a, q_b)
     (c_a, m_a, e_a), (c_b, m_b, e_b) = level_a, level_b
@@ -830,14 +880,14 @@ def _monomial_meet(
         small, small_exc = side_b, exc_b
     if small_exc is None:
         return small
-    x_dir = next(d for d in direction_enumeration() if d != exc_a and d != exc_b)
     y_a = m_a if exc_a != small_exc else None if e_a is None else e_a * k_a
     y_b = m_b if exc_b != small_exc else None if e_b is None else e_b * k_b
-    frame = LinearFrame((x_dir.as_pair(), small_exc.as_pair()))
-    v_y = _min_num(y_a, y_b)
-    weights = (Fraction(min(m_a, m_b), q), INF if v_y is None else Fraction(v_y, q))
-    result = QuasiMonomialVal(tuple(prefix), frame, weights)
-    return from_canonical(_canonicalize_raw(result))
+    form = _euclid_form(prefix, small_exc, min(m_a, m_b), _min_num(y_a, y_b), q)
+    result = from_canonical(form)
+    # the form is canonical by construction: the result keeps it, so that
+    # canonicalize reads it instead of building it again
+    object.__setattr__(result, "_form", form)
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -865,7 +915,7 @@ def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
             return nu
         if c_b is TERMINAL:
             return mu
-        if c_a != c_b:
+        if c_a._pair != c_b._pair:
             shared = from_canonical(CanonicalForm(tuple(prefix), Divisorial(Fraction(m_a, q_a))))
             return normalize(shared)
         prefix.append(c_a)

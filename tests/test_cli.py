@@ -521,3 +521,71 @@ class TestLongEuclid:
         assert len(doc["steps"]) == 99_999 and {s["center"] for s in doc["steps"]} == {"0"}
         assert doc["terminal"] == {"divisorial": "1"}
         assert len(built) <= 2
+
+
+# Every rational field takes exactly p or p/q in ASCII digits with q > 0,
+# blanks around allowed, on every Python version.  Each good spelling maps to
+# the value printed back; each bad one exits 2 with a message naming the
+# field, whether or not some Python's Fraction would take it.
+GOOD_SPELLINGS = {
+    "3": "3", " 3 ": "3", "\t3\n": "3", "-3": "-3", "0": "0", "-0": "0", "00": "0",
+    "3/4": "3/4", "-3/4": "-3/4", "6/8": "3/4", "007/010": "7/10", "12/4": "3",
+}
+BAD_SPELLINGS = [
+    "1/0", "1/00", "+3", "3/-4", "-3/-4", "--3", "3/", "/4", "3/4/5", "3 / 4",
+    "1_000", "1.5", ".5", "1e1", "0x10", "٣", "３", "١/٢", "abc", "", " ",
+]
+
+
+class TestNumberSpelling:
+    @staticmethod
+    def file(tmp_path, name, doc) -> str:
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def fields(self, tmp_path, text):
+        """(argv, the field's name in the message) for each rational field
+        the CLI reads, with text in that field."""
+        tree = {"nodes": {"root": {"children": [{"edge": "1"}]}}}
+        return [
+            (["val", "normalize", "--valuation", json.dumps({"steps": [{"center": text}]})],
+             "steps[0].center"),
+            (["val", "normalize", "--valuation", json.dumps({"weights": ["1", text]})], "weights[1]"),
+            (["val", "normalize", "--valuation", json.dumps({"frame": [["1", "0"], [text, "1"]]})],
+             "frame[1][0]"),
+            (["tree", "dist", "--tree", self.file(tmp_path, "edge.json", {"nodes": {"root": {"children": [{"edge": text}]}}}),
+              "--points", "0", "root"], "nodes.root.children[0].edge"),
+            (["tree", "dist", "--tree", self.file(tmp_path, "tree.json", tree), "--points", f"0@{text}", "root"],
+             f"malformed point {f'0@{text}'.strip()!r}"),
+            # a leading blank keeps argparse from reading "-3/-4" as an option
+            (["tree", "inf", "--tree", self.file(tmp_path, "fork.json", {"poset": "forked-interval"}),
+              "--points", "X", f" {text}"], f"malformed poset point {text.strip()!r}"),
+        ]
+
+    @pytest.mark.parametrize("text", sorted(GOOD_SPELLINGS))
+    def test_good_spellings_print_their_value(self, capsys, text):
+        want = GOOD_SPELLINGS[text]
+        code, out, _ = run(capsys, "val", "normalize", "--valuation", json.dumps({"steps": [{"center": text}]}))
+        assert code == 0 and json.loads(out)["steps"][0]["center"] == want
+        frame = {"frame": [["1", "0"], [text, "1"]]}
+        code, out, _ = run(capsys, "val", "normalize", "--valuation", json.dumps(frame))
+        assert code == 0 and json.loads(out)["frame"][1][0] == want
+
+    @pytest.mark.parametrize("text", BAD_SPELLINGS)
+    def test_bad_spellings_exit_2_naming_the_field(self, capsys, tmp_path, text):
+        for argv, field in self.fields(tmp_path, text):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert field in err and "expected p or p/q in ASCII digits" in err, (argv, err)
+
+    @pytest.mark.parametrize("poly, want", [
+        ("3/4*x - 6/8*x + y", "2"), ("x + 007/010*y", "1"), ("+3*y^2 - 0*x", "4"),
+        ("٣*x+y", 2), ("３*x+y", 2), ("1/0*x", 2), ("x+1/00", 2), ("1_0*x", 2), ("1.5*x", 2),
+    ])
+    def test_polynomial_coefficients(self, capsys, poly, want):
+        code, out, err = run(capsys, "val", "eval", "--valuation", '{"weights":["1","2"]}', "--poly", poly)
+        if want == 2:
+            assert (code, out) == (2, "") and "(at position" in err
+        else:
+            assert (code, out.strip()) == (0, want)

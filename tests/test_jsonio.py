@@ -256,6 +256,36 @@ class TestCenterParsing:
                 valuation_from_json(doc)
 
 
+class TestNumberFields:
+    """A rational field of any document takes p or p/q in ASCII digits,
+    q > 0; another spelling is a FormatError naming the document and the
+    field, on every Python version."""
+
+    @pytest.mark.parametrize("text", ["1.5", "1_000", "\u0663", "+3", "1/0", "1e1", " "])
+    def test_each_document_names_the_field(self, text):
+        cases = [
+            (valuation_from_json, {"weights": [text, "1"]}, "malformed valuation: weights[0]"),
+            (valuation_from_json, {"steps": [{"center": "1"}, {"center": text}]},
+             "malformed valuation: steps[1].center"),
+            (valuation_from_json, {"frame": [["1", text], ["0", "1"]]}, "malformed valuation: frame[0][1]"),
+            (canonical_from_json, {"steps": [], "terminal": {"divisorial": text}},
+             "malformed canonical form: terminal.divisorial"),
+            (canonical_from_json, {"steps": [], "terminal": {"curve": {"direction": "[1:0]", "weight": text}}},
+             "malformed canonical form: terminal.curve.weight"),
+            (rank2_values_from_json, [["0", "1"], ["1", text]], "malformed rank-2 values: values[1][1]"),
+            (tree_from_json, {"nodes": {"root": {"children": [{"edge": text}]}}},
+             "malformed tree: nodes.root.children[0].edge"),
+        ]
+        for parse, doc, field in cases:
+            with pytest.raises(FormatError) as exc:
+                parse(doc)
+            assert str(exc.value) == f"{field}: expected p or p/q in ASCII digits with q > 0, got {text!r}"
+        with pytest.raises(FormatError, match="malformed poset point"):
+            parse_fi_point(text)
+        with pytest.raises(FormatError, match="malformed direction"):
+            parse_direction(f"[{text}:1]")
+
+
 class TestFieldTypes:
     """Every field's JSON type is checked before it is converted; a wrong
     type is a FormatError naming the field."""

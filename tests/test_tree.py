@@ -242,6 +242,29 @@ class TestAxioms:
         assert (report.t1, report.t2, report.t3, report.t4) == (True, True, True, False)
         assert report.witness == (FI_X, FI_Y)
 
+    def test_forked_interval_report_checks_every_pair(self, monkeypatch):
+        """A leq broken on one pair of sample points only, the two largest,
+        fails T2 when the pair is made incomparable, and T3 alone when its
+        order is reversed: the report's table reaches every pair below every
+        point, the last ones too."""
+        rng = random.Random(0)  # the report's default seed and draws
+        ticks = sorted({rng.randrange(0, 64) for _ in range(40)})
+        a, b = fi_seg(Fraction(ticks[-2], 64)), fi_seg(Fraction(ticks[-1], 64))
+        leq = ForkedIntervalPoset.leq
+
+        def incomparable(self, p, q):
+            return False if {p, q} == {a, b} else leq(self, p, q)
+
+        def reversed_pair(self, p, q):
+            return p == b if {p, q} == {a, b} else leq(self, p, q)
+
+        monkeypatch.setattr(ForkedIntervalPoset, "leq", incomparable)
+        report = fi_axiom_report()
+        assert (report.t1, report.t2, report.t3, report.t4) == (True, False, False, False)
+        monkeypatch.setattr(ForkedIntervalPoset, "leq", reversed_pair)
+        report = fi_axiom_report()
+        assert (report.t1, report.t2, report.t3, report.t4) == (True, True, False, False)
+
     def test_no_infimum_for_the_fork(self):
         assert fi_infimum([FI_X, FI_Y]) is None
         assert fi_infimum([FI_X]) == FI_X

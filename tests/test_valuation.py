@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -9,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from valtree.poly import BivarPoly, BothWeightsInfiniteError, IDENTITY_FRAME, LinearFrame, poly_parse
-from valtree.rationals import INF, is_inf, scale
-from valtree import valuation
+from valtree.rationals import INF, format_rat, is_inf, scale
+from valtree import jsonio, valuation
+from valtree.jsonio import format_center, valuation_from_json
 from valtree.testkit import DEFAULT_SEED, gen_qmv, sample_polys
 from valtree.valuation import (
     CanonicalForm,
@@ -91,6 +93,44 @@ class TestProjPoint:
         assert ProjPoint(Fraction(-2, 4)).as_pair() == (-1, 2)
         assert INF_POINT.as_pair() == (1, 0)
 
+    def test_kept_pair_against_the_value(self):
+        """Every point keeps the primitive pair its value gives, ``negate``
+        acts on the pair and twice gives the point back, and equality, hash
+        and ``format_center`` give what they gave when they read the value
+        alone.  Points: the JSON center table, the centers, canonical chains,
+        curve directions and frame rows of generated programs, the
+        directions curvettes are drawn from, and random rationals."""
+        rng = random.Random(DEFAULT_SEED + 31)
+        spellings = ["0", "-0", "00", "0/5", "3", "-7/2", "6/4", " 5 ", "inf", "INF", str(10**40) + "/3"]
+        valuation_from_json({"steps": [{"center": c} for c in spellings]})
+        points = list(jsonio._CENTERS.values())
+        programs = [gen_qmv(DEFAULT_SEED + 900 + s, max_depth=8) for s in range(60)]
+        programs += [alternating_chain(rng, n) for n in range(1, 10)]
+        for nu in programs:
+            form = canonicalize(nu)
+            points += nu.steps + form.steps + tuple(valuation._row_direction(nu.frame, i) for i in (0, 1))
+            if isinstance(form.terminal, Curve):
+                d = form.terminal.direction
+                points += [d, ProjPoint(1 if d.is_inf else d.value + 1)]  # the two curvette directions
+        values = [Fraction(0), Fraction(-0), 7, -7, 10**50, -(10**50)]
+        values += [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)) for _ in range(300)]
+        values += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(300)]
+        points += [ProjPoint(v) for v in values] + [INF_POINT, ProjPoint(INF)]
+        assert len(points) > 1000
+        for p in points:
+            v = p.value
+            pair = (1, 0) if v is INF else (v.numerator, v.denominator)
+            assert p.as_pair() == pair and math.gcd(*pair) == 1 and pair[1] >= 0
+            neg = p.negate()
+            assert neg.as_pair() == (pair if 0 in pair else (-pair[0], pair[1]))
+            assert neg.negate() == p and neg.negate().as_pair() == pair
+            assert hash(p) == hash((v,))
+            assert format_center(p) == ("inf" if v is INF else format_rat(v))
+            twin = ProjPoint(v)
+            assert twin == p and hash(twin) == hash(p) and twin.as_pair() == pair
+        for p, q in zip(points, points[7:]):
+            assert (p == q) == (p.value == q.value) == (p.as_pair() == q.as_pair())
+
 
 class TestConstruction:
     def test_weights_must_be_positive(self):
@@ -156,11 +196,11 @@ class TestEvaluate:
         assert evaluate(monomial(1, 2), BivarPoly.monomial(100000, 0)) == 100000
         assert evaluate(monomial(1, 2), BivarPoly.monomial(3, 50000)) == 100003
 
-    def test_differential_against_naive(self, monkeypatch):
+    def test_differential_against_naive(self):
         """evaluate against literal substitution on every program shape.
 
         Shapes: centers with denominators (images with non-unit contents),
-        the framed programs meet builds, an infinite weight on either side,
+        framed programs of the shape of meet's monomial case, an infinite weight on either side,
         and gen_qmv chains of up to eight levels; polynomials carry Fraction
         coefficients and have degree up to 8.  Evaluation must leave the
         valuation's equality, hash and repr as they were.
@@ -187,25 +227,20 @@ class TestEvaluate:
                 ((INF_POINT, INF_POINT), shear, (INF, 2)),
             )
         ]
+        # the framed programs of meet's monomial case: a prefix of a chain,
+        # then a generic direction and the next center's exceptional one,
+        # valued above it (degree-8 literal substitution through deeper
+        # framed programs takes seconds each, so at most five centers)
         framed = []
-        raw = valuation._canonicalize_raw
-
-        def recording(nu):
-            if not nu.frame.is_identity():
-                framed.append(nu)
-            return raw(nu)
-
-        monkeypatch.setattr(valuation, "_canonicalize_raw", recording)
-        pairs = list(zip(chains[:20], chains[20:])) + [
-            (nu, normalize(QuasiMonomialVal(nu.steps, weights=(1, rng.randint(2, 5)))))
-            for nu in chains if nu.steps
-        ]
-        for nu, mu in pairs:
-            meet.__wrapped__(nu, mu)
-        monkeypatch.undo()
-        # literal substitution of degree-8 polynomials through deeper framed
-        # programs takes seconds each; evaluate's cost is not the limit here
-        framed = [p for p in framed if len(p.steps) <= 5]
+        for nu in chains:
+            if len(nu.steps) < 2:
+                continue
+            k = rng.randrange(1, min(len(nu.steps), 5))
+            exc = nu.steps[k].negate()
+            x_dir = next(d for d in direction_enumeration() if d != exc)
+            m = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            weights = (m, m + Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            framed.append(QuasiMonomialVal(nu.steps[:k], LinearFrame((x_dir.as_pair(), exc.as_pair())), weights))
         assert len(framed) >= 5
         programs = chains + contents + curves + framed
 
@@ -758,29 +793,47 @@ class TestLevelValues:
             assert m_value(nu) == min(evaluate(nu, X), evaluate(nu, Y))
 
     def test_framed_programs_built_by_meet(self, monkeypatch):
-        framed = []
-        raw = valuation._canonicalize_raw
+        """meet's monomial case describes a framed program: the prefix, then
+        the exceptional direction d on the row of the larger weight and a
+        generic direction on the other.  It builds that program's canonical
+        form from the weights alone (``_euclid_form``) and hands it to its
+        result.  Each described program is built here: it is legal, its
+        canonical form is the one meet built, and that form walks right;
+        each result keeps the form ``canonicalize`` would build afresh."""
+        calls = []
+        euclid = valuation._euclid_form
 
-        def recording(nu):
-            if not nu.frame.is_identity():
-                framed.append(nu)
-            return raw(nu)
+        def recording(prefix, d, a, b, q):
+            form = euclid(prefix, d, a, b, q)
+            calls.append((tuple(prefix), d, a, b, q, form))
+            return form
 
-        monkeypatch.setattr(valuation, "_canonicalize_raw", recording)
+        monkeypatch.setattr(valuation, "_euclid_form", recording)
         vals = self.programs()
         rng = random.Random(DEFAULT_SEED + 1)
         pairs = list(zip(vals[:40], vals[40:80])) + list(zip(vals[80:], vals[81:]))
         pairs += [(nu, normalize(QuasiMonomialVal(nu.steps, weights=(1, rng.randint(2, 5)))))
                   for nu in vals[80:]]
+        handed = []
         for nu, mu in pairs:
             w = meet.__wrapped__(nu, mu)
             assert m_value(w) == 1 == min(evaluate(w, X), evaluate(w, Y))
+            if w is not nu and w is not mu and "_form" in vars(w):
+                handed.append(w)
         monkeypatch.undo()
-        assert len(framed) >= 20
-        for p in framed:
+        forms = {id(w._form) for w in handed}
+        calls = [call for call in calls if id(call[-1]) in forms]
+        assert len(calls) == len(handed) >= 20
+        for prefix, d, a, b, q, form in calls:
+            x_dir = next(e for e in direction_enumeration() if e != d)
+            rows = (x_dir.as_pair(), d.as_pair()) if a < b else (d.as_pair(), x_dir.as_pair())
+            p = QuasiMonomialVal(prefix, LinearFrame(rows), (Fraction(a, q), Fraction(b, q)))
             self.check_level_zero(p)
             assert m_value(p) == 1
-            self.check_walk(canonicalize(p))
+            assert valuation._build_canonical(p) == form
+            self.check_walk(form)
+        for w in handed:
+            assert valuation._build_canonical(w) == w._form
 
 
 class TestCachedHash:
