@@ -261,7 +261,7 @@ def poly_parse(text: str) -> BivarPoly:
             pos += 1
             try:
                 return BivarPoly.constant(parse_rat(tok))
-            except ValueError as exc:  # the token is p or p/q, so q = 0
+            except ValueError as exc:  # q = 0, or more digits than int() reads
                 raise PolyParseError(str(exc), at) from None
         if kind == "var":
             pos += 1

@@ -28,12 +28,9 @@ one module-level table is ``meet``'s pair cache: a pair has no single object
 to hold its meet, and ``compare`` meets again the pair an operation has just
 met.
 
-The chain and order layers read integers: a ``ProjPoint`` keeps its
-primitive pair ``[a:b]`` and a ``LinearFrame`` its integer rows.
-``Fraction``s are built only for the public fields (a point's value, a
-frame's rows, a program's weights, a canonical form's terminal weight) and
-for the values handed back (``evaluate``, ``m_value``,
-``multiplicity_stream``).
+The chain and order layers read integers: a point's primitive pair, a
+frame's integer rows and the record.  ``Fraction``s are built only for the
+public fields and for the values handed back or printed.
 
 Conventions, fixed once and used everywhere:
 
