@@ -37,7 +37,7 @@ from .jsonio import (
 )
 from .krull import KrullRank2, krull_lift, rank2_eval
 from .poly import BivarPoly, poly_parse
-from .rationals import format_extrat, format_rat, is_inf
+from .rationals import format_extrat, format_rat, is_inf, parse_int
 from .suites import run_all
 from .testkit import DEFAULT_SEED, Counterexample, sampling_leq_oracle
 from .tree import (
@@ -117,15 +117,23 @@ def _json_text(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _int_value(text: str) -> int:
+    """An integer argument: ASCII digits with an optional leading -."""
+    try:
+        return parse_int(_short_numbers(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _seed_value(text: str) -> int:
-    value = int(_short_numbers(text))
+    value = _int_value(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
 
 
 def _samples_value(text: str) -> int:
-    value = int(_short_numbers(text))
+    value = _int_value(text)
     if value < 1:
         raise argparse.ArgumentTypeError("samples must be at least 1")
     if value > MAX_SAMPLES:

@@ -4,18 +4,23 @@ Field names are part of the wire format; every value printed re-parses to an
 equal object.  Rationals travel as "p" or "p/q" strings, infinity as "inf",
 projective directions as "[p:q]" with a primitive integer representative.
 Every number is written in ASCII digits: a rational field takes exactly
-``p`` or ``p/q`` (``rationals.parse_rat``), and any other spelling is a
-``FormatError`` that names the document and the field.
+``p`` or ``p/q`` (``rationals.parse_rat``), an integer field, such as a
+tree point's path or the first entry of a rank-2 value, takes ``p``
+(``rationals.parse_int``), and any other spelling is a ``FormatError``
+that names the document and the field.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Tuple, Union
 
-from .poly import IDENTITY_FRAME, LinearFrame
-from .rationals import ExtRat, format_extrat, format_rat, parse_extrat, parse_rat
+from .poly import IDENTITY_FRAME, MEMO_SIZE, LinearFrame
+from .rationals import (
+    INF, ExtRat, format_extrat, format_rat, parse_extrat, parse_int, parse_rat,
+)
 from .tree import PathParam, RootedTree, TreePoint, FIPoint, FI_X, FI_Y, fi_seg
 from .valuation import (
     CanonicalForm,
@@ -127,24 +132,15 @@ def format_center(p: ProjPoint) -> str:
     return "inf" if not b else str(a) if b == 1 else f"{a}/{b}"
 
 
-# Each center spelling parses once into a shared ProjPoint, which keeps its
-# hash, so a process that reads many documents pays one parse and one hash
-# per distinct spelling; a single CLI call reads one or a few documents and
-# gains little.  The table is bounded: it stops growing at
-# _CENTER_TABLE_SIZE spellings and skips spellings longer than
-# _CENTER_TEXT_MAX characters, which parse every time.
-_CENTER_TABLE_SIZE = 1024
-_CENTER_TEXT_MAX = 64
-_CENTERS: Dict[str, ProjPoint] = {"0": ZERO_POINT, "inf": INF_POINT}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def _center_from(text: str) -> ProjPoint:
-    point = _CENTERS.get(text)
-    if point is None:
-        point = ProjPoint(parse_extrat(text))
-        if len(_CENTERS) < _CENTER_TABLE_SIZE and len(text) <= _CENTER_TEXT_MAX:
-            _CENTERS[text] = point
-    return point
+    """The point a center spelling names.  Each of the last ``MEMO_SIZE``
+    spellings parsed maps to one shared point, which keeps its hash, so a
+    process that reads many documents pays one parse and one hash per
+    spelling; every spelling of 0 and of infinity gives ``ZERO_POINT`` and
+    ``INF_POINT``."""
+    value = parse_extrat(text)
+    return INF_POINT if value is INF else ProjPoint(value) if value else ZERO_POINT
 
 
 def valuation_to_json(nu: QuasiMonomialVal) -> dict:
@@ -232,8 +228,8 @@ def rank2_values_from_json(data: list) -> Tuple[Tuple[int, Fraction], Tuple[int,
     try:
         (a0, a1), (b0, b1) = pair
         return (
-            (int(a0), _number(parse_rat, a1, "values", 0, 1)),
-            (int(b0), _number(parse_rat, b1, "values", 1, 1)),
+            (_number(parse_int, a0, "values", 0, 0), _number(parse_rat, a1, "values", 0, 1)),
+            (_number(parse_int, b0, "values", 1, 0), _number(parse_rat, b1, "values", 1, 1)),
         )
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed rank-2 values: {exc}") from exc
@@ -296,7 +292,7 @@ def parse_point(tree: RootedTree, text: str) -> TreePoint:
         return tree.root_point()
     body, sep, offset = text.partition("@")
     try:
-        path = tuple(int(part) for part in body.split("/"))
+        path = tuple(parse_int(part) for part in body.split("/"))
         if sep:
             return tree.point(path, parse_extrat(offset))
         return tree.node_point(path)

@@ -83,12 +83,13 @@ def krull_lift(nu: QuasiMonomialVal) -> KrullResult:
         raise UnsupportedDeepCurveError(
             "support generator is a strict transform, not a linear form"
         )
-    gen = form.terminal.direction.form()
-    if form.terminal.direction.is_inf:
+    direction = form.terminal.direction
+    gen = direction.form()
+    if direction.is_inf:
         frame = IDENTITY_FRAME  # gen = x is already the first coordinate
     else:
         frame = LinearFrame(
-            ((Fraction(1), Fraction(0)), tuple(map(Fraction, gen_pair(gen))))
+            ((Fraction(1), Fraction(0)), tuple(map(Fraction, direction.as_pair())))
         )
 
     def lift_value(phi: BivarPoly) -> Rank2Value:
@@ -101,13 +102,6 @@ def krull_lift(nu: QuasiMonomialVal) -> KrullResult:
     # weights belong to the frame coordinates; the generator's row gets (1, 0)
     rho = Rank2Val(lift_value(frame.row_form(0)), lift_value(frame.row_form(1)), frame)
     return KrullRank2(rho, gen)
-
-
-def gen_pair(gen: BivarPoly) -> Tuple[int, int]:
-    terms = gen.terms
-    a = terms.get((1, 0), Fraction(0))
-    b = terms.get((0, 1), Fraction(0))
-    return (int(a), int(b))
 
 
 def rank2_eval(rho: Rank2Val, phi: BivarPoly) -> Union[Rank2Value, ExtRat]:

@@ -43,6 +43,17 @@ def _coerce(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+# The one memo policy of the package, and its one bound:
+#
+# * a memo that derives from one object lives on that object and is freed
+#   with it (``_cached_hash`` below, a valuation's record and canonical form);
+# * a module-level memo is a ``functools.lru_cache(maxsize=MEMO_SIZE)``, so
+#   ``cache_info()`` reports it: ``valuation.meet`` and ``jsonio._center_from``;
+# * a per-object table that can grow stops storing at ``MEMO_SIZE`` entries
+#   (a tree's grids, a parametrization's reciprocals).
+MEMO_SIZE = 1024
+
+
 def _cached_hash(obj, fields: tuple) -> int:
     """The hash of a frozen dataclass, computed once and kept beside its fields."""
     try:

@@ -106,6 +106,19 @@ def parse_rat(text: str) -> Fraction:
     raise ValueError(f"expected p or p/q in ASCII digits with q > 0, got {text!r}")
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """Parse ``p`` (ASCII digits, optional leading -), blanks around
+    allowed; any other text, such as ``int()``'s "+1", "1_0" or non-ASCII
+    digits, is a ValueError."""
+    m = _INTEGER.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(m.group())
+
+
 def format_rat(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -216,7 +215,6 @@ def euclid_multiplicity_oracle(g1, g2) -> List[Fraction]:
     return out
 
 
-@lru_cache(maxsize=None)
 def curvette(steps: Tuple[ProjPoint, ...], direction: ProjPoint) -> BivarPoly:
     """An equation whose branch follows the given centers, then the direction.
 

@@ -18,18 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import _cached_hash
+from .poly import MEMO_SIZE, _cached_hash
 from .rationals import ExtRat, Infinity, ONE, ZERO, is_inf
-from .valuation import (
-    Comparison,
-    EmptySetError,
-    M_ADIC,
-    PreconditionViolatedError,
-    QuasiMonomialVal,
-    compare,
-    meet as val_meet,
-    monomial,
-)
+from .valuation import EmptySetError, PreconditionViolatedError, QuasiMonomialVal, monomial
 
 
 class ForeignPointError(ValueError):
@@ -53,11 +44,6 @@ Path = Tuple[int, ...]
 
 def _coerce_len(v) -> ExtRat:
     return v if isinstance(v, Infinity) else Fraction(v)
-
-
-# entries a tree's grid memo or a parametrization's 1/Psi memo keeps; past
-# that, values are computed afresh and not stored
-_MEMO_SIZE = 4096
 
 
 class RootedTree:
@@ -128,7 +114,7 @@ class RootedTree:
     def grid_points(self, per_edge: int = 2) -> List["TreePoint"]:
         """Node points plus evenly spread interior points on every edge.
 
-        Built once per ``per_edge`` (for up to ``_MEMO_SIZE`` values of it);
+        Built once per ``per_edge`` (for up to ``MEMO_SIZE`` values of it);
         each call returns a new list of the same points."""
         grid = self._grids.get(per_edge)
         if grid is None:
@@ -142,7 +128,7 @@ class RootedTree:
                         for i in range(1, per_edge + 1)
                     )
             grid = tuple(out)
-            if len(self._grids) < _MEMO_SIZE:
+            if len(self._grids) < MEMO_SIZE:
                 self._grids[per_edge] = grid
         return list(grid)
 
@@ -303,7 +289,7 @@ class PathParam:
     def recip(self, p: TreePoint) -> Fraction:
         """``1/Psi(p)``, 0 at infinity.
 
-        Kept per point, up to ``_MEMO_SIZE`` points, as the integer pair
+        Kept per point, up to ``MEMO_SIZE`` points, as the integer pair
         that ``t_dpsi`` reads; the Fraction is built on each call."""
         return Fraction(*self._recip_pair(p))
 
@@ -314,7 +300,7 @@ class PathParam:
         if pair is None:
             v = self.psi(p)
             pair = (0, 1) if is_inf(v) else (v.denominator, v.numerator)
-            if len(self._recips) < _MEMO_SIZE:
+            if len(self._recips) < MEMO_SIZE:
                 self._recips[p] = pair
         return pair
 
@@ -633,20 +619,8 @@ def star_witness(star: RootedTree, refs: Sequence[TangentRef]) -> TreePoint:
 
 
 # ---------------------------------------------------------------------------
-# valuative adapter: the normalized valuations as an order/meet structure
+# the monomial segment of the valuative tree
 # ---------------------------------------------------------------------------
-
-
-def vt_root() -> QuasiMonomialVal:
-    return M_ADIC
-
-
-def vt_meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
-    return val_meet(nu, mu)
-
-
-def vt_leq(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> bool:
-    return compare(nu, mu) in (Comparison.LT, Comparison.EQ)
 
 
 def monomial_segment_psi(t) -> QuasiMonomialVal:

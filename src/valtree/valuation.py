@@ -23,10 +23,10 @@ construction runs the level recursion once and keeps one integer record of
 the level-0 and weight numerators (see ``QuasiMonomialVal``), which
 ``normalize`` rescales without running the recursion again.  What derives
 from one valuation, the record and its canonical form, is kept on it and
-freed with it; ``meet`` hands its result the canonical form it built.  The
-one module-level table is ``meet``'s pair cache: a pair has no single object
-to hold its meet, and ``compare`` meets again the pair an operation has just
-met.
+freed with it; ``meet`` hands its result the canonical form it built.
+``meet`` keeps the one module-level memo of this module, bounded as
+``poly.MEMO_SIZE`` states: a pair has no single object to hold its meet,
+and ``compare`` meets again the pair an operation has just met.
 
 The chain and order layers read integers: a point's primitive pair, a
 frame's integer rows and the record.  ``Fraction``s are built only for the
@@ -57,6 +57,7 @@ from .poly import (
     BothWeightsInfiniteError,
     IDENTITY_FRAME,
     LinearFrame,
+    MEMO_SIZE,
     _cached_hash,
     frame_apply,
     weighted_order,
@@ -167,15 +168,13 @@ class QuasiMonomialVal:
     valuation): no steps, identity frame, weights (1, 1).
 
     Beside the fields each program keeps one record of what derives from
-    them, ``_lead = (nx, ny, q, root, n1, n2, values)``: the level-0 values
-    as numerators over q, the lcm of the finite weights' denominators (None
+    them, ``_lead = (nx, ny, q, root, n1, n2)``: the level-0 values as
+    numerators over q, the lcm of the finite weights' denominators (None
     for an infinite one), the zero of the head's exceptional form when
-    nx = ny (``_head_root``), the weights as numerators over q, and a table
-    from a numerator n to ``Fraction(n, q)`` for the values ``evaluate`` has
-    returned, at most ``_VALUE_TABLE_SIZE`` of them.  The canonical form is
-    kept as ``_form`` once it is built (``_canonicalize_raw``), or handed in
-    by ``meet`` (``_monomial_meet``).  Equality, hash and repr read only the
-    three fields.
+    nx = ny (``_head_root``), and the weights as numerators over q.  The
+    canonical form is kept as ``_form`` once it is built
+    (``_canonicalize_raw``), or handed in by ``meet`` (``_monomial_meet``).
+    Equality, hash and repr read only the three fields.
     """
 
     steps: Tuple[ProjPoint, ...] = ()
@@ -203,7 +202,7 @@ class QuasiMonomialVal:
                 "would get value infinity"
             )
         root = _head_root(self) if nx == ny else None
-        object.__setattr__(self, "_lead", (nx, ny, q, root, n1, n2, {}))
+        object.__setattr__(self, "_lead", (nx, ny, q, root, n1, n2))
 
     @classmethod
     def _derived(
@@ -220,7 +219,7 @@ class QuasiMonomialVal:
         object.__setattr__(nu, "steps", steps)
         object.__setattr__(nu, "frame", frame)
         object.__setattr__(nu, "weights", weights)
-        object.__setattr__(nu, "_lead", (*lead, {}))
+        object.__setattr__(nu, "_lead", lead)
         return nu
 
     def __hash__(self) -> int:
@@ -256,9 +255,8 @@ _Y = BivarPoly.var_y()
 # p1, p2, root)`` it walks phi's exponents once and keeps the least
 # numerator and whether it ties.  ``ValueNumerators`` runs it over one row
 # per valuation, on numerators rescaled to one shared denominator, and
-# returns them unbuilt; ``evaluate`` runs it on one row with m = 1 and reads
-# ``least / q`` from the table in the valuation's record, filled up to
-# ``_VALUE_TABLE_SIZE`` entries, so repeated values build no Fraction.
+# returns them unbuilt; ``evaluate`` runs it on one row with m = 1 and
+# returns ``Fraction(least, q)``.
 #
 # The strict-transform path pushes phi through the program one chart at a
 # time, as the blow-up proofs do, on integer coefficients: phi's
@@ -406,9 +404,6 @@ def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
     return _row_direction(nu.frame, 0 if w1 > w2 else 1)
 
 
-_VALUE_TABLE_SIZE = 64
-
-
 def _head_root(nu: QuasiMonomialVal) -> Optional[Tuple[int, int]]:
     """A zero ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, None if
     the head is terminal; ``evaluate`` reads it when ``v(x) = v(y)``."""
@@ -462,17 +457,10 @@ def _least_numerators(rows: Sequence[tuple], phi: BivarPoly) -> List[Union[int, 
 
 def evaluate(nu: QuasiMonomialVal, phi: BivarPoly) -> ExtRat:
     """The value of nu on phi: the tier pass on nu's own record, one row
-    with m = 1.  A finite value comes from the record's table."""
-    nx, ny, q, root, _, _, table = nu._lead
+    with m = 1."""
+    nx, ny, q, root, _, _ = nu._lead
     (least,) = _least_numerators(((nu, 1, nx, ny, root),), phi)
-    if least is INF:
-        return INF
-    value = table.get(least)
-    if value is None:
-        value = Fraction(least, q)
-        if len(table) < _VALUE_TABLE_SIZE:
-            table[least] = value
-    return value
+    return INF if least is INF else Fraction(least, q)
 
 
 class ValueNumerators:
@@ -563,7 +551,7 @@ def _level_numerators(nu: QuasiMonomialVal) -> Tuple[int, List[Tuple[_Num, _Num]
     """``(q, levels)``: ``(v(x_i), v(y_i))`` at every level i, level 0 being the
     original x, y, as integer numerators over q, the lcm of the finite
     weights' denominators.  The recursion back to level 0 adds integers only."""
-    _, _, q, _, n1, n2, _ = nu._lead
+    _, _, q, _, n1, n2 = nu._lead
     return q, _levels_back(nu.steps, *_last_level(nu.frame, n1, n2))
 
 
@@ -594,7 +582,7 @@ def normalize(nu: QuasiMonomialVal) -> QuasiMonomialVal:
     ``m = min(nx, ny)/q``, the weights become ``n_i/m`` for the weights'
     numerators ``n_i`` over q, and the level-0 values ``nx/m``, ``ny/m``,
     an infinite one staying infinite."""
-    nx, ny, q, root, n1, n2, _ = nu._lead
+    nx, ny, q, root, n1, n2 = nu._lead
     m = _min_num(nx, ny)
     if m == q:
         return nu
@@ -692,7 +680,7 @@ def _build_canonical(nu: QuasiMonomialVal) -> CanonicalForm:
     curve if a weight is infinite, a terminal if the weights are equal, else
     the one blow-up ``dilate`` would make, which reads the frame row of the
     larger weight (``_euclid_form``)."""
-    _, _, q, _, n1, n2, _ = nu._lead
+    _, _, q, _, n1, n2 = nu._lead
     if n1 is None or n2 is None:
         big = 0 if n1 is None else 1
         # fold trailing steps that merely re-state the curve's own direction;
@@ -887,7 +875,7 @@ def _monomial_meet(
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
     """Greatest common lower bound of two normalized valuations.
 
@@ -895,6 +883,10 @@ def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
     divergence: differing multiplicities produce a monomial valuation in
     matched coordinates, a divisorial terminal wins outright, and differing
     centers truncate to the shared divisorial level.
+
+    The last ``MEMO_SIZE`` pairs met are kept, so that ``compare`` reads the
+    pair an operation has just met.  An entry holds both inputs and the
+    result, and with them their canonical forms, one step per chain level.
     """
     _require_normalized(nu, "meet")
     _require_normalized(mu, "meet")

@@ -10,7 +10,8 @@ import pytest
 
 import valtree
 from valtree.cli import main
-from valtree.jsonio import canonical_from_json, valuation_from_json
+from valtree.jsonio import FormatError, canonical_from_json, rank2_values_from_json, valuation_from_json
+from valtree.rationals import parse_int
 from valtree import cli as cli_module, valuation
 from valtree.valuation import canonicalize, equal_valuations, monomial, normalize
 
@@ -589,3 +590,62 @@ class TestNumberSpelling:
             assert (code, out) == (2, "") and "(at position" in err
         else:
             assert (code, out.strip()) == (0, want)
+
+
+GOOD_INTEGERS = {"3": 3, " 3 ": 3, "\t3\n": 3, "-3": -3, "0": 0, "-0": 0, "00": 0, "007": 7}
+BAD_INTEGERS = [
+    "+3", "+0", "--3", "3-", "1_0", "3 1", "1.0", "1e1", "0x10", "٣", "٠", "３", "١٠", "abc", "", " ",
+]
+
+
+class TestIntegerSpelling:
+    """An integer field (a tree point's path, a rank-2 value's first entry,
+    ``--seed`` and ``--samples``) takes ASCII digits with an optional
+    leading -, blanks around allowed; any other spelling, ``int()``'s
+    included, exits 2 with a message that names the field."""
+
+    @staticmethod
+    def exit_code(capsys, *argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refuses an option's value
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("text", sorted(GOOD_INTEGERS))
+    def test_good_spellings(self, text):
+        assert parse_int(text) == GOOD_INTEGERS[text]
+
+    @pytest.mark.parametrize("text", BAD_INTEGERS)
+    def test_bad_spellings_exit_2_naming_the_field(self, capsys, tmp_path, text):
+        with pytest.raises(ValueError) as exc:
+            parse_int(text)
+        assert str(exc.value) == f"expected an integer in ASCII digits, got {text!r}"
+        with pytest.raises(FormatError, match=r"values\[1\]\[0\]: expected an integer in ASCII digits"):
+            rank2_values_from_json([["0", "1"], [text, "0"]])
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({"nodes": {"root": {"children": [{"edge": "1"}]}}}))
+        cases = [
+            # a leading blank keeps argparse from reading "--3" as an option
+            (["tree", "dist", "--tree", str(tree), "--points", f" {text}", "root"], "malformed point"),
+            (["tree", "dist", "--tree", str(tree), "--points", f"0/{text}", "root"], "malformed point"),
+            (["tree", "countability", f"--seed={text}"], "argument --seed"),
+            (["tree", "countability", f"--samples={text}"], "argument --samples"),
+        ]
+        for argv, field in cases:
+            code, out, err = self.exit_code(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert field in err and "expected an integer in ASCII digits" in err, (argv, err)
+
+    def test_int_spellings_that_used_to_pass(self, capsys, tree_file):
+        """Each of these once ran as the integer ``int()`` reads in it."""
+        for argv in (
+            ["tree", "dist", "--tree", tree_file, "--points", "٠/٠", "+0"],
+            ["val", "witness", "--valuation", '{"weights":["1","2"]}', "--valuation",
+             '{"weights":["2","1"]}', "--samples", "1_0", "--seed", "١٠"],
+        ):
+            code, out, err = self.exit_code(capsys, *argv)
+            assert (code, out) == (2, "") and "expected an integer in ASCII digits" in err, argv
+        with pytest.raises(FormatError, match=r"values\[0\]\[0\]"):
+            rank2_values_from_json([["+1", "1/2"], ["١", "0"]])

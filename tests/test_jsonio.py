@@ -193,14 +193,16 @@ class TestPosetDoc:
 
 class TestCenterParsing:
     """Each center spelling parses once, through ``parse_extrat``, into a
-    point shared by every later parse of it; ``"0"`` and ``"inf"`` start out
-    as the shared ``ZERO_POINT`` and ``INF_POINT``."""
+    point shared by every later parse of it while it is among the last
+    ``MEMO_SIZE`` spellings; every spelling of 0 and of infinity gives the
+    shared ``ZERO_POINT`` and ``INF_POINT``."""
 
     def test_common_spellings(self):
         from valtree.jsonio import _center_from
         from valtree.valuation import ZERO_POINT
 
         assert _center_from("0") is ZERO_POINT and _center_from("inf") is INF_POINT
+        assert _center_from("-0") is ZERO_POINT and _center_from(" INF ") is INF_POINT
         for text in ("0", "-0", "0/5"):
             assert _center_from(text) == ProjPoint(0)
         for text in ("inf", "INF", " inf "):
@@ -230,24 +232,23 @@ class TestCenterParsing:
         assert all(p is q for p, q in zip(first.steps, second.steps))
         assert first.steps[0] is first.steps[4]
 
-    def test_table_stops_at_its_bound(self, monkeypatch):
-        import valtree.jsonio as jsonio_module
+    def test_table_stops_at_its_bound(self):
+        from valtree.jsonio import _center_from
+        from valtree.poly import MEMO_SIZE
         from valtree.rationals import parse_extrat
 
-        fresh = {text: jsonio_module._CENTERS[text] for text in ("0", "inf")}
-        monkeypatch.setattr(jsonio_module, "_CENTERS", fresh)
-        monkeypatch.setattr(jsonio_module, "_CENTER_TABLE_SIZE", 5)
-        texts = [f"{n}/7" for n in range(1, 9)]
-        got = [jsonio_module._center_from(t) for t in texts]
-        assert len(jsonio_module._CENTERS) == 5
+        _center_from.cache_clear()
+        texts = [f"{n}/7" for n in range(1, MEMO_SIZE + 4)]
+        got = [_center_from(t) for t in texts]
+        assert _center_from.cache_info().currsize == MEMO_SIZE
         assert got == [ProjPoint(parse_extrat(t)) for t in texts]
-        assert jsonio_module._center_from(texts[0]) is got[0]
-        assert jsonio_module._center_from(texts[-1]) is not got[-1]
-        assert jsonio_module._center_from(texts[-1]) == got[-1]
-        long = "1" * (jsonio_module._CENTER_TEXT_MAX + 1)
-        monkeypatch.setattr(jsonio_module, "_CENTER_TABLE_SIZE", 100)
-        assert jsonio_module._center_from(long) == ProjPoint(int(long))
-        assert long not in jsonio_module._CENTERS
+        assert _center_from(texts[-1]) is got[-1]  # among the last MEMO_SIZE
+        assert _center_from(texts[0]) is not got[0]  # evicted, parsed again
+        assert _center_from(texts[0]) == got[0]
+        long = "1" * 100
+        assert _center_from(long) == ProjPoint(int(long))
+        assert _center_from(long) is _center_from(long)
+        assert _center_from.cache_info().currsize == MEMO_SIZE
 
     def test_malformed_centers_in_documents(self):
         for center in ("", "abc", "1/0", "0/0", "+inf", "-inf"):

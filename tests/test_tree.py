@@ -41,11 +41,8 @@ from valtree.tree import (
     t_tangent_equiv,
     t_tangent_equiv_definitional,
     tree_axiom_report,
-    vt_leq,
-    vt_meet,
-    vt_root,
 )
-from valtree.valuation import M_ADIC, equal_valuations, monomial
+from valtree.valuation import M_ADIC, Comparison, compare, equal_valuations, meet, monomial
 
 
 @pytest.fixture
@@ -347,14 +344,23 @@ class TestBallsAndStars:
 
 
 class TestValuativeAdapter:
+    """The normalized valuations as an order/meet structure: root ``M_ADIC``,
+    meet ``meet``, and the order read off ``compare``."""
+
+    @staticmethod
+    def leq(nu, mu) -> bool:
+        return compare(nu, mu) in (Comparison.LT, Comparison.EQ)
+
     def test_root_is_m_adic(self):
-        assert equal_valuations(vt_root(), M_ADIC)
+        for nu in (M_ADIC, monomial(1, 2), monomial(1, 3)):
+            assert equal_valuations(meet(M_ADIC, nu), M_ADIC)
+            assert self.leq(M_ADIC, nu)
 
     def test_meet_and_order(self):
         nu, mu = monomial(1, 2), monomial(1, 3)
-        assert vt_leq(nu, mu)
-        assert not vt_leq(mu, nu)
-        assert equal_valuations(vt_meet(nu, mu), nu)
+        assert self.leq(nu, mu)
+        assert not self.leq(mu, nu)
+        assert equal_valuations(meet(nu, mu), nu)
 
     def test_segment_parametrization(self):
         assert equal_valuations(monomial_segment_psi(Fraction(3, 2)), monomial(1, Fraction(3, 2)))
@@ -395,7 +401,7 @@ class TestMemos:
     def test_memos_stop_at_their_bound(self, tree, monkeypatch):
         import valtree.tree as tree_module
 
-        monkeypatch.setattr(tree_module, "_MEMO_SIZE", 3)
+        monkeypatch.setattr(tree_module, "MEMO_SIZE", 3)
         psi = PathParam(tree)
         pts = tree.grid_points(5)
         for p in pts:

@@ -1,17 +1,21 @@
 """Quasi-monomial valuations: evaluation, normalization, canonical forms."""
 
 import gc
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from valtree.poly import BivarPoly, BothWeightsInfiniteError, IDENTITY_FRAME, LinearFrame, poly_parse
+from valtree.poly import (
+    MEMO_SIZE, BivarPoly, BothWeightsInfiniteError, IDENTITY_FRAME, LinearFrame, poly_parse,
+)
 from valtree.rationals import INF, format_rat, is_inf, scale
-from valtree import jsonio, valuation
+from valtree import valuation
 from valtree.jsonio import format_center, valuation_from_json
 from valtree.testkit import DEFAULT_SEED, gen_qmv, sample_polys
 from valtree.valuation import (
@@ -25,6 +29,7 @@ from valtree.valuation import (
     TERMINAL,
     Terminal,
     ValueNumerators,
+    ZERO_POINT,
     canonicalize,
     dilatation_length,
     dilate,
@@ -97,13 +102,13 @@ class TestProjPoint:
         """Every point keeps the primitive pair its value gives, ``negate``
         acts on the pair and twice gives the point back, and equality, hash
         and ``format_center`` give what they gave when they read the value
-        alone.  Points: the JSON center table, the centers, canonical chains,
+        alone.  Points: parsed JSON centers, the centers, canonical chains,
         curve directions and frame rows of generated programs, the
         directions curvettes are drawn from, and random rationals."""
         rng = random.Random(DEFAULT_SEED + 31)
         spellings = ["0", "-0", "00", "0/5", "3", "-7/2", "6/4", " 5 ", "inf", "INF", str(10**40) + "/3"]
-        valuation_from_json({"steps": [{"center": c} for c in spellings]})
-        points = list(jsonio._CENTERS.values())
+        points = list(valuation_from_json({"steps": [{"center": c} for c in spellings]}).steps)
+        points += [ZERO_POINT, INF_POINT]
         programs = [gen_qmv(DEFAULT_SEED + 900 + s, max_depth=8) for s in range(60)]
         programs += [alternating_chain(rng, n) for n in range(1, 10)]
         for nu in programs:
@@ -340,15 +345,16 @@ class TestEvaluate:
                 for phi in polys:
                     assert evaluate(nu, phi) == evaluate_naive(nu, phi), (nu, phi)
 
-    def test_value_table_stays_within_its_bound(self):
+    def test_record_holds_six_numbers_and_no_values(self):
+        """``evaluate`` builds each value from the record's numerators and
+        stores nothing, so the record is the same after any number of calls."""
         nu = QuasiMonomialVal(weights=(Fraction(3, 7), Fraction(5, 7)))
-        table = nu._lead[-1]
-        for k in range(3 * valuation._VALUE_TABLE_SIZE):
+        record = (3, 5, 7, None, 3, 5)
+        assert nu._lead == record
+        for k in range(192):
             assert evaluate(nu, X**k * Y) == Fraction(3 * k + 5, 7)
-            assert len(table) <= valuation._VALUE_TABLE_SIZE
-        assert len(table) == valuation._VALUE_TABLE_SIZE
-        assert all(value == Fraction(n, 7) for n, value in table.items())
-        assert evaluate(nu, X**200 * Y) == Fraction(605, 7)  # past the bound: fresh
+        assert evaluate(nu, X**200 * Y) == Fraction(605, 7)
+        assert nu._lead == record
 
 
 class TestValueNumerators:
@@ -931,12 +937,30 @@ class TestMemoPolicy:
         assert [r for pair in refs for r in pair if r() is not None] == []
 
     def test_meet_holds_the_one_module_level_cache(self):
-        """The scan valbench's ``cache_stats`` makes: every module attribute
-        that has ``cache_info``, through ``__wrapped__``."""
-        cached = set()
-        for name, value in vars(valuation).items():
-            while value is not None and not hasattr(value, "cache_info"):
-                value = getattr(value, "__wrapped__", None)
-            if value is not None:
-                cached.add(name)
-        assert cached == {"meet"}
+        """The scan valbench's ``cache_stats`` makes, over every ``valtree.*``
+        module: every module attribute that has ``cache_info``, through
+        ``__wrapped__``.  The package keeps two module-level memos, each an
+        LRU bounded by ``MEMO_SIZE``."""
+        import valtree
+
+        cached = {}
+        for info in pkgutil.iter_modules(valtree.__path__, "valtree."):
+            for value in vars(importlib.import_module(info.name)).values():
+                while value is not None and not hasattr(value, "cache_info"):
+                    value = getattr(value, "__wrapped__", None)
+                if value is not None:
+                    cached[f"{value.__module__}.{value.__qualname__}"] = value
+        assert cached.keys() == {"valtree.valuation.meet", "valtree.jsonio._center_from"}
+        assert all(memo.cache_info().maxsize == MEMO_SIZE for memo in cached.values())
+
+    def test_meet_cache_frees_pairs_past_its_bound(self):
+        """Past ``MEMO_SIZE`` later meets, a pair's valuations and its meet
+        are no longer held by the cache."""
+        nu, mu = monomial(1, Fraction(7, 3)), monomial(1, Fraction(5, 3))
+        refs = [weakref.ref(v) for v in (nu, mu, meet(nu, mu))]
+        del nu, mu
+        base = monomial(1, Fraction(5, 3))
+        for i in range(MEMO_SIZE):
+            meet(monomial(1, 3 + Fraction(i + 1, 1000)), base)
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
