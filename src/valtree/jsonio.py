@@ -180,6 +180,10 @@ def valuation_from_json(data: dict) -> QuasiMonomialVal:
 
 
 def canonical_to_json(form: CanonicalForm) -> dict:
+    """The document of a canonical form.  Its step objects are shared: one
+    ``{"center": ...}`` per distinct center, however often the chain repeats
+    it, so a long chain costs a list of references; callers must not mutate
+    them."""
     t = form.terminal
     if isinstance(t, Divisorial):
         terminal = {"divisorial": format_rat(t.gamma)}
@@ -190,10 +194,14 @@ def canonical_to_json(form: CanonicalForm) -> dict:
                 "weight": format_rat(t.gamma),
             }
         }
-    return {
-        "steps": [{"center": format_center(s)} for s in form.steps],
-        "terminal": terminal,
-    }
+    made: Dict[ProjPoint, dict] = {}
+    steps = []
+    for point in form.steps:
+        step = made.get(point)
+        if step is None:
+            step = made[point] = {"center": format_center(point)}
+        steps.append(step)
+    return {"steps": steps, "terminal": terminal}
 
 
 def canonical_from_json(data: dict) -> CanonicalForm:

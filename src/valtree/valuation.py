@@ -23,7 +23,9 @@ construction runs the level recursion once and keeps one integer record of
 the level-0 and weight numerators (see ``QuasiMonomialVal``), which
 ``normalize`` rescales without running the recursion again.  What derives
 from one valuation, the record and its canonical form, is kept on it and
-freed with it; ``meet`` hands its result the canonical form it built.
+freed with it.  ``meet`` builds its results from the canonical forms it
+makes, each record read off one pass over the centers to level 0, and hands
+a monomial result the canonical form it built.
 ``meet`` keeps the one module-level memo of this module, bounded as
 ``poly.MEMO_SIZE`` states: a pair has no single object to hold its meet,
 and ``compare`` meets again the pair an operation has just met.
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .poly import (
@@ -174,7 +176,8 @@ class QuasiMonomialVal:
     nx = ny (``_head_root``), and the weights as numerators over q.  The
     canonical form is kept as ``_form`` once it is built
     (``_canonicalize_raw``), or handed in by ``meet`` (``_monomial_meet``).
-    Equality, hash and repr read only the three fields.
+    Equality and repr read only the three fields; the hash reads the steps,
+    the frame and the record's q, n1, n2, which equal weights share.
     """
 
     steps: Tuple[ProjPoint, ...] = ()
@@ -182,11 +185,12 @@ class QuasiMonomialVal:
     weights: Tuple[ExtRat, ExtRat] = (ONE, ONE)
 
     def __post_init__(self):
-        steps = tuple(
-            s if isinstance(s, ProjPoint) else ProjPoint(s) for s in self.steps
-        )
-        object.__setattr__(self, "steps", steps)
-        w1, w2 = (_coerce_weight(w) for w in self.weights)
+        steps = self.steps
+        if type(steps) is not tuple or not all(map(isinstance, steps, repeat(ProjPoint))):
+            steps = tuple(s if isinstance(s, ProjPoint) else ProjPoint(s) for s in steps)
+            object.__setattr__(self, "steps", steps)
+        w1, w2 = self.weights
+        w1, w2 = _coerce_weight(w1), _coerce_weight(w2)
         q, n1, n2 = _weight_numerators(w1, w2)
         if n1 is None and n2 is None:
             raise BothWeightsInfiniteError("at most one weight may be infinite")
@@ -195,7 +199,7 @@ class QuasiMonomialVal:
         object.__setattr__(self, "weights", (w1, w2))
         if not isinstance(self.frame, LinearFrame):
             object.__setattr__(self, "frame", LinearFrame(self.frame))
-        nx, ny = _levels_back(steps, *_last_level(self.frame, n1, n2))[0]
+        nx, ny = _level_zero(steps, *_last_level(self.frame, n1, n2))
         if nx is None and ny is None:
             raise ValueError(
                 "illegal program: every element of the maximal ideal "
@@ -223,7 +227,13 @@ class QuasiMonomialVal:
         return nu
 
     def __hash__(self) -> int:
-        return _cached_hash(self, (self.steps, self.frame, self.weights))
+        # the weights enter as their numerators in the record, which equal
+        # weights share, so no Fraction is hashed
+        try:
+            return self._hash
+        except AttributeError:
+            _, _, q, _, n1, n2 = self._lead
+            return _cached_hash(self, (self.steps, self.frame, q, n1, n2))
 
     def __call__(self, phi: BivarPoly) -> ExtRat:
         return evaluate(self, phi)
@@ -407,11 +417,21 @@ def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
 def _head_root(nu: QuasiMonomialVal) -> Optional[Tuple[int, int]]:
     """A zero ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, None if
     the head is terminal; ``evaluate`` reads it when ``v(x) = v(y)``."""
+    if nu.steps:
+        return _center_root(nu.steps[0])
     d = _head_exceptional(nu)
     if d is None:
         return None
     a, b = d.as_pair()
     return b, -a
+
+
+def _center_root(center: ProjPoint) -> Tuple[int, int]:
+    """The zero ``(b, -a)`` of the exceptional form ``a*x + b*y`` of a level
+    with this center, read off the center's pair ``(a, b)``: its direction is
+    ``(-a, b)`` when both entries are nonzero, else the pair itself."""
+    a, b = center._pair
+    return (b, a) if a and b else (b, -a)
 
 
 def _vanishes_at(root: Tuple[int, int], terms: List[Tuple[Tuple[int, int], Fraction]]) -> bool:
@@ -526,6 +546,20 @@ def _levels_back(steps: Sequence[ProjPoint], vx: _Num, vy: _Num) -> List[Tuple[_
     return levels
 
 
+def _level_zero(steps: Sequence[ProjPoint], vx: _Num, vy: _Num) -> Tuple[_Num, _Num]:
+    """The values at level 0, by the recursion of ``_levels_back`` without
+    keeping the levels between."""
+    for step in reversed(steps):
+        a, b = step._pair
+        if not b:  # infinity
+            vx = None if vx is None or vy is None else vx + vy
+        elif a:
+            vy = vx
+        else:
+            vy = None if vx is None or vy is None else vx + vy
+    return vx, vy
+
+
 def _weight_numerators(w1: ExtRat, w2: ExtRat) -> Tuple[int, _Num, _Num]:
     """``(q, n1, n2)``: two weights as integer numerators over q, the lcm of
     the finite weights' denominators (None for INF); each weight's numerator
@@ -586,9 +620,13 @@ def normalize(nu: QuasiMonomialVal) -> QuasiMonomialVal:
     m = _min_num(nx, ny)
     if m == q:
         return nu
-    w1, w2 = (INF if n is None else Fraction(n, m) for n in (n1, n2))
+    w1 = INF if n1 is None else Fraction(n1, m)
+    w2 = INF if n2 is None else Fraction(n2, m)
     q, n1, n2 = _weight_numerators(w1, w2)
-    nx, ny = (None if n is None else n * q // m for n in (nx, ny))
+    if nx is not None:
+        nx = nx * q // m
+    if ny is not None:
+        ny = ny * q // m
     return QuasiMonomialVal._derived(nu.steps, nu.frame, (w1, w2), (nx, ny, q, root, n1, n2))
 
 
@@ -767,16 +805,13 @@ TERMINAL = _TerminalMarker()
 _NumLevel = Tuple[object, int, _Num]
 
 
-def _walk_numerators(form: CanonicalForm) -> Tuple[int, Iterator[_NumLevel]]:
-    """``(q, levels)``: per level of a canonical chain, the center (TERMINAL at
-    a divisorial end), the multiplicity ``min(v(x_i), v(y_i))`` and the value
-    ``v(x_{i+1}) + v(y_{i+1})`` of the level's exceptional linear form, as
-    integer numerators over q, the terminal weight's denominator (None for an
-    infinite value).
-
-    The values come from the program ``from_canonical`` rebuilds, without
-    building it: a divisorial ends on the weights ``(g, g)``, a curve on one
-    more center with g and infinity."""
+def _chain_numerators(form: CanonicalForm) -> Tuple[int, Tuple[ProjPoint, ...], List[Tuple[_Num, _Num]]]:
+    """``(q, steps, levels)``: the centers of the program ``from_canonical``
+    rebuilds from a canonical form and ``(v(x_i), v(y_i))`` at each of its
+    levels, as integer numerators over q, the terminal weight's denominator
+    (None for an infinite value), found without building the program: a
+    divisorial ends on the weights ``(g, g)``, a curve on one more center
+    with g and infinity."""
     t = form.terminal
     g, q = t.gamma.numerator, t.gamma.denominator
     if isinstance(t, Divisorial):
@@ -785,21 +820,43 @@ def _walk_numerators(form: CanonicalForm) -> Tuple[int, Iterator[_NumLevel]]:
         steps, last = form.steps + (INF_POINT,), (None, g)
     else:
         steps, last = form.steps + (t.direction.negate(),), (g, None)
-    return q, _walk_levels(steps, _levels_back(steps, *last), t)
+    return q, steps, _levels_back(steps, *last)
+
+
+def _tail_center(t: Union[Divisorial, Curve]):
+    """The center of every level past a chain's steps: TERMINAL after a
+    divisorial, the constant center of a curve's tail."""
+    if isinstance(t, Divisorial):
+        return TERMINAL
+    return INF_POINT if t.direction.is_inf else ZERO_POINT
+
+
+def _level_entry(
+    steps: Sequence[ProjPoint], levels: List[Tuple[_Num, _Num]], t: Union[Divisorial, Curve], i: int
+) -> _NumLevel:
+    """Level i of a chain: the center (TERMINAL at a divisorial end), the
+    multiplicity ``min(v(x_i), v(y_i))`` and the value ``v(x_{i+1}) +
+    v(y_{i+1})`` of the level's exceptional linear form (None for infinity);
+    past the steps, the tail's center with the terminal weight."""
+    if i < len(steps):
+        (vx, vy), (nx, ny) = levels[i], levels[i + 1]
+        return steps[i], _min_num(vx, vy), None if nx is None or ny is None else nx + ny
+    return _tail_center(t), t.gamma.numerator, None
+
+
+def _walk_numerators(form: CanonicalForm) -> Tuple[int, Iterator[_NumLevel]]:
+    """``(q, levels)``: every level of a canonical chain in order, each as
+    ``_level_entry`` gives it; a divisorial walk ends on its TERMINAL level,
+    a curve's goes on forever."""
+    q, steps, levels = _chain_numerators(form)
+    return q, _walk_levels(steps, levels, form.terminal)
 
 
 def _walk_levels(
     steps: Sequence[ProjPoint], levels: List[Tuple[_Num, _Num]], t: Union[Divisorial, Curve]
 ) -> Iterator[_NumLevel]:
-    for center, (vx, vy), (nx, ny) in zip(steps, levels, islice(levels, 1, None)):
-        yield center, _min_num(vx, vy), None if nx is None or ny is None else nx + ny
-    g = t.gamma.numerator
-    if isinstance(t, Divisorial):
-        yield TERMINAL, g, None
-        return
-    constant = INF_POINT if t.direction.is_inf else ZERO_POINT
-    while True:
-        yield constant, g, None
+    for i in range(len(steps) + 1) if isinstance(t, Divisorial) else count():
+        yield _level_entry(steps, levels, t, i)
 
 
 def multiplicity_stream(nu: QuasiMonomialVal):
@@ -868,11 +925,23 @@ def _monomial_meet(
     y_a = m_a if exc_a != small_exc else None if e_a is None else e_a * k_a
     y_b = m_b if exc_b != small_exc else None if e_b is None else e_b * k_b
     form = _euclid_form(prefix, small_exc, min(m_a, m_b), _min_num(y_a, y_b), q)
-    result = from_canonical(form)
+    g = form.terminal.gamma
+    result = _divisorial(form.steps, g, *_level_zero(form.steps, g.numerator, g.numerator))
     # the form is canonical by construction: the result keeps it, so that
     # canonicalize reads it instead of building it again
     object.__setattr__(result, "_form", form)
     return result
+
+
+def _divisorial(steps: Tuple[ProjPoint, ...], g: Fraction, nx: int, ny: int) -> QuasiMonomialVal:
+    """The program ``from_canonical`` builds from the divisorial form
+    ``(steps, g)``, given its level-0 values nx, ny as numerators over g's
+    denominator (``_level_zero`` from the weights' numerators): the record is
+    read off them, without the checks of ``__post_init__``, which such a
+    program always passes."""
+    root = _center_root(steps[0]) if steps and nx == ny else None
+    n = g.numerator
+    return QuasiMonomialVal._derived(steps, IDENTITY_FRAME, (g, g), (nx, ny, g.denominator, root, n, n))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -893,21 +962,43 @@ def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
     form_a, form_b = _canonicalize_raw(nu), _canonicalize_raw(mu)
     if form_a == form_b:
         return nu
-    (q_a, walk_a), (q_b, walk_b) = _walk_numerators(form_a), _walk_numerators(form_b)
-    prefix: list = []
-    bound = len(form_a.steps) + len(form_b.steps) + 2
-    for level_a, level_b in islice(zip(walk_a, walk_b), bound):
-        (c_a, m_a, _), (c_b, m_b, _) = level_a, level_b
+    q_a, steps_a, levels_a = _chain_numerators(form_a)
+    q_b, steps_b, levels_b = _chain_numerators(form_b)
+    t_a, t_b = form_a.terminal, form_b.terminal
+    tail_a, g_a = _tail_center(t_a), t_a.gamma.numerator
+    tail_b, g_b = _tail_center(t_b), t_b.gamma.numerator
+    n_a, n_b = len(steps_a), len(steps_b)
+    # the two walks in lockstep, read off the level lists by index: past its
+    # steps a chain stays on its tail center and terminal weight
+    for i in range(n_a + n_b + 2):
+        if i < n_a:
+            c_a, (vx, vy) = steps_a[i], levels_a[i]
+            m_a = vx if vy is None else vy if vx is None or vy < vx else vx
+        else:
+            c_a, m_a = tail_a, g_a
+        if i < n_b:
+            c_b, (vx, vy) = steps_b[i], levels_b[i]
+            m_b = vx if vy is None else vy if vx is None or vy < vx else vx
+        else:
+            c_b, m_b = tail_b, g_b
+        # the first i centers agree, and at most one chain is in its tail
+        # (two chains that agree on their tails are equal)
         if m_a * q_b != m_b * q_a:
-            return _monomial_meet(prefix, level_a, q_a, level_b, q_b, nu, mu)
+            return _monomial_meet(
+                (steps_a if i <= n_a else steps_b)[:i],
+                _level_entry(steps_a, levels_a, t_a, i), q_a,
+                _level_entry(steps_b, levels_b, t_b, i), q_b, nu, mu,
+            )
         if c_a is TERMINAL:
             return nu
         if c_b is TERMINAL:
             return mu
         if c_a._pair != c_b._pair:
-            shared = from_canonical(CanonicalForm(tuple(prefix), Divisorial(Fraction(m_a, q_a))))
-            return normalize(shared)
-        prefix.append(c_a)
+            # the divisorial of the last shared level, normalized: its level-0
+            # values from the weights (1, 1) have minimum m, so its weights are 1/m
+            prefix = (steps_a if i <= n_a else steps_b)[:i]
+            nx, ny = _level_zero(prefix, 1, 1)
+            return _divisorial(prefix, Fraction(1, min(nx, ny)), nx, ny)
     raise AssertionError("divergence search exceeded both program lengths")
 
 
@@ -922,7 +1013,13 @@ def compare(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> Comparison:
     """Order of two normalized valuations, decided through the meet."""
     if equal_valuations(nu, mu):
         return Comparison.EQ
-    w = _canonicalize_raw(meet(nu, mu))
+    w = meet(nu, mu)
+    # meet hands back an input it found below the other as that very object
+    if w is nu:
+        return Comparison.LT
+    if w is mu:
+        return Comparison.GT
+    w = _canonicalize_raw(w)
     if w == _canonicalize_raw(nu):
         return Comparison.LT
     if w == _canonicalize_raw(mu):

@@ -10,6 +10,7 @@ from valtree.jsonio import (
     FormatError,
     canonical_from_json,
     canonical_to_json,
+    format_center,
     format_direction,
     format_fi_point,
     format_point,
@@ -28,12 +29,16 @@ from valtree.rationals import INF, ONE
 from valtree.testkit import gen_qmv, gen_tree
 from valtree.tree import FI_X, RootedTree, fi_seg
 from valtree.valuation import (
+    CanonicalForm,
+    Curve,
     INF_POINT,
     ProjPoint,
     QuasiMonomialVal,
     canonicalize,
     equal_valuations,
+    from_canonical,
     monomial,
+    normalize,
 )
 
 
@@ -106,6 +111,27 @@ class TestCanonicalDoc:
     def test_rejects_missing_terminal(self):
         with pytest.raises(FormatError):
             canonical_from_json({"steps": []})
+
+    @staticmethod
+    def long_and_curve_forms():
+        forms = [canonicalize(normalize(monomial(1, w))) for w in (1000, Fraction(10**4, 7), Fraction(355, 113))]
+        free = (ProjPoint(Fraction(-2, 3)), ProjPoint(Fraction(1, 2)), ProjPoint(5))
+        prefix = free + (INF_POINT,) * 40 + (ProjPoint(0),) * 30 + free
+        forms.append(canonicalize(normalize(QuasiMonomialVal(prefix, weights=(3, 5)))))
+        for direction in (ProjPoint(0), ProjPoint(Fraction(7, 3)), ProjPoint(1)):
+            form = CanonicalForm(prefix, Curve(direction, Fraction(5, 2)))
+            forms.append(canonicalize(normalize(from_canonical(form))))
+        assert sum(isinstance(f.terminal, Curve) for f in forms) == 3 and len(forms[0].steps) == 999
+        return forms
+
+    def test_steps_print_as_one_object_per_step(self):
+        """The document shares one step object per distinct center, and
+        prints as the document with an object per step does."""
+        for form in self.long_and_curve_forms():
+            doc = canonical_to_json(form)
+            reference = dict(doc, steps=[{"center": format_center(s)} for s in form.steps])
+            assert json.dumps(doc) == json.dumps(reference)
+            assert len({id(step) for step in doc["steps"]}) == len(set(form.steps))
 
 
 class TestDirections:

@@ -892,7 +892,8 @@ class TestCachedHash:
             twin = QuasiMonomialVal(tuple(ProjPoint(s.value) for s in nu.steps),
                                     LinearFrame(nu.frame.rows), tuple(nu.weights))
             assert twin is not nu and twin == nu
-            assert hash(twin) == hash(nu) == hash((nu.steps, nu.frame, nu.weights))
+            _, _, q, _, n1, n2 = nu._lead
+            assert hash(twin) == hash(nu) == hash((nu.steps, nu.frame, q, n1, n2))
             form = canonicalize(nu)
             form_twin = CanonicalForm(tuple(form.steps), form.terminal)
             assert hash(form) == hash(form_twin) == hash((form.steps, form.terminal))
