@@ -805,7 +805,9 @@ TERMINAL = _TerminalMarker()
 _NumLevel = Tuple[object, int, _Num]
 
 
-def _chain_numerators(form: CanonicalForm) -> Tuple[int, Tuple[ProjPoint, ...], List[Tuple[_Num, _Num]]]:
+def _chain_numerators(
+    form: CanonicalForm,
+) -> Tuple[int, Tuple[ProjPoint, ...], List[Tuple[_Num, _Num]]]:
     """``(q, steps, levels)``: the centers of the program ``from_canonical``
     rebuilds from a canonical form and ``(v(x_i), v(y_i))`` at each of its
     levels, as integer numerators over q, the terminal weight's denominator
@@ -940,8 +942,8 @@ def _divisorial(steps: Tuple[ProjPoint, ...], g: Fraction, nx: int, ny: int) -> 
     read off them, without the checks of ``__post_init__``, which such a
     program always passes."""
     root = _center_root(steps[0]) if steps and nx == ny else None
-    n = g.numerator
-    return QuasiMonomialVal._derived(steps, IDENTITY_FRAME, (g, g), (nx, ny, g.denominator, root, n, n))
+    n, q = g.numerator, g.denominator
+    return QuasiMonomialVal._derived(steps, IDENTITY_FRAME, (g, g), (nx, ny, q, root, n, n))
 
 
 @lru_cache(maxsize=MEMO_SIZE)

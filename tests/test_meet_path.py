@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from valtree import valuation
-from valtree.poly import IDENTITY_FRAME, LinearFrame
+from valtree.poly import LinearFrame
 from valtree.testkit import DEFAULT_SEED, gen_qmv
 from valtree.valuation import (
     CanonicalForm,
@@ -52,7 +52,8 @@ def random_steps(rng, n):
         elif roll < 0.7:
             steps += [INF_POINT] * rng.randint(1, 4)
         else:
-            steps.append(ProjPoint(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))))
+            value = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+            steps.append(ProjPoint(value))
     return tuple(steps[:n])
 
 
@@ -60,11 +61,12 @@ def framed_programs(rng, n):
     """Programs in a frame other than the identity, some with an infinite weight."""
     out = []
     while len(out) < n:
-        weights = (Fraction(rng.randint(1, 9), rng.randint(1, 4)), Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        w1, w2 = (Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(2))
         if rng.random() < 0.25:
-            weights = (weights[0], valuation.INF) if rng.random() < 0.5 else (valuation.INF, weights[1])
+            w1, w2 = (w1, valuation.INF) if rng.random() < 0.5 else (valuation.INF, w2)
+        steps = random_steps(rng, rng.randint(0, 8))
         try:
-            out.append(QuasiMonomialVal(random_steps(rng, rng.randint(0, 8)), rng.choice(FRAMES), weights))
+            out.append(QuasiMonomialVal(steps, rng.choice(FRAMES), (w1, w2)))
         except ValueError:  # an illegal program: both level-0 values infinite
             continue
     return out
@@ -76,7 +78,8 @@ def curve_programs(rng, n):
     out = []
     while len(out) < n:
         direction = rng.choice((ZERO_POINT, INF_POINT, ProjPoint(Fraction(rng.randint(1, 7), 3))))
-        form = CanonicalForm(random_steps(rng, rng.randint(1, 8)), Curve(direction, Fraction(rng.randint(1, 9), 2)))
+        curve = Curve(direction, Fraction(rng.randint(1, 9), 2))
+        form = CanonicalForm(random_steps(rng, rng.randint(1, 8)), curve)
         try:
             out.append(normalize(from_canonical(form)))
         except ValueError:  # the direction made the program illegal
@@ -130,11 +133,10 @@ def partners(nu, rng):
     sibling branch at a random level, and a child below its divisorial end."""
     form = canonicalize(nu)
     cut = rng.randint(0, len(form.steps))
+    sibling = form.steps[:cut] + (ProjPoint(Fraction(rng.randint(1, 9), 7)),)
     out = [
         normalize(from_canonical(CanonicalForm(form.steps[:cut], Divisorial(Fraction(1))))),
-        normalize(from_canonical(CanonicalForm(
-            form.steps[:cut] + (ProjPoint(Fraction(rng.randint(1, 9), 7)),), Divisorial(Fraction(1, 3))
-        ))),
+        normalize(from_canonical(CanonicalForm(sibling, Divisorial(Fraction(1, 3))))),
     ]
     if isinstance(form.terminal, Divisorial):
         child = form.steps + random_steps(rng, rng.randint(1, 6))
@@ -144,7 +146,8 @@ def partners(nu, rng):
 
 def meet_pairs():
     rng = random.Random(DEFAULT_SEED + 1702)
-    vals = [gen_qmv(DEFAULT_SEED + 2300 + s, max_depth=8) for s in range(300)] + curve_programs(rng, 40)
+    vals = [gen_qmv(DEFAULT_SEED + 2300 + s, max_depth=8) for s in range(300)]
+    vals += curve_programs(rng, 40)
     pairs = [(nu, rng.choice(vals)) for nu in vals]
     for nu in vals:
         pairs += [(nu, mu) for mu in partners(nu, rng)]
