@@ -5,7 +5,7 @@ programs, canonical forms, rank-2 refinements, and the parametrized rooted
 tree with its reciprocal-difference metric.
 """
 
-from __future__ import annotations
+from types import ModuleType as _Module
 
 from .rationals import INF, ExtRat, Infinity, is_inf, parse_extrat, format_extrat
 from .poly import (
@@ -81,71 +81,9 @@ from .jsonio import (
 
 __version__ = "0.1.0"
 
+# every public name imported above, and nothing else: no submodule, no
+# private name
 __all__ = [
-    "BivarPoly",
-    "CanonicalForm",
-    "Comparison",
-    "Curve",
-    "Divisorial",
-    "ExtRat",
-    "FormatError",
-    "IDENTITY_FRAME",
-    "INF",
-    "INF_POINT",
-    "Infinity",
-    "KrullRank2",
-    "KrullSameRank1",
-    "LinearFrame",
-    "M_ADIC",
-    "PathParam",
-    "PolyParseError",
-    "ProjPoint",
-    "QuasiMonomialVal",
-    "ValueNumerators",
-    "Rank2Val",
-    "RootedTree",
-    "TangentRef",
-    "TreePoint",
-    "build_star",
-    "canonical_from_json",
-    "canonical_to_json",
-    "canonicalize",
-    "chain_infimum",
-    "class_member",
-    "common_minimizer",
-    "compare",
-    "dilatation_length",
-    "dilate",
-    "equal_valuations",
-    "evaluate",
-    "fi_infimum",
-    "format_extrat",
-    "from_canonical",
-    "infimum",
-    "is_inf",
-    "is_normalized",
-    "krull_lift",
-    "m_value",
-    "meet",
-    "monomial",
-    "multiplicity_stream",
-    "normalize",
-    "parse_extrat",
-    "poly_parse",
-    "rank1_section",
-    "rank2_eval",
-    "residue_direction",
-    "sim_pairs",
-    "star_neighborhoods",
-    "star_witness",
-    "t_dpsi",
-    "t_inf_set",
-    "t_leq",
-    "t_meet",
-    "t_tangent_equiv",
-    "tree_from_json",
-    "tree_to_json",
-    "valuation_from_json",
-    "valuation_to_json",
-    "weighted_order",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)
 ]

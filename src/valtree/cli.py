@@ -24,7 +24,6 @@ from typing import List, Optional
 from .jsonio import (
     FormatError,
     canonical_to_json,
-    format_center,
     format_fi_point,
     format_point,
     is_poset_doc,
@@ -244,21 +243,21 @@ def _cmd_val_stream(args) -> int:
     if args.json:
         doc = {
             "rows": [
-                {"level": i, "center": format_center(c), "m": format_rat(m)}
+                {"level": i, "center": str(c), "m": format_rat(m)}
                 for i, (c, m) in enumerate(rows)
             ],
             "lambda": format_extrat(lam),
             "canonical": canonical_to_json(form),
         }
         if tail is not None:
-            doc["tail"] = {"center": format_center(tail[0]), "m": format_rat(tail[1])}
+            doc["tail"] = {"center": str(tail[0]), "m": format_rat(tail[1])}
         _emit(doc)
         return 0
     print("level  center  m")
     for i, (center, m) in enumerate(rows):
-        print(f"{i:<6d} {format_center(center):<7s} {format_rat(m)}")
+        print(f"{i:<6d} {center!s:<7} {format_rat(m)}")
     if tail is not None:
-        print(f"center {format_center(tail[0])}, m={format_rat(tail[1])} (repeats)")
+        print(f"center {tail[0]}, m={format_rat(tail[1])} (repeats)")
     print(f"lambda = {format_extrat(lam)}")
     print(f"canonical: {json.dumps(canonical_to_json(form))}")
     return 0

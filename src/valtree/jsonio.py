@@ -127,11 +127,6 @@ def parse_direction(text: str) -> ProjPoint:
     return ProjPoint(Fraction(a, b))
 
 
-def format_center(p: ProjPoint) -> str:
-    a, b = p.as_pair()
-    return "inf" if not b else str(a) if b == 1 else f"{a}/{b}"
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _center_from(text: str) -> ProjPoint:
     """The point a center spelling names.  Each of the last ``MEMO_SIZE``
@@ -143,9 +138,24 @@ def _center_from(text: str) -> ProjPoint:
     return INF_POINT if value is INF else ProjPoint(value) if value else ZERO_POINT
 
 
+def _steps_to_json(steps: Tuple[ProjPoint, ...]) -> list:
+    """The step objects of a document.  They are shared: one
+    ``{"center": ...}`` per distinct center, however often the chain repeats
+    it, so a long chain costs a list of references; callers must not mutate
+    them."""
+    made: Dict[ProjPoint, dict] = {}
+    out = []
+    for point in steps:
+        step = made.get(point)
+        if step is None:
+            step = made[point] = {"center": str(point)}
+        out.append(step)
+    return out
+
+
 def valuation_to_json(nu: QuasiMonomialVal) -> dict:
     return {
-        "steps": [{"center": format_center(s)} for s in nu.steps],
+        "steps": _steps_to_json(nu.steps),
         "frame": [[format_rat(v) for v in row] for row in nu.frame.rows],
         "weights": [format_extrat(w) for w in nu.weights],
     }
@@ -180,10 +190,6 @@ def valuation_from_json(data: dict) -> QuasiMonomialVal:
 
 
 def canonical_to_json(form: CanonicalForm) -> dict:
-    """The document of a canonical form.  Its step objects are shared: one
-    ``{"center": ...}`` per distinct center, however often the chain repeats
-    it, so a long chain costs a list of references; callers must not mutate
-    them."""
     t = form.terminal
     if isinstance(t, Divisorial):
         terminal = {"divisorial": format_rat(t.gamma)}
@@ -194,14 +200,7 @@ def canonical_to_json(form: CanonicalForm) -> dict:
                 "weight": format_rat(t.gamma),
             }
         }
-    made: Dict[ProjPoint, dict] = {}
-    steps = []
-    for point in form.steps:
-        step = made.get(point)
-        if step is None:
-            step = made[point] = {"center": format_center(point)}
-        steps.append(step)
-    return {"steps": steps, "terminal": terminal}
+    return {"steps": _steps_to_json(form.steps), "terminal": terminal}
 
 
 def canonical_from_json(data: dict) -> CanonicalForm:
@@ -248,7 +247,11 @@ def rank2_values_from_json(data: list) -> Tuple[Tuple[int, Fraction], Tuple[int,
 # ---------------------------------------------------------------------------
 
 
-def tree_to_json(tree: RootedTree, psi_style: str = "arclength+1") -> dict:
+# the one parametrization a tree document may name (``tree.PathParam``)
+_PSI = "arclength+1"
+
+
+def tree_to_json(tree: RootedTree) -> dict:
     def node_obj(path) -> dict:
         kids = [
             {
@@ -259,7 +262,7 @@ def tree_to_json(tree: RootedTree, psi_style: str = "arclength+1") -> dict:
         ]
         return {"children": kids} if kids else {}
 
-    return {"nodes": {"root": node_obj(())}, "psi": psi_style}
+    return {"nodes": {"root": node_obj(())}, "psi": _PSI}
 
 
 def tree_from_json(data: dict) -> Tuple[RootedTree, PathParam]:
@@ -278,7 +281,10 @@ def tree_from_json(data: dict) -> Tuple[RootedTree, PathParam]:
 
         walk(_member(_member(data, "nodes", dict, ""), "root", dict, "nodes"), (), "nodes.root")
         tree = RootedTree(edges)
-        return tree, PathParam(tree, _typed(data.get("psi", "arclength+1"), str, "psi"))
+        psi = _typed(data.get("psi", _PSI), str, "psi")
+        if psi != _PSI:
+            raise ValueError(f"unknown parametrization style {psi!r}")
+        return tree, PathParam(tree)
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

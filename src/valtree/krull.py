@@ -17,6 +17,7 @@ from .poly import (
     BivarPoly,
     IDENTITY_FRAME,
     LinearFrame,
+    clear_denominators,
     divide_out_linear,
 )
 from .rationals import INF, ExtRat, is_inf
@@ -114,10 +115,7 @@ def rank2_eval(rho: Rank2Val, phi: BivarPoly) -> Union[Rank2Value, ExtRat]:
         return INF
     support = phi.terms
     if not rho.frame.is_identity():
-        lcm = math.lcm(*(c.denominator for c in support.values()))
-        support = _in_frame(
-            {t: c.numerator * (lcm // c.denominator) for t, c in support.items()}, rho.frame
-        )
+        support = _in_frame(clear_denominators(support), rho.frame)
     (x0, x1), (y0, y1) = rho.wx, rho.wy
     den = math.lcm(x1.denominator, y1.denominator)
     nx, ny = x1.numerator * (den // x1.denominator), y1.numerator * (den // y1.denominator)

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 from .rationals import INF, ExtRat, ONE, ZERO, is_inf, parse_rat, scale
 
@@ -310,6 +310,14 @@ def poly_parse(text: str) -> BivarPoly:
             return total
         if not (kind == "op" and tok in "+-"):
             raise PolyParseError(f"expected + or - between terms, got {tok!r}", at)
+
+
+def clear_denominators(terms: Mapping[Exponents, Fraction]) -> Dict[Exponents, int]:
+    """The terms times the lcm of their coefficients' denominators: integer
+    coefficients with the same ratios, so the same zeros, and the same value
+    under any valuation, as a positive constant factor changes none."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
 
 
 def weighted_order(phi: BivarPoly, g1: ExtRat, g2: ExtRat) -> ExtRat:

@@ -496,10 +496,10 @@ def criterion_8(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
 _STREAM_CAP = 64
 
 
-def _stream_multiplicities(nu: QuasiMonomialVal, limit: int = _STREAM_CAP) -> List[Fraction]:
+def _stream_multiplicities(nu: QuasiMonomialVal) -> List[Fraction]:
     out: List[Fraction] = []
     for center, m in multiplicity_stream(nu):
-        if center is TERMINAL or len(out) >= limit:
+        if center is TERMINAL or len(out) >= _STREAM_CAP:
             break
         out.append(m)
     return out

@@ -184,19 +184,9 @@ def _meet(p: TreePoint, q: TreePoint) -> TreePoint:
     return p.tree.node_point(p.path[:k])
 
 
-def t_segment_member(
-    r: TreePoint,
-    p: TreePoint,
-    q: TreePoint,
-    include_p: bool = True,
-    include_q: bool = True,
-) -> bool:
-    """Whether r lies on the segment between p and q (optionally half-open)."""
+def t_segment_member(r: TreePoint, p: TreePoint, q: TreePoint) -> bool:
+    """Whether r lies on the closed segment between p and q."""
     _same_tree(r, p, q)
-    if not include_p and r == p:
-        return False
-    if not include_q and r == q:
-        return False
     m = t_meet(p, q)
     return (t_leq(m, r) and t_leq(r, p)) or (t_leq(m, r) and t_leq(r, q))
 
@@ -264,11 +254,8 @@ def class_member(ref: TangentRef, cand: TreePoint) -> bool:
 class PathParam:
     """Arclength-plus-one parametrization: Psi(root)=1, affine on every edge."""
 
-    def __init__(self, tree: RootedTree, style: str = "arclength+1"):
-        if style != "arclength+1":
-            raise ValueError(f"unknown parametrization style {style!r}")
+    def __init__(self, tree: RootedTree):
         self.tree = tree
-        self.style = style
         self._depth: Dict[Path, ExtRat] = {(): ZERO}
         # 1/Psi(p) per point as a pair (numerator, denominator) in lowest
         # terms with a positive denominator; (0, 1) at infinity
@@ -382,10 +369,6 @@ class AxiomReport:
     t3: bool
     t4: bool
     witness: Optional[object] = None
-    note: str = (
-        "T2/T3 verified as order isomorphisms of rational-parametrized paths; "
-        "T4 exhaustive over small node subsets"
-    )
 
     def all_pass(self) -> bool:
         return self.t1 and self.t2 and self.t3 and self.t4
@@ -395,10 +378,9 @@ def _is_lower_bound(r: TreePoint, pts: Iterable[TreePoint]) -> bool:
     return all(t_leq(r, p) for p in pts)
 
 
-def tree_axiom_report(
-    tree: RootedTree, seed: int = 0, samples: int = 40, subset_size: int = 3
-) -> AxiomReport:
-    """Check T1-T4 on a finite tree skeleton."""
+def tree_axiom_report(tree: RootedTree, seed: int = 0, samples: int = 40) -> AxiomReport:
+    """Check T1-T4 on a finite tree skeleton: T2 and T3 on sampled chains,
+    T4 exhaustively over every set of at most three nodes."""
     rng = random.Random(seed)
     psi = PathParam(tree)
     pts = tree.grid_points(2)
@@ -431,7 +413,7 @@ def tree_axiom_report(
     witness = next(
         (
             subset
-            for size in range(1, subset_size + 1)
+            for size in (1, 2, 3)
             for subset in itertools.combinations(nodes, size)
             if t4_fails(subset)
         ),

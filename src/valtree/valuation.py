@@ -61,6 +61,7 @@ from .poly import (
     LinearFrame,
     MEMO_SIZE,
     _cached_hash,
+    clear_denominators,
     frame_apply,
     weighted_order,
 )
@@ -140,7 +141,8 @@ class ProjPoint:
         return BivarPoly.linear_form(a, b)
 
     def __str__(self) -> str:
-        return "inf" if self.is_inf else str(self.value)
+        a, b = self._pair
+        return "inf" if not b else str(a) if b == 1 else f"{a}/{b}"
 
 
 INF_POINT = ProjPoint(INF)
@@ -371,8 +373,7 @@ def _strict_transform(nu: QuasiMonomialVal, phi: BivarPoly) -> _Num:
     """v(phi) by strict transforms, level by level, as a numerator over the
     program's q (None for infinity); phi is nonzero."""
     _, levels = _level_numerators(nu)
-    den = math.lcm(*(c.denominator for c in phi.terms.values()))
-    f = {t: c.numerator * (den // c.denominator) for t, c in phi.terms.items()}
+    f = clear_denominators(phi.terms)
     acc = 0
     for step, (vx, vy) in zip(nu.steps, islice(levels, 1, None)):
         e, f = _chart(f, step)
@@ -434,11 +435,10 @@ def _center_root(center: ProjPoint) -> Tuple[int, int]:
     return (b, a) if a and b else (b, -a)
 
 
-def _vanishes_at(root: Tuple[int, int], terms: List[Tuple[Tuple[int, int], Fraction]]) -> bool:
-    """Whether the polynomial with these (exponents, coefficient) pairs is zero at root."""
+def _vanishes_at(root: Tuple[int, int], terms: Dict[Tuple[int, int], Fraction]) -> bool:
+    """Whether the polynomial with these terms is zero at root."""
     rx, ry = root
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return not sum(c.numerator * (den // c.denominator) * rx**r * ry**s for (r, s), c in terms)
+    return not sum(k * rx**r * ry**s for (r, s), k in clear_denominators(terms).items())
 
 
 def _least_numerators(rows: Sequence[tuple], phi: BivarPoly) -> List[Union[int, Infinity]]:
@@ -466,7 +466,7 @@ def _least_numerators(rows: Sequence[tuple], phi: BivarPoly) -> List[Union[int, 
         # form does not divide the tied form, that is, the form is nonzero at
         # root; any other tie goes to the strict transforms
         if tie and (p1 != p2 or root is not None and _vanishes_at(
-            root, [((r, s), c) for (r, s), c in terms.items() if (r + s) * p1 == least]
+            root, {(r, s): c for (r, s), c in terms.items() if (r + s) * p1 == least}
         )):
             least = _strict_transform(nu, phi)
             if least is not None:
@@ -846,29 +846,17 @@ def _level_entry(
     return _tail_center(t), t.gamma.numerator, None
 
 
-def _walk_numerators(form: CanonicalForm) -> Tuple[int, Iterator[_NumLevel]]:
-    """``(q, levels)``: every level of a canonical chain in order, each as
-    ``_level_entry`` gives it; a divisorial walk ends on its TERMINAL level,
-    a curve's goes on forever."""
-    q, steps, levels = _chain_numerators(form)
-    return q, _walk_levels(steps, levels, form.terminal)
-
-
-def _walk_levels(
-    steps: Sequence[ProjPoint], levels: List[Tuple[_Num, _Num]], t: Union[Divisorial, Curve]
-) -> Iterator[_NumLevel]:
-    for i in range(len(steps) + 1) if isinstance(t, Divisorial) else count():
-        yield _level_entry(steps, levels, t, i)
-
-
 def multiplicity_stream(nu: QuasiMonomialVal):
     """Yield (center, m) along the dilatation sequence.
 
     Divisorial programs end with a (TERMINAL, gamma) entry; curve programs
     yield their eventually-constant tail forever.
     """
-    q, levels = _walk_numerators(_canonicalize_raw(nu))
-    for center, m, _ in levels:
+    form = _canonicalize_raw(nu)
+    q, steps, levels = _chain_numerators(form)
+    t = form.terminal
+    for i in range(len(steps) + 1) if isinstance(t, Divisorial) else count():
+        center, m, _ = _level_entry(steps, levels, t, i)
         yield center, Fraction(m, q)
 
 
@@ -883,11 +871,6 @@ def dilatation_length(nu: QuasiMonomialVal) -> Union[int, Infinity]:
 # ---------------------------------------------------------------------------
 # the infimum construction
 # ---------------------------------------------------------------------------
-
-
-def _exceptional(center) -> Optional[ProjPoint]:
-    """The one direction valued above the multiplicity at a level with this center."""
-    return None if center is TERMINAL else center.negate()
 
 
 def _monomial_meet(
@@ -917,7 +900,9 @@ def _monomial_meet(
     (c_a, m_a, e_a), (c_b, m_b, e_b) = level_a, level_b
     k_a, k_b = q // q_a, q // q_b
     m_a, m_b = m_a * k_a, m_b * k_b
-    exc_a, exc_b = _exceptional(c_a), _exceptional(c_b)
+    # the one direction valued above the multiplicity at each level
+    exc_a = None if c_a is TERMINAL else c_a.negate()
+    exc_b = None if c_b is TERMINAL else c_b.negate()
     if m_a < m_b:
         small, small_exc = side_a, exc_a
     else:

@@ -1,0 +1,34 @@
+"""Chain-layer readings as exact rationals, shared by the valuation and
+deep-chain tests."""
+
+import itertools
+from fractions import Fraction
+
+from valtree import valuation
+from valtree.rationals import INF
+from valtree.valuation import TERMINAL, Divisorial
+
+
+def level_values(nu):
+    """``valuation._level_numerators`` as exact rationals."""
+    q, levels = valuation._level_numerators(nu)
+    return [tuple(INF if n is None else Fraction(n, q) for n in level) for level in levels]
+
+
+def record_values(nu):
+    """The level-0 values kept in a program's record, as exact rationals."""
+    nx, ny, q = nu._lead[:3]
+    return tuple(INF if n is None else Fraction(n, q) for n in (nx, ny))
+
+
+def walk(form):
+    """Every level of a canonical chain in order, ``valuation._level_entry``
+    read off ``valuation._chain_numerators``, as exact rationals: (center, m,
+    e) per level, e being None at a divisorial end and INF for an infinite
+    value.  A divisorial walk ends on its TERMINAL level, a curve's goes on
+    forever."""
+    q, steps, levels = valuation._chain_numerators(form)
+    t = form.terminal
+    for i in range(len(steps) + 1) if isinstance(t, Divisorial) else itertools.count():
+        center, m, e = valuation._level_entry(steps, levels, t, i)
+        yield center, Fraction(m, q), (None if center is TERMINAL else INF) if e is None else Fraction(e, q)

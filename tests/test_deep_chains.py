@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from chain_helpers import level_values, record_values, walk
 from valtree import valuation
 from valtree.cli import main
 from valtree.jsonio import valuation_to_json
@@ -237,26 +238,6 @@ def reference_meet(nu, mu):
             return normalize(from_canonical(CanonicalForm(tuple(prefix), Divisorial(m_a))))
         prefix.append(c_a)
     raise AssertionError("no divergence")
-
-
-def level_values(nu):
-    """``valuation._level_numerators`` as exact rationals."""
-    q, levels = valuation._level_numerators(nu)
-    return [tuple(INF if n is None else Fraction(n, q) for n in level) for level in levels]
-
-
-def record_values(nu):
-    """The level-0 values kept in a program's record, as exact rationals."""
-    nx, ny, q = nu._lead[:3]
-    return tuple(INF if n is None else Fraction(n, q) for n in (nx, ny))
-
-
-def walk(form):
-    """``valuation._walk_numerators`` as exact rationals: (center, m, e) per
-    level, e being None at a divisorial end and INF for an infinite value."""
-    q, levels = valuation._walk_numerators(form)
-    for center, m, e in levels:
-        yield center, Fraction(m, q), (None if center is TERMINAL else INF) if e is None else Fraction(e, q)
 
 
 def count_constructions(monkeypatch):

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from chain_helpers import level_values, record_values, walk
 from valtree.poly import (
     MEMO_SIZE, BivarPoly, BothWeightsInfiniteError, IDENTITY_FRAME, LinearFrame, poly_parse,
 )
 from valtree.rationals import INF, format_rat, is_inf, scale
 from valtree import valuation
-from valtree.jsonio import format_center, valuation_from_json
+from valtree.jsonio import valuation_from_json
 from valtree.testkit import DEFAULT_SEED, gen_qmv, sample_polys
 from valtree.valuation import (
     CanonicalForm,
@@ -51,26 +52,6 @@ Y = BivarPoly.var_y()
 SWAP = LinearFrame(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
 
 
-def level_values(nu):
-    """``valuation._level_numerators`` as exact rationals."""
-    q, levels = valuation._level_numerators(nu)
-    return [tuple(INF if n is None else Fraction(n, q) for n in level) for level in levels]
-
-
-def record_values(nu):
-    """The level-0 values kept in a program's record, as exact rationals."""
-    nx, ny, q = nu._lead[:3]
-    return tuple(INF if n is None else Fraction(n, q) for n in (nx, ny))
-
-
-def walk(form):
-    """``valuation._walk_numerators`` as exact rationals: (center, m, e) per
-    level, e being None at a divisorial end and INF for an infinite value."""
-    q, levels = valuation._walk_numerators(form)
-    for center, m, e in levels:
-        yield center, Fraction(m, q), (None if center is TERMINAL else INF) if e is None else Fraction(e, q)
-
-
 class TestProjPoint:
     def test_enumeration_head(self):
         six = list(itertools.islice(direction_enumeration(), 6))
@@ -101,7 +82,7 @@ class TestProjPoint:
     def test_kept_pair_against_the_value(self):
         """Every point keeps the primitive pair its value gives, ``negate``
         acts on the pair and twice gives the point back, and equality, hash
-        and ``format_center`` give what they gave when they read the value
+        and ``str`` give what they gave when they read the value
         alone.  Points: parsed JSON centers, the centers, canonical chains,
         curve directions and frame rows of generated programs, the
         directions curvettes are drawn from, and random rationals."""
@@ -130,7 +111,7 @@ class TestProjPoint:
             assert neg.as_pair() == (pair if 0 in pair else (-pair[0], pair[1]))
             assert neg.negate() == p and neg.negate().as_pair() == pair
             assert hash(p) == hash((v,))
-            assert format_center(p) == ("inf" if v is INF else format_rat(v))
+            assert str(p) == ("inf" if v is INF else format_rat(v))
             twin = ProjPoint(v)
             assert twin == p and hash(twin) == hash(p) and twin.as_pair() == pair
         for p, q in zip(points, points[7:]):
@@ -794,8 +775,8 @@ class TestLevelValues:
             for w in ((1, 1), (2, 2), (1, 2), (3, 1), (1, INF), (INF, Fraction(2, 5)))
         ]
         for nu in programs:
-            _, levels = valuation._walk_numerators(valuation._canonicalize_raw(nu))
-            assert valuation._head_exceptional(nu) == valuation._exceptional(next(levels)[0]), nu
+            center, _, _ = next(walk(valuation._canonicalize_raw(nu)))
+            assert valuation._head_exceptional(nu) == (None if center is TERMINAL else center.negate()), nu
             assert m_value(nu) == min(evaluate(nu, X), evaluate(nu, Y))
 
     def test_framed_programs_built_by_meet(self, monkeypatch):
