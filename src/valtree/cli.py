@@ -83,13 +83,38 @@ MAX_NEIGHBORHOODS = STAR_BRANCHES - 2
 _INT_TEXT_LIMIT = "integer string conversion"
 
 
-def _emit(doc) -> None:
-    print(json.dumps(doc))
+def _show(args, doc, text=None) -> None:
+    """Print ``doc`` as JSON under ``--json``, else ``text``: a line, or lines
+    printed as they are made (with no text, ``doc`` in both modes).  A doc of
+    None prints nothing, and a function in its place is called only if shown."""
+    if not args.json and text is not None:
+        for line in [text] if isinstance(text, str) else text:
+            print(line)
+        return
+    doc = doc() if callable(doc) else doc
+    if doc is not None:
+        print(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--poly -x+y`` as ``--poly=-x+y``: argparse takes a value that
+    starts with ``-`` for an option, and a polynomial may start with one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args is not None and "--poly" in self._option_string_actions:
+            joined = []
+            for arg in args:
+                if joined and joined[-1] == "--poly" and arg[:1] == "-" and arg[:2] != "--":
+                    joined[-1] += "=" + arg
+                else:
+                    joined.append(arg)
+            args = joined
+        return super().parse_known_args(args, namespace)
 
 
 def _short_numbers(text: str) -> str:
@@ -140,33 +165,15 @@ def _samples_value(text: str) -> int:
     return value
 
 
-def _add_val_sources(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--in",
-        dest="vals",
-        action="append",
-        type=_json_file,
-        default=[],
-        metavar="FILE",
-        help="valuation JSON file (repeatable)",
-    )
-    p.add_argument(
-        "--valuation",
-        dest="vals",
-        action="append",
-        type=_json_text,
-        metavar="JSON",
-        help="inline valuation JSON (repeatable)",
-    )
-
-
-def _take_vals(args, low: int, high: Optional[int] = None) -> List:
+def _take_vals(args, low: int, high: Optional[int] = None, normal: bool = False) -> List:
+    """The valuations of ``--in`` and ``--valuation``, low to high of them,
+    normalized when ``normal`` is set."""
     vals = [valuation_from_json(doc) for doc in args.vals]
     n = len(vals)
     if n < low or (high is not None and n > high):
         want = f"exactly {low}" if high == low else f"at least {low}"
         raise FormatError(f"{args.command} needs {want} valuation(s), got {n}")
-    return vals
+    return [normalize(v) for v in vals] if normal else vals
 
 
 def _tree_doc(args):
@@ -175,15 +182,22 @@ def _tree_doc(args):
     return args.tree
 
 
+def _tree_points(args, low: int = 1, high: Optional[int] = None, usage: str = ""):
+    """The Psi of the ``--tree`` tree and the ``--points`` on it, low to high
+    of them; too few or too many exit 2 with ``usage``."""
+    tree, psi = tree_from_json(_tree_doc(args))
+    n = len(args.points)
+    if n < low or (high is not None and n > high):
+        raise FormatError(f"{args.command} needs {usage}")
+    return psi, [parse_point(tree, text) for text in args.points]
+
+
 def _echo_config(args) -> None:
-    skip = {"func", "command"}
-    shown = []
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        if key in ("vals", "tree"):
-            value = len(value) if key == "vals" else "<file>"
-        shown.append(f"{key}={value}")
+    shown = [
+        f"{key}={len(value) if key == 'vals' else '<file>' if key == 'tree' else value}"
+        for key, value in sorted(vars(args).items())
+        if key not in ("func", "command") and value is not None
+    ]
     print(f"config: {args.command} {' '.join(shown)}", file=sys.stderr)
 
 
@@ -196,166 +210,133 @@ def _cmd_val_eval(args) -> int:
     (nu,) = _take_vals(args, 1, 1)
     for text in args.poly:
         value = format_extrat(evaluate(nu, poly_parse(text)))
-        _emit({"poly": text, "value": value}) if args.json else print(value)
+        _show(args, {"poly": text, "value": value}, value)
     return 0
 
 
 def _cmd_val_mvalue(args) -> int:
     (nu,) = _take_vals(args, 1, 1)
     value = format_extrat(m_value(nu))
-    _emit({"value": value}) if args.json else print(value)
+    _show(args, {"value": value}, value)
     return 0
 
 
 def _cmd_val_normalize(args) -> int:
-    (nu,) = _take_vals(args, 1, 1)
-    _emit(valuation_to_json(normalize(nu)))
+    (nu,) = _take_vals(args, 1, 1, normal=True)
+    _show(args, valuation_to_json(nu))
     return 0
 
 
 def _cmd_val_compare(args) -> int:
-    nu, mu = (normalize(v) for v in _take_vals(args, 2, 2))
-    word = compare(nu, mu).value
-    _emit({"compare": word}) if args.json else print(word)
+    word = compare(*_take_vals(args, 2, 2, normal=True)).value
+    _show(args, {"compare": word}, word)
     return 0
 
 
 def _cmd_val_inf(args) -> int:
-    vals = [normalize(v) for v in _take_vals(args, 2)]
-    _emit(canonical_to_json(canonicalize(infimum(vals))))
+    _show(args, canonical_to_json(canonicalize(infimum(_take_vals(args, 2, normal=True)))))
     return 0
 
 
 def _cmd_val_canon(args) -> int:
-    (nu,) = _take_vals(args, 1, 1)
-    _emit(canonical_to_json(canonicalize(normalize(nu))))
+    (nu,) = _take_vals(args, 1, 1, normal=True)
+    _show(args, canonical_to_json(canonicalize(nu)))
     return 0
 
 
 def _cmd_val_stream(args) -> int:
-    (nu,) = _take_vals(args, 1, 1)
-    nu = normalize(nu)
+    (nu,) = _take_vals(args, 1, 1, normal=True)
     form = canonicalize(nu)
     stream = multiplicity_stream(nu)
     rows = [next(stream) for _ in form.steps]
     lam = dilatation_length(nu)
     tail = None if not is_inf(lam) else next(stream)
-    if args.json:
+
+    # a long chain's document and its text each take much memory, so each
+    # is made only in its own mode
+    def doc():
         doc = {
-            "rows": [
-                {"level": i, "center": str(c), "m": format_rat(m)}
-                for i, (c, m) in enumerate(rows)
-            ],
+            "rows": [{"level": i, "center": str(c), "m": format_rat(m)} for i, (c, m) in enumerate(rows)],
             "lambda": format_extrat(lam),
             "canonical": canonical_to_json(form),
         }
         if tail is not None:
             doc["tail"] = {"center": str(tail[0]), "m": format_rat(tail[1])}
-        _emit(doc)
-        return 0
-    print("level  center  m")
-    for i, (center, m) in enumerate(rows):
-        print(f"{i:<6d} {center!s:<7} {format_rat(m)}")
-    if tail is not None:
-        print(f"center {tail[0]}, m={format_rat(tail[1])} (repeats)")
-    print(f"lambda = {format_extrat(lam)}")
-    print(f"canonical: {json.dumps(canonical_to_json(form))}")
+        return doc
+
+    def text():
+        yield "level  center  m"
+        for i, (center, m) in enumerate(rows):
+            yield f"{i:<6d} {center!s:<7} {format_rat(m)}"
+        if tail is not None:
+            yield f"center {tail[0]}, m={format_rat(tail[1])} (repeats)"
+        yield f"lambda = {format_extrat(lam)}"
+        yield f"canonical: {json.dumps(canonical_to_json(form))}"
+
+    _show(args, doc, text())
     return 0
 
 
 def _cmd_val_krull(args) -> int:
-    (nu,) = _take_vals(args, 1, 1)
-    result = krull_lift(normalize(nu))
+    (nu,) = _take_vals(args, 1, 1, normal=True)
+    result = krull_lift(nu)
     polys = [(text, poly_parse(text)) for text in args.poly or []]
-    if not isinstance(result, KrullRank2):
-        doc = {"result": "same-rank1", "valuation": valuation_to_json(result.valuation)}
-        if args.json:
-            for text, phi in polys:
-                doc.setdefault("values", []).append(
-                    {"poly": text, "value": format_extrat(evaluate(result.valuation, phi))}
-                )
-            _emit(doc)
-        else:
-            print("same rank 1")
-            _emit(doc["valuation"])
-            for text, phi in polys:
-                print(f"{text} -> {format_extrat(evaluate(result.valuation, phi))}")
-        return 0
-    rho = result.val
-
-    def pair_text(value) -> str:
-        if not isinstance(value, tuple):
-            return format_extrat(value)
-        return f"({value[0]}, {format_rat(value[1])})"
-
-    if args.json:
+    rank2 = isinstance(result, KrullRank2)
+    if rank2:
+        rho = result.val
         doc = {
             "result": "rank-2",
             "support_generator": str(result.support_generator),
             "values": rank2_values_to_json(rho.wx, rho.wy),
             "frame": [[format_rat(v) for v in row] for row in rho.frame.rows],
         }
-        if polys:
-            doc["poly_values"] = [
-                {"poly": text, "value": pair_text(rank2_eval(rho, phi))}
-                for text, phi in polys
-            ]
-        _emit(doc)
-        return 0
-    print(f"rank-2 refinement, support generator {result.support_generator}")
-    for text, phi in polys or [("x", _X), ("y", _Y)]:
-        print(f"{text} -> {pair_text(rank2_eval(rho, phi))}")
+        head, key = [f"rank-2 refinement, support generator {result.support_generator}"], "poly_values"
+    else:
+        doc = {"result": "same-rank1", "valuation": valuation_to_json(result.valuation)}
+        head, key = ["same rank 1", json.dumps(doc["valuation"])], "values"
+    _show(args, None, head)
+    values = []
+    # with no --poly, the text of a rank-2 refinement shows the values of x and y
+    for text, phi in polys or ([("x", _X), ("y", _Y)] if rank2 else []):
+        value = rank2_eval(rho, phi) if rank2 else evaluate(result.valuation, phi)
+        value = f"({value[0]}, {format_rat(value[1])})" if isinstance(value, tuple) else format_extrat(value)
+        values.append({"poly": text, "value": value})
+        _show(args, None, f"{text} -> {value}")
+    if polys:
+        doc[key] = values
+    _show(args, doc, ())
     return 0
 
 
 def _cmd_val_common_min(args) -> int:
-    nu, mu = (normalize(v) for v in _take_vals(args, 2, 2))
-    a, b = common_minimizer(nu, mu)
+    a, b = common_minimizer(*_take_vals(args, 2, 2, normal=True))
     form = _X * a + _Y * b
-    if args.json:
-        _emit({"a": format_rat(a), "b": format_rat(b), "form": str(form)})
-    else:
-        print(f"minimizer: {form}  (a={format_rat(a)}, b={format_rat(b)})")
+    a, b = format_rat(a), format_rat(b)
+    _show(args, {"a": a, "b": b, "form": str(form)}, f"minimizer: {form}  (a={a}, b={b})")
     return 0
 
 
 def _cmd_val_witness(args) -> int:
-    nu, mu = (normalize(v) for v in _take_vals(args, 2, 2))
+    nu, mu = _take_vals(args, 2, 2, normal=True)
     word = compare(nu, mu).value
     found = []
     # a counterexample to "left <= right" is a polynomial the left values higher
     for tag, hi, lo in (("left>right", nu, mu), ("right>left", mu, nu)):
         hit = sampling_leq_oracle(hi, lo, seed=args.seed, n=args.samples)
         if isinstance(hit, Counterexample):
+            left, right = evaluate(nu, hit.phi), evaluate(mu, hit.phi)
             found.append(
-                (tag, hit.phi, evaluate(nu, hit.phi), evaluate(mu, hit.phi))
+                {"sense": tag, "poly": str(hit.phi), "left": format_extrat(left), "right": format_extrat(right)}
             )
-    if args.json:
-        _emit(
-            {
-                "compare": word,
-                "witnesses": [
-                    {
-                        "sense": tag,
-                        "poly": str(phi),
-                        "left": format_extrat(a),
-                        "right": format_extrat(b),
-                    }
-                    for tag, phi, a, b in found
-                ],
-            }
-        )
-        return 0
-    print(word)
-    for tag, phi, a, b in found:
-        print(f"  {tag}: {phi}  left={format_extrat(a)} right={format_extrat(b)}")
+    lines = [word] + [f"  {w['sense']}: {w['poly']}  left={w['left']} right={w['right']}" for w in found]
     if not found and word != "EQ":
-        print(f"  no separating polynomial found in {args.samples} samples")
+        lines.append(f"  no separating polynomial found in {args.samples} samples")
+    _show(args, {"compare": word, "witnesses": found}, lines)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# tree subcommands
+# tree and suite subcommands
 # ---------------------------------------------------------------------------
 
 
@@ -366,112 +347,66 @@ def _cmd_tree_check(args) -> int:
     else:
         tree, _ = tree_from_json(doc)
         report = tree_axiom_report(tree, seed=args.seed, samples=args.samples)
-    if args.json:
-        _emit(
-            {
-                "t1": report.t1,
-                "t2": report.t2,
-                "t3": report.t3,
-                "t4": report.t4,
-                "witness": None if report.witness is None else str(report.witness),
-            }
-        )
-    else:
-        for axiom in ("t1", "t2", "t3", "t4"):
-            print(f"{axiom.upper()}: {'pass' if getattr(report, axiom) else 'FAIL'}")
-        if report.witness is not None:
-            print(f"witness: {report.witness}")
+    axioms = {axiom: getattr(report, axiom) for axiom in ("t1", "t2", "t3", "t4")}
+    witness = None if report.witness is None else str(report.witness)
+    lines = [f"{axiom.upper()}: {'pass' if ok else 'FAIL'}" for axiom, ok in axioms.items()]
+    if witness is not None:
+        lines.append(f"witness: {witness}")
+    _show(args, {**axioms, "witness": witness}, lines)
     return 0 if report.all_pass() else 1
 
 
 def _cmd_tree_inf(args) -> int:
-    doc = _tree_doc(args)
-    if is_poset_doc(doc):
+    if is_poset_doc(_tree_doc(args)):
         points = [parse_fi_point(text) for text in args.points]
         bottom = fi_infimum(points)
         if bottom is not None:
-            _emit({"infimum": format_fi_point(bottom)}) if args.json else print(
-                format_fi_point(bottom)
-            )
+            shown = format_fi_point(bottom)
+            _show(args, {"infimum": shown}, shown)
             return 0
-        schedule = fi_no_infimum_schedule(6)
-        shown = ", ".join(format_rat(t) for t in schedule)
-        if args.json:
-            _emit(
-                {
-                    "infimum": None,
-                    "witness": {
-                        "points": [format_fi_point(p) for p in points],
-                        "ascending_lower_bounds": [format_rat(t) for t in schedule],
-                    },
-                }
-            )
-        else:
-            print("no infimum: the lower bounds ascend without a greatest one")
-            print(f"witness schedule: {shown}, ...")
+        schedule = [format_rat(t) for t in fi_no_infimum_schedule(6)]
+        witness = {"points": [format_fi_point(p) for p in points], "ascending_lower_bounds": schedule}
+        text = "no infimum: the lower bounds ascend without a greatest one"
+        _show(args, {"infimum": None, "witness": witness}, [text, f"witness schedule: {', '.join(schedule)}, ..."])
         return 1
-    tree, psi = tree_from_json(doc)
-    points = [parse_point(tree, text) for text in args.points]
+    psi, points = _tree_points(args)
     bottom = t_inf_set(points, points[0], psi)
-    if args.json:
-        _emit({"infimum": format_point(bottom), "psi": format_extrat(psi.psi(bottom))})
-    else:
-        print(f"{format_point(bottom)}  (Psi = {format_extrat(psi.psi(bottom))})")
+    shown, value = format_point(bottom), format_extrat(psi.psi(bottom))
+    _show(args, {"infimum": shown, "psi": value}, f"{shown}  (Psi = {value})")
     return 0
 
 
 def _cmd_tree_dist(args) -> int:
-    tree, psi = tree_from_json(_tree_doc(args))
-    if len(args.points) != 2:
-        raise FormatError("tree dist needs exactly two --points")
-    p, q = (parse_point(tree, text) for text in args.points)
-    d = t_dpsi(psi, p, q)
-    _emit({"distance": format_rat(d)}) if args.json else print(format_rat(d))
+    psi, (p, q) = _tree_points(args, 2, 2, "exactly two --points")
+    d = format_rat(t_dpsi(psi, p, q))
+    _show(args, {"distance": d}, d)
     return 0
 
 
 def _cmd_tree_nbhd(args) -> int:
-    tree, _ = tree_from_json(_tree_doc(args))
-    if len(args.points) < 2:
-        raise FormatError("tree nbhd needs --points BASE REP [QUERY...]")
-    base, rep, *queries = (parse_point(tree, text) for text in args.points)
+    _, (base, rep, *queries) = _tree_points(args, 2, None, "--points BASE REP [QUERY...]")
     ref = TangentRef(base, rep)
-    members = [(q, class_member(ref, q)) for q in queries]
-    if args.json:
-        _emit(
-            {
-                "base": format_point(base),
-                "rep": format_point(rep),
-                "members": [
-                    {"point": format_point(q), "member": ok} for q, ok in members
-                ],
-            }
-        )
-    else:
-        print(f"class of {format_point(rep)} at {format_point(base)}")
-        for q, ok in members:
-            print(f"  {format_point(q)}: {'in' if ok else 'out'}")
+    members = [(format_point(q), class_member(ref, q)) for q in queries]
+    base, rep = format_point(base), format_point(rep)
+    _show(
+        args,
+        {"base": base, "rep": rep, "members": [{"point": q, "member": ok} for q, ok in members]},
+        [f"class of {rep} at {base}"] + [f"  {q}: {'in' if ok else 'out'}" for q, ok in members],
+    )
     return 0
 
 
 def _cmd_tree_ball_check(args) -> int:
-    tree, psi = tree_from_json(_tree_doc(args))
-    if len(args.points) != 3:
-        raise FormatError("tree ball-check needs --points SIGMA TAU GAMMA")
-    sigma, tau, gamma = (parse_point(tree, text) for text in args.points)
+    psi, (sigma, tau, gamma) = _tree_points(args, 3, 3, "--points SIGMA TAU GAMMA")
     report = ball_in_subbasic_check(psi, sigma, tau, gamma, samples=args.samples)
-    if args.json:
-        _emit(
-            {
-                "epsilon": format_rat(report.epsilon),
-                "checked": report.checked,
-                "violations": [format_point(p) for p in report.violations],
-            }
-        )
-    else:
-        print(f"epsilon = {format_rat(report.epsilon)}, {report.checked} points checked")
-        for p in report.violations:
-            print(f"  violation: {format_point(p)}")
+    epsilon = format_rat(report.epsilon)
+    violations = [format_point(p) for p in report.violations]
+    _show(
+        args,
+        {"epsilon": epsilon, "checked": report.checked, "violations": violations},
+        [f"epsilon = {epsilon}, {report.checked} points checked"]
+        + [f"  violation: {p}" for p in violations],
+    )
     return 0 if report.ok() else 1
 
 
@@ -485,51 +420,31 @@ def _cmd_tree_countability(args) -> int:
     _, refs = star_neighborhoods(star, args.samples, random.Random(args.seed))
     alpha = star_witness(star, refs)
     inside = all(class_member(ref, alpha) for ref in refs)
-    if args.json:
-        _emit(
-            {
-                "branches": STAR_BRANCHES,
-                "neighborhoods": len(refs),
-                "witness": format_point(alpha),
-                "in_all": inside,
-            }
-        )
-    else:
-        print(
-            f"star with {STAR_BRANCHES} branches; {len(refs)} neighborhoods of the center"
-        )
-        print(
-            f"witness {format_point(alpha)} lies in all of them, on a branch none of them names"
-        )
+    alpha = format_point(alpha)
+    _show(
+        args,
+        {"branches": STAR_BRANCHES, "neighborhoods": len(refs), "witness": alpha, "in_all": inside},
+        [
+            f"star with {STAR_BRANCHES} branches; {len(refs)} neighborhoods of the center",
+            f"witness {alpha} lies in all of them, on a branch none of them names",
+        ],
+    )
     return 0 if inside else 1
-
-
-# ---------------------------------------------------------------------------
-# suite
-# ---------------------------------------------------------------------------
 
 
 def _cmd_suite_all(args) -> int:
     print(f"seed = {args.seed}", file=sys.stderr)
     results = run_all(seed=args.seed)
-    if args.json:
-        _emit(
-            [
-                {
-                    "criterion": r.criterion,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ]
-        )
-    else:
-        for r in results:
-            word = "PASS" if r.passed else "FAIL"
-            print(f"{word} criterion {r.criterion:2d}: {r.name} -- {r.detail}")
-            if not r.passed and r.witness is not None:
-                print(f"     witness: {r.witness}")
+    lines = []
+    for r in results:
+        lines.append(f"{'PASS' if r.passed else 'FAIL'} criterion {r.criterion:2d}: {r.name} -- {r.detail}")
+        if not r.passed and r.witness is not None:
+            lines.append(f"     witness: {r.witness}")
+    _show(
+        args,
+        [{"criterion": r.criterion, "name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        lines,
+    )
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -537,89 +452,69 @@ def _cmd_suite_all(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+_POLY = dict(action="append", type=_short_numbers, metavar="STR", help="polynomial in x and y")
+# the options of a command, by the names its row in ``_COMMANDS`` gives;
+# every command takes the "common" ones first
+_OPTIONS = {
+    "common": [
+        ("--json", dict(action="store_true", help="machine-readable output")),
+        ("--seed", dict(type=_seed_value, default=DEFAULT_SEED, metavar="U64")),
+    ],
+    "vals": [
+        ("--in", dict(dest="vals", action="append", type=_json_file, default=[], metavar="FILE",
+                      help="valuation JSON file (repeatable)")),
+        ("--valuation", dict(dest="vals", action="append", type=_json_text, metavar="JSON",
+                             help="inline valuation JSON (repeatable)")),
+    ],
+    "poly": [("--poly", dict(_POLY, required=True))],
+    "poly?": [("--poly", _POLY)],
+    "tree": [
+        ("--tree", dict(type=_json_file, metavar="FILE", help="tree or poset JSON file")),
+        ("--in", dict(dest="tree", type=_json_file, metavar="FILE", help="alias for --tree")),
+    ],
+    "points": [("--points", dict(nargs="+", type=_short_numbers, required=True, metavar="PT"))],
+}
+_GROUPS = {"val": "valuation operations", "tree": "tree topology operations", "suite": "property suites"}
+# group, command, handler, options (names in ``_OPTIONS``), --samples default
+_COMMANDS = (
+    ("val", "eval", _cmd_val_eval, "vals poly", None),
+    ("val", "mvalue", _cmd_val_mvalue, "vals", None),
+    ("val", "normalize", _cmd_val_normalize, "vals", None),
+    ("val", "compare", _cmd_val_compare, "vals", None),
+    ("val", "inf", _cmd_val_inf, "vals", None),
+    ("val", "stream", _cmd_val_stream, "vals", None),
+    ("val", "canon", _cmd_val_canon, "vals", None),
+    ("val", "krull", _cmd_val_krull, "vals poly?", None),
+    ("val", "common-min", _cmd_val_common_min, "vals", None),
+    ("val", "witness", _cmd_val_witness, "vals", 50),
+    ("tree", "check", _cmd_tree_check, "tree", 6),
+    ("tree", "inf", _cmd_tree_inf, "tree points", None),
+    ("tree", "dist", _cmd_tree_dist, "tree points", None),
+    ("tree", "nbhd", _cmd_tree_nbhd, "tree points", None),
+    ("tree", "ball-check", _cmd_tree_ball_check, "tree points", 3),
+    ("tree", "countability", _cmd_tree_countability, "", 20),
+    ("suite", "all", _cmd_suite_all, "", None),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="valtree",
         description="valuations, their infima, and the tree they live on",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    def common(p: argparse.ArgumentParser, command: str, func) -> None:
-        p.set_defaults(func=func, command=command)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED, metavar="U64")
-
-    val = top.add_parser("val", help="valuation operations").add_subparsers(
-        dest="op", required=True
-    )
-    for name, func, polyflag, samples in (
-        ("eval", _cmd_val_eval, "required", None),
-        ("mvalue", _cmd_val_mvalue, None, None),
-        ("normalize", _cmd_val_normalize, None, None),
-        ("compare", _cmd_val_compare, None, None),
-        ("inf", _cmd_val_inf, None, None),
-        ("stream", _cmd_val_stream, None, None),
-        ("canon", _cmd_val_canon, None, None),
-        ("krull", _cmd_val_krull, "optional", None),
-        ("common-min", _cmd_val_common_min, None, None),
-        ("witness", _cmd_val_witness, None, 50),
-    ):
-        p = val.add_parser(name)
-        common(p, f"val {name}", func)
-        _add_val_sources(p)
-        if polyflag:
-            p.add_argument(
-                "--poly",
-                action="append",
-                type=_short_numbers,
-                metavar="STR",
-                required=polyflag == "required",
-                help="polynomial in x and y",
-            )
+    groups = {
+        group: top.add_parser(group, help=text).add_subparsers(dest="op", required=True)
+        for group, text in _GROUPS.items()
+    }
+    for group, name, func, options, samples in _COMMANDS:
+        p = groups[group].add_parser(name)
+        p.set_defaults(func=func, command=f"{group} {name}")
+        for key in ["common"] + options.split():
+            for flag, kwargs in _OPTIONS[key]:
+                p.add_argument(flag, **kwargs)
         if samples is not None:
             p.add_argument("--samples", type=_samples_value, default=samples, metavar="N")
-
-    tree = top.add_parser("tree", help="tree topology operations").add_subparsers(
-        dest="op", required=True
-    )
-    for name, func, points, samples in (
-        ("check", _cmd_tree_check, False, 6),
-        ("inf", _cmd_tree_inf, True, None),
-        ("dist", _cmd_tree_dist, True, None),
-        ("nbhd", _cmd_tree_nbhd, True, None),
-        ("ball-check", _cmd_tree_ball_check, True, 3),
-        ("countability", _cmd_tree_countability, False, 20),
-    ):
-        p = tree.add_parser(name)
-        common(p, f"tree {name}", func)
-        if name != "countability":
-            p.add_argument(
-                "--tree",
-                type=_json_file,
-                metavar="FILE",
-                help="tree or poset JSON file",
-            )
-            p.add_argument(
-                "--in",
-                dest="tree",
-                type=_json_file,
-                metavar="FILE",
-                help="alias for --tree",
-            )
-        if points:
-            p.add_argument(
-                "--points", nargs="+", type=_short_numbers, required=True, metavar="PT"
-            )
-        if samples is not None:
-            p.add_argument("--samples", type=_samples_value, default=samples, metavar="N")
-
-    suite = top.add_parser("suite", help="property suites").add_subparsers(
-        dest="op", required=True
-    )
-    p = suite.add_parser("all")
-    common(p, "suite all", _cmd_suite_all)
-
     return parser
 
 

@@ -190,6 +190,20 @@ class TestValCommands:
         )
         assert (code, out) == (0, "2\n")
 
+    @pytest.mark.parametrize(
+        "command, want", [("eval", "1\n3\n"), ("krull", "-x+y -> 1\n-x*y -> 3\n")], ids=["eval", "krull"]
+    )
+    def test_poly_text_starting_with_a_minus_sign(self, capsys, command, want):
+        """``--poly -x+y`` reads as ``--poly=-x+y``, though argparse takes a
+        separate argument that starts with ``-`` for an option."""
+        argv = ["val", command, "--valuation", '{"weights":["1","2"]}']
+        two = run(capsys, *argv, "--poly", "-x+y", "--poly", "-x*y")
+        assert two == run(capsys, *argv, "--poly=-x+y", "--poly=-x*y")
+        assert two[0] == 0 and two[1].endswith(want)
+        assert "poly=['-x+y', '-x*y']" in two[2]
+        parsed = cli_module.build_parser().parse_args(argv + ["--poly", "-x+y"])
+        assert parsed.poly == ["-x+y"]
+
 
 class TestTreeCommands:
     def test_check_passes(self, capsys, tree_file):

@@ -163,8 +163,11 @@ def argument_list(rng, tmp_path, n):
                 doc = mutate(rng, doc)
             argv += ["--valuation", json_text(rng, doc)]
         if takes_poly or rng.random() < 0.05:
-            # "--poly=" takes a polynomial that starts with a minus sign
-            argv += [f"--poly={poly_text(rng)}" for _ in range(rng.choice([0, 1, 1, 1, 2]))]
+            # "--poly=TEXT" or "--poly TEXT": both take a TEXT that starts
+            # with a minus sign
+            for _ in range(rng.choice([0, 1, 1, 1, 2])):
+                text = poly_text(rng)
+                argv += [f"--poly={text}"] if rng.random() < 0.5 else ["--poly", text]
         if name == "witness":
             argv += ["--samples", rng.choice(["1", "3", "5"])]
     else:
