@@ -247,29 +247,31 @@ def _cmd_val_canon(args) -> int:
 def _cmd_val_stream(args) -> int:
     (nu,) = _take_vals(args, 1, 1, normal=True)
     form = canonicalize(nu)
-    stream = multiplicity_stream(nu)
-    rows = [next(stream) for _ in form.steps]
     lam = dilatation_length(nu)
-    tail = None if not is_inf(lam) else next(stream)
+    stream = multiplicity_stream(nu)
+    rows = zip(range(len(form.steps)), stream)  # takes no entry past the last row
 
     # a long chain's document and its text each take much memory, so each
-    # is made only in its own mode
+    # is made only in its own mode, and the rows only as the stream yields them
     def doc():
         doc = {
-            "rows": [{"level": i, "center": str(c), "m": format_rat(m)} for i, (c, m) in enumerate(rows)],
+            "rows": [{"level": i, "center": str(c), "m": format_rat(m)} for i, (c, m) in rows],
             "lambda": format_extrat(lam),
             "canonical": canonical_to_json(form),
         }
-        if tail is not None:
-            doc["tail"] = {"center": str(tail[0]), "m": format_rat(tail[1])}
+        if is_inf(lam):
+            center, m = next(stream)
+            doc["tail"] = {"center": str(center), "m": format_rat(m)}
         return doc
 
     def text():
         yield "level  center  m"
-        for i, (center, m) in enumerate(rows):
+        for i, (center, m) in rows:
             yield f"{i:<6d} {center!s:<7} {format_rat(m)}"
-        if tail is not None:
-            yield f"center {tail[0]}, m={format_rat(tail[1])} (repeats)"
+        if is_inf(lam):
+            center, m = next(stream)
+            yield f"center {center}, m={format_rat(m)} (repeats)"
+        stream.close()  # frees the level values before the canonical line is made
         yield f"lambda = {format_extrat(lam)}"
         yield f"canonical: {json.dumps(canonical_to_json(form))}"
 

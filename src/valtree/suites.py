@@ -3,8 +3,9 @@
 Each suite runs an exact check at full published counts when scale=1 and
 returns a SuiteResult; `run_all` executes the fifteen suites in order.
 Counts shrink proportionally for quick smoke runs but never below one.
-The criteria that loop over independent items hand them to `_run_items`,
-which checks them in one process per CPU and returns what the loop would.
+A check fails in one way: it raises `_Failed`.  The criteria that loop over
+independent items hand them to `_run_items`, which checks them in one
+process per CPU and raises what the loop would.
 """
 
 from __future__ import annotations
@@ -97,20 +98,40 @@ def _count(base: int, scale: float) -> int:
     return max(1, round(base * scale))
 
 
-def _ok(criterion: int, name: str, detail: str) -> SuiteResult:
-    return SuiteResult(criterion, name, True, detail)
+class _Failed(Exception):
+    """A check's failure: what went wrong, and the object that shows it."""
+
+    def __init__(self, detail: str, witness: object = None):
+        super().__init__(detail)
+        self.detail, self.witness = detail, witness
 
 
-def _fail(criterion: int, name: str, detail: str, witness: object = None) -> SuiteResult:
-    return SuiteResult(criterion, name, False, detail, witness)
+_CRITERIA: List[Callable[..., SuiteResult]] = []
+
+
+def _criterion(number: int, name: str) -> Callable[[Callable[[int, float], str]], Callable]:
+    """Register a check as criterion ``number``: the detail it returns is a
+    pass, and the `_Failed` it raises a failure, each as a SuiteResult."""
+
+    def register(check: Callable[[int, float], str]) -> Callable[..., SuiteResult]:
+        def criterion(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
+            try:
+                return SuiteResult(number, name, True, check(seed, scale))
+            except _Failed as failure:
+                return SuiteResult(number, name, False, failure.detail, failure.witness)
+        criterion.__name__ = criterion.__qualname__ = check.__name__
+        _CRITERIA.append(criterion)
+        return criterion
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # independent checks, split over the CPUs
 # ---------------------------------------------------------------------------
 
-# A check item(i) returns the criterion's failure, or None when item i passes.
-Item = Callable[[int], Optional[SuiteResult]]
+# A check item(i) raises when item i fails.
+Item = Callable[[int], None]
 
 # The items are handed out as one-byte tickets, each a run of consecutive
 # items, so that taking one is a single read that cannot come back short.
@@ -127,13 +148,12 @@ def _cpu_count() -> int:
 
 def _take_first(item: Item, tickets: int, per: int, n: int) -> int:
     """Check the ``per`` items of every ticket taken from the pipe
-    ``tickets`` until none is left or one fails or raises: that item, else n."""
+    ``tickets`` until none is left or one raises: that item, else n."""
     while ticket := os.read(tickets, 1):
         start = ticket[0] * per
         for i in range(start, min(start + per, n)):
             try:
-                if item(i) is not None:
-                    return i
+                item(i)
             except Exception:
                 return i
     return n
@@ -148,7 +168,7 @@ def _read_all(fd: int) -> bytes:
 
 def _first_failing(item: Item, n: int) -> int:
     """An index below which every one of the n items passes: the lowest that
-    fails or raises, else n.
+    raises, else n.
 
     With k CPUs, k processes check the items at once: this one and k - 1
     forked children, which start with everything this process has built.
@@ -221,18 +241,15 @@ def _first_failing(item: Item, n: int) -> int:
                 pass
 
 
-def _run_items(item: Item, n: int, raised: Optional[Exception] = None) -> Optional[SuiteResult]:
-    """The first failure among the n items, checked in order, else None;
-    when none fails, ``raised`` (an exception met while drawing items past
-    the n-th) is raised.  The items below ``_first_failing`` passed, so from
-    there on this returns, or raises, what a loop over all of them would."""
+def _run_items(item: Item, n: int, raised: Optional[Exception] = None) -> None:
+    """Check the n items in order; when none fails, raise ``raised`` (an
+    exception met while drawing items past the n-th), if there is one.  The
+    items below ``_first_failing`` passed, so from there on this raises what
+    a loop over all of them would."""
     for i in range(_first_failing(item, n), n):
-        failure = item(i)
-        if failure is not None:
-            return failure
+        item(i)
     if raised is not None:
         raise raised
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +257,22 @@ def _run_items(item: Item, n: int, raised: Optional[Exception] = None) -> Option
 # ---------------------------------------------------------------------------
 
 
-def criterion_1(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "krull keeps a support-free valuation unchanged"
+@_criterion(1, "krull keeps a support-free valuation unchanged")
+def criterion_1(seed: int, scale: float) -> str:
     nu = monomial(ONE, ONE)
     k = krull_lift(nu)
     if not isinstance(k, KrullSameRank1):
-        return _fail(1, name, f"expected a same-rank result, got {k!r}", k)
+        raise _Failed(f"expected a same-rank result, got {k!r}", k)
     if k.valuation != nu or not equal_valuations(k.valuation, nu):
-        return _fail(1, name, "returned valuation differs from the input", k)
-    return _ok(1, name, "monomial (1,1) maps to itself")
+        raise _Failed("returned valuation differs from the input", k)
+    return "monomial (1,1) maps to itself"
 
 
-def criterion_2(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "krull on the y-curve valuation"
+@_criterion(2, "krull on the y-curve valuation")
+def criterion_2(seed: int, scale: float) -> str:
     k = krull_lift(monomial(ONE, INF))
     if not isinstance(k, KrullRank2):
-        return _fail(2, name, f"expected a rank-2 result, got {k!r}", k)
+        raise _Failed(f"expected a rank-2 result, got {k!r}", k)
     rho = k.val
     want = {
         "x": (0, Fraction(1)),
@@ -268,21 +285,22 @@ def criterion_2(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
         "x*y^2": rank2_eval(rho, _X * _Y * _Y),
     }
     if (rho.wx, rho.wy) != (want["x"], want["y"]) or got != want:
-        return _fail(2, name, f"values {got} != {want}", rho)
-    return _ok(2, name, "x->(0,1), y->(1,0), x*y^2->(2,1)")
+        raise _Failed(f"values {got} != {want}", rho)
+    return "x->(0,1), y->(1,0), x*y^2->(2,1)"
 
 
-def criterion_3(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "rank-2 lex evaluation against direct recomputation"
+@_criterion(3, "rank-2 lex evaluation against direct recomputation")
+def criterion_3(seed: int, scale: float) -> str:
     rho = Rank2Val((1, Fraction(0)), (1, Fraction(1)))
-    for phi in sample_polys(seed, _count(20, scale)):
+    n = _count(20, scale)
+    for phi in sample_polys(seed, n):
         direct = min((r + s, Fraction(s)) for r, s in phi.terms)
         got = rank2_eval(rho, phi)
         if got != direct:
-            return _fail(3, name, f"{phi}: {got} != {direct}", phi)
+            raise _Failed(f"{phi}: {got} != {direct}", phi)
     if rank1_section(rho) is not None:
-        return _fail(3, name, "rank-1 section should not exist for these weights")
-    return _ok(3, name, "20 seeded polynomials agree; no rank-1 section")
+        raise _Failed("rank-1 section should not exist for these weights")
+    return f"{n} seeded polynomials agree; no rank-1 section"
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +308,24 @@ def criterion_3(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_4(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "forked interval: {X,Y} has no infimum"
+@_criterion(4, "forked interval: {X,Y} has no infimum")
+def criterion_4(seed: int, scale: float) -> str:
     if fi_infimum([FI_X, FI_Y]) is not None:
-        return _fail(4, name, "an infimum was produced for the fork ends")
+        raise _Failed("an infimum was produced for the fork ends")
     steps = _count(50, scale)
     sched = fi_no_infimum_schedule(steps)
     poset = ForkedIntervalPoset()
     if len(sched) < steps + 1:
-        return _fail(4, name, f"schedule too short: {len(sched)}")
+        raise _Failed(f"schedule too short: {len(sched)}")
     for i, t in enumerate(sched):
         if not (poset.leq(fi_seg(t), FI_X) and poset.leq(fi_seg(t), FI_Y)):
-            return _fail(4, name, f"schedule entry {t} is not a common lower bound", t)
+            raise _Failed(f"schedule entry {t} is not a common lower bound", t)
         if i and not sched[i - 1] < t:
-            return _fail(4, name, f"schedule not strictly increasing at {i}", t)
+            raise _Failed(f"schedule not strictly increasing at {i}", t)
     rep = fi_axiom_report()
     if not (rep.t1 and rep.t2 and rep.t3) or rep.t4 or rep.witness is None:
-        return _fail(4, name, f"axiom report off: {rep}", rep)
-    return _ok(4, name, f"{steps} ascending lower bounds; T1-T3 pass, T4 fails")
+        raise _Failed(f"axiom report off: {rep}", rep)
+    return f"{steps} ascending lower bounds; T1-T3 pass, T4 fails"
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +386,16 @@ def _refutation_pool(
     yield from fallback
 
 
-_MEET_NAME = "meet is the greatest common lower bound"
-
-
-def criterion_5(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
+@_criterion(5, "meet is the greatest common lower bound")
+def criterion_5(seed: int, scale: float) -> str:
     n_pairs = _count(200, scale)
     n_polys = _count(500, scale)
-    failure = _run_items(lambda i: _criterion_5_pair(seed, i, n_polys), n_pairs)
-    return failure or _ok(5, _MEET_NAME, f"{n_pairs} pairs: bound x{n_polys}, laws, maximality")
+    _run_items(lambda i: _criterion_5_pair(seed, i, n_polys), n_pairs)
+    return f"{n_pairs} pairs: bound x{n_polys}, laws, maximality"
 
 
-def _criterion_5_pair(seed: int, i: int, n_polys: int) -> Optional[SuiteResult]:
-    """Criterion 5 on its pair i: the failure, or None when the pair passes."""
+def _criterion_5_pair(seed: int, i: int, n_polys: int) -> None:
+    """Criterion 5 on its pair i; raises `_Failed` when the pair fails."""
     nu = gen_qmv(seed + 2 * i + 1, max_depth=4, denom_bound=10)
     mu = gen_qmv(seed + 2 * i + 2, max_depth=4, denom_bound=10)
     w = meet(nu, mu)
@@ -388,14 +404,14 @@ def _criterion_5_pair(seed: int, i: int, n_polys: int) -> Optional[SuiteResult]:
     for phi in phis:
         n_w, n_nu, n_mu = values(phi)
         if n_w > n_nu or n_w > n_mu:
-            return _fail(5, _MEET_NAME, f"pair {i}: not a lower bound at {phi}", (nu, mu, phi))
+            raise _Failed(f"pair {i}: not a lower bound at {phi}", (nu, mu, phi))
     if not equal_valuations(meet(nu, nu), nu):
-        return _fail(5, _MEET_NAME, f"pair {i}: meet not idempotent", nu)
+        raise _Failed(f"pair {i}: meet not idempotent", nu)
     if not equal_valuations(meet(mu, nu), w):
-        return _fail(5, _MEET_NAME, f"pair {i}: meet not commutative", (nu, mu))
+        raise _Failed(f"pair {i}: meet not commutative", (nu, mu))
     rho = gen_qmv(seed + 7919 * i + 3, max_depth=4, denom_bound=10)
     if not equal_valuations(meet(meet(nu, mu), rho), meet(nu, meet(mu, rho))):
-        return _fail(5, _MEET_NAME, f"pair {i}: meet not associative", (nu, mu, rho))
+        raise _Failed(f"pair {i}: meet not associative", (nu, mu, rho))
     for cand in _divisorial_truncations(nu) + _divisorial_truncations(mu):
         if compare(w, cand) is not Comparison.LT:
             continue
@@ -404,14 +420,11 @@ def _criterion_5_pair(seed: int, i: int, n_polys: int) -> Optional[SuiteResult]:
             (v := evaluate(cand, phi)) > evaluate(nu, phi) or v > evaluate(mu, phi)
             for phi in pool
         ):
-            return _fail(
-                5, _MEET_NAME, f"pair {i}: candidate above the meet never refuted", (nu, mu, cand)
-            )
-    return None
+            raise _Failed(f"pair {i}: candidate above the meet never refuted", (nu, mu, cand))
 
 
-def criterion_6(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "derived meet fixtures"
+@_criterion(6, "derived meet fixtures")
+def criterion_6(seed: int, scale: float) -> str:
     two, three = Fraction(2), Fraction(3)
     fixtures = [
         (meet(monomial(ONE, two), normalize(monomial(two, ONE))), M_ADIC, "crossed monomials"),
@@ -431,8 +444,8 @@ def criterion_6(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
     ]
     for got, want, label in fixtures:
         if not equal_valuations(got, want):
-            return _fail(6, name, f"{label}: {canonicalize(got)} != {canonicalize(want)}", got)
-    return _ok(6, name, "three fixtures match canonically")
+            raise _Failed(f"{label}: {canonicalize(got)} != {canonicalize(want)}", got)
+    return "three fixtures match canonically"
 
 
 # ---------------------------------------------------------------------------
@@ -440,29 +453,29 @@ def criterion_6(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_7(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "a shared m-value minimizer exists for every pair"
+@_criterion(7, "a shared m-value minimizer exists for every pair")
+def criterion_7(seed: int, scale: float) -> str:
     n = _count(200, scale)
 
-    def pair(i: int) -> Optional[SuiteResult]:
+    def pair(i: int) -> None:
         nu = gen_qmv(seed + 11 * i + 4)
         mu = gen_qmv(seed + 11 * i + 5)
         a, b = common_minimizer(nu, mu)
         form = BivarPoly.linear_form(a, b)
         if evaluate(nu, form) != m_value(nu) or evaluate(mu, form) != m_value(mu):
-            return _fail(7, name, f"pair {i}: {a}x+{b}y is not minimal for both", (nu, mu))
-        return None
+            raise _Failed(f"pair {i}: {a}x+{b}y is not minimal for both", (nu, mu))
 
-    return _run_items(pair, n) or _ok(7, name, f"{n} pairs minimized exactly")
+    _run_items(pair, n)
+    return f"{n} pairs minimized exactly"
 
 
-def criterion_8(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "residue classes of unit pairs govern strict values"
+@_criterion(8, "residue classes of unit pairs govern strict values")
+def criterion_8(seed: int, scale: float) -> str:
     n_quads = _count(100, scale)
     n_vals = _count(20, scale)
     vals = [gen_qmv(seed + 13 * j + 6) for j in range(n_vals)]
 
-    def quad(q: int) -> Optional[SuiteResult]:
+    def quad(q: int) -> None:
         pairs = [gen_unit_pair(seed + 4507 * q + j) for j in range(4)]
         forms = [pair_form(p) for p in pairs]
         # the relation and the strictness of every form, each computed once
@@ -470,22 +483,22 @@ def criterion_8(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
         strict = [[evaluate(nu, form) > 1 for nu in vals] for form in forms]
         for a in range(4):
             if not sim[a][a]:
-                return _fail(8, name, f"quad {q}: relation not reflexive", pairs[a])
+                raise _Failed(f"quad {q}: relation not reflexive", pairs[a])
             for b in range(4):
                 r = sim[a][b]
                 if r != sim[b][a]:
-                    return _fail(8, name, f"quad {q}: relation not symmetric", (a, b))
+                    raise _Failed(f"quad {q}: relation not symmetric", (a, b))
                 for c in range(4):
                     if r and sim[b][c] and not sim[a][c]:
-                        return _fail(8, name, f"quad {q}: relation not transitive", (a, b, c))
+                        raise _Failed(f"quad {q}: relation not transitive", (a, b, c))
                 for sa, sb in zip(strict[a], strict[b]):
                     if r and sa != sb:
-                        return _fail(8, name, f"quad {q}: similar pairs split strictness", (a, b))
+                        raise _Failed(f"quad {q}: similar pairs split strictness", (a, b))
                     if sa and sb and not r:
-                        return _fail(8, name, f"quad {q}: two strict pairs not similar", (a, b))
-        return None
+                        raise _Failed(f"quad {q}: two strict pairs not similar", (a, b))
 
-    return _run_items(quad, n_quads) or _ok(8, name, f"{n_quads} quadruples x {n_vals} valuations")
+    _run_items(quad, n_quads)
+    return f"{n_quads} quadruples x {n_vals} valuations"
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +518,13 @@ def _stream_multiplicities(nu: QuasiMonomialVal) -> List[Fraction]:
     return out
 
 
-def criterion_9(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "multiplicity streams match the subtractive oracle"
+@_criterion(9, "multiplicity streams match the subtractive oracle")
+def criterion_9(seed: int, scale: float) -> str:
     fixture = normalize(monomial(ONE, Fraction(5, 2)))
     if _stream_multiplicities(fixture) != [ONE, ONE, Fraction(1, 2)]:
-        return _fail(9, name, "fixture (1,5/2) stream is off", fixture)
+        raise _Failed("fixture (1,5/2) stream is off", fixture)
     if dilatation_length(fixture) != 4:
-        return _fail(9, name, "fixture (1,5/2) length is off", fixture)
+        raise _Failed("fixture (1,5/2) length is off", fixture)
     rng = random.Random(seed)
     n = _count(100, scale)
     for i in range(n):
@@ -522,28 +535,28 @@ def criterion_9(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
         want = euclid_multiplicity_oracle(g1 / lo, g2 / lo)[:_STREAM_CAP]
         got = _stream_multiplicities(normalize(monomial(g1, g2)))
         if got != want:
-            return _fail(9, name, f"weights ({g1},{g2}): {got} != {want}", (g1, g2))
-    return _ok(9, name, f"{n} weight pairs plus the (1,5/2) fixture")
+            raise _Failed(f"weights ({g1},{g2}): {got} != {want}", (g1, g2))
+    return f"{n} weight pairs plus the (1,5/2) fixture"
 
 
-def criterion_10(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "value axioms hold exactly"
+@_criterion(10, "value axioms hold exactly")
+def criterion_10(seed: int, scale: float) -> str:
     n = _count(1000, scale)
     one, zero = BivarPoly.constant(1), BivarPoly.zero()
 
-    def triple(i: int) -> Optional[SuiteResult]:
+    def triple(i: int) -> None:
         nu = gen_qmv(seed + 17 * i + 7)
         phi, psi = sample_polys(seed + 17 * i + 8, 2, max_deg=3, max_terms=3, coeff_bound=5)
         vp, vq = evaluate(nu, phi), evaluate(nu, psi)
         if evaluate(nu, phi * psi) != vp + vq:
-            return _fail(10, name, f"triple {i}: product rule fails", (nu, phi, psi))
+            raise _Failed(f"triple {i}: product rule fails", (nu, phi, psi))
         if evaluate(nu, phi + psi) < min(vp, vq):
-            return _fail(10, name, f"triple {i}: sum bound fails", (nu, phi, psi))
+            raise _Failed(f"triple {i}: sum bound fails", (nu, phi, psi))
         if evaluate(nu, one) != 0 or not is_inf(evaluate(nu, zero)):
-            return _fail(10, name, f"triple {i}: unit/zero values off", nu)
-        return None
+            raise _Failed(f"triple {i}: unit/zero values off", nu)
 
-    return _run_items(triple, n) or _ok(10, name, f"{n} triples, zero violations")
+    _run_items(triple, n)
+    return f"{n} triples, zero violations"
 
 
 # ---------------------------------------------------------------------------
@@ -551,88 +564,79 @@ def criterion_10(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_11(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "tangent classes: segment test and metric additivity"
-    target = _count(1000, scale)
-    triples: List[Tuple[PathParam, TreePoint, TreePoint, TreePoint]] = []
-    raised = None
-    tree_seed = seed
+def _tree_draws(
+    tree_seed: int, target: int, salt: int, per_tree: int, draw: Callable[..., list]
+) -> Tuple[list, Optional[Exception]]:
+    """Items drawn one seeded tree after another, ``draw(psi, points, rng)``
+    at most ``per_tree`` times a tree, until there are ``target``; and the
+    exception met while drawing, if any, to raise if no item before it fails."""
+    items: list = []
     try:
-        while len(triples) < target:
+        while len(items) < target:
             tree = gen_tree(tree_seed)
             tree_seed += 1
-            psi = PathParam(tree)
-            pts = tree.grid_points(2)
-            rng = random.Random(tree_seed * 31)
-            for _ in range(min(50, target - len(triples))):
-                tau, sigma, alpha = (rng.choice(pts) for _ in range(3))
-                if sigma == tau or alpha == tau:
-                    continue
-                triples.append((psi, tau, sigma, alpha))
-    except Exception as exc:  # raised once the triples drawn before it pass
-        raised = exc
+            psi, pts, rng = PathParam(tree), tree.grid_points(2), random.Random(tree_seed * salt)
+            for _ in range(min(per_tree, target - len(items))):
+                items += draw(psi, pts, rng)
+    except Exception as exc:
+        return items, exc
+    return items, None
 
-    def triple(i: int) -> Optional[SuiteResult]:
+
+@_criterion(11, "tangent classes: segment test and metric additivity")
+def criterion_11(seed: int, scale: float) -> str:
+    def draw(psi: PathParam, pts: List[TreePoint], rng: random.Random) -> list:
+        tau, sigma, alpha = (rng.choice(pts) for _ in range(3))
+        return [] if sigma == tau or alpha == tau else [(psi, tau, sigma, alpha)]
+
+    triples, raised = _tree_draws(seed, _count(1000, scale), 31, 50, draw)
+
+    def triple(i: int) -> None:
         psi, tau, sigma, alpha = triples[i]
         prim = t_tangent_equiv(tau, sigma, alpha)
         if prim != t_tangent_equiv_definitional(tau, sigma, alpha):
-            return _fail(11, name, "tangent implementations disagree", (tau, sigma, alpha))
+            raise _Failed("tangent implementations disagree", (tau, sigma, alpha))
         if prim == t_segment_member(tau, alpha, sigma):
-            return _fail(11, name, "segment biconditional fails", (tau, sigma, alpha))
+            raise _Failed("segment biconditional fails", (tau, sigma, alpha))
         if t_segment_member(tau, alpha, sigma):
             lhs = t_dpsi(psi, alpha, sigma)
             rhs = t_dpsi(psi, alpha, tau) + t_dpsi(psi, tau, sigma)
             if lhs != rhs:
-                return _fail(11, name, "distance not additive through the midpoint", (tau, sigma, alpha))
+                raise _Failed("distance not additive through the midpoint", (tau, sigma, alpha))
         mid = t_meet(alpha, sigma)
         if t_dpsi(psi, alpha, sigma) != t_dpsi(psi, alpha, mid) + t_dpsi(psi, mid, sigma):
-            return _fail(11, name, "distance not additive through the join", (alpha, sigma))
-        return None
+            raise _Failed("distance not additive through the join", (alpha, sigma))
 
-    failure = _run_items(triple, len(triples), raised)
-    return failure or _ok(11, name, f"{len(triples)} triples, dual implementations agree")
+    _run_items(triple, len(triples), raised)
+    return f"{len(triples)} triples, dual implementations agree"
 
 
-def criterion_12(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "metric balls sit inside tangent classes"
-    target = _count(1000, scale)
-    configs: List[Tuple[PathParam, TreePoint, TreePoint, TreePoint]] = []
-    raised = None
-    tree_seed = seed + 101
-    try:
-        while len(configs) < target:
-            tree = gen_tree(tree_seed)
-            tree_seed += 1
-            psi = PathParam(tree)
-            pts = tree.grid_points(2)
-            rng = random.Random(tree_seed * 37)
-            for _ in range(min(40, target - len(configs))):
-                tau, sigma = rng.choice(pts), rng.choice(pts)
-                if sigma == tau:
-                    continue
-                extra = next(
-                    (g for g in pts if g != tau and g != sigma and t_tangent_equiv(tau, sigma, g)),
-                    None,
-                )
-                configs.append((psi, tau, sigma, sigma))
-                if extra is not None and rng.random() < 0.5:
-                    configs.append((psi, tau, sigma, extra))
-    except Exception as exc:  # raised once the configurations drawn before it pass
-        raised = exc
+@_criterion(12, "metric balls sit inside tangent classes")
+def criterion_12(seed: int, scale: float) -> str:
+    def draw(psi: PathParam, pts: List[TreePoint], rng: random.Random) -> list:
+        tau, sigma = rng.choice(pts), rng.choice(pts)
+        if sigma == tau:
+            return []
+        others = (g for g in pts if g != tau and g != sigma and t_tangent_equiv(tau, sigma, g))
+        extra = next(others, None)
+        if extra is not None and rng.random() < 0.5:
+            return [(psi, tau, sigma, sigma), (psi, tau, sigma, extra)]
+        return [(psi, tau, sigma, sigma)]
 
-    def config(i: int) -> Optional[SuiteResult]:
+    configs, raised = _tree_draws(seed + 101, _count(1000, scale), 37, 40, draw)
+
+    def config(i: int) -> None:
         psi, tau, sigma, gamma = configs[i]
         rep = ball_in_subbasic_check(psi, sigma, tau, gamma, samples=3)
         if not rep.ok():
-            return _fail(12, name, f"violations at config {i + 1}", (tau, sigma, gamma, rep))
-        return None
+            raise _Failed(f"violations at config {i + 1}", (tau, sigma, gamma, rep))
 
-    failure = _run_items(config, len(configs), raised)
-    return failure or _ok(12, name, f"{len(configs)} configurations, zero violations")
+    _run_items(config, len(configs), raised)
+    return f"{len(configs)} configurations, zero violations"
 
 
-def criterion_13(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "star witnesses escape every listed neighborhood"
+@_criterion(13, "star witnesses escape every listed neighborhood")
+def criterion_13(seed: int, scale: float) -> str:
     n_seeds = _count(50, scale)
     n_branches, k = 1000, 20
     star = build_star(n_branches)
@@ -640,18 +644,18 @@ def criterion_13(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
         branches, refs = star_neighborhoods(star, k, random.Random(seed + 257 * s))
         alpha = star_witness(star, refs)
         if alpha.path[0] in set(branches):
-            return _fail(13, name, f"seed {s}: witness reuses a listed branch", alpha)
+            raise _Failed(f"seed {s}: witness reuses a listed branch", alpha)
         for ref in refs:
             if not class_member(ref, alpha):
-                return _fail(13, name, f"seed {s}: witness misses a neighborhood", (ref, alpha))
-    return _ok(13, name, f"{n_seeds} seeds x {k} neighborhoods on {n_branches} branches")
+                raise _Failed(f"seed {s}: witness misses a neighborhood", (ref, alpha))
+    return f"{n_seeds} seeds x {k} neighborhoods on {n_branches} branches"
 
 
-def criterion_14(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "set infima agree with folded binary meets"
+@_criterion(14, "set infima agree with folded binary meets")
+def criterion_14(seed: int, scale: float) -> str:
     n_trees = _count(100, scale)
 
-    def tree_check(i: int) -> Optional[SuiteResult]:
+    def tree_check(i: int) -> None:
         tree = gen_tree(seed + 23 * i + 9, max_nodes=30)
         psi = PathParam(tree)
         pts = tree.grid_points(1)
@@ -661,23 +665,20 @@ def criterion_14(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
         want = reduce(lambda p, q: brute_meet_oracle(tree, p, q), S)
         back = reduce(lambda p, q: brute_meet_oracle(tree, p, q), list(reversed(S)))
         if want != back:
-            return _fail(14, name, f"tree {i}: fold order matters", S)
+            raise _Failed(f"tree {i}: fold order matters", S)
         for tau in S:
             got = t_inf_set(S, tau, psi)
             if got != want:
-                return _fail(14, name, f"tree {i}: mismatch for tau={tau}", (S, tau))
-        return None
+                raise _Failed(f"tree {i}: mismatch for tau={tau}", (S, tau))
 
-    failure = _run_items(tree_check, n_trees)
-    if failure is not None:
-        return failure
+    _run_items(tree_check, n_trees)
     spine = RootedTree({(0,): Fraction(5, 2)})
     psi = PathParam(spine)
     tip = spine.node_point((0,))
     limit = chain_infimum(spine, psi, tip, Fraction(2), ONE, probe=64)
     if psi.psi(limit) != 2:
-        return _fail(14, name, f"chain limit off: psi={psi.psi(limit)}", limit)
-    return _ok(14, name, f"{n_trees} trees, every member choice; chain limit exact")
+        raise _Failed(f"chain limit off: psi={psi.psi(limit)}", limit)
+    return f"{n_trees} trees, every member choice; chain limit exact"
 
 
 # ---------------------------------------------------------------------------
@@ -694,51 +695,34 @@ def _seeded_curve(seed: int) -> QuasiMonomialVal:
     return from_canonical(CanonicalForm((), Curve(d, ONE)))
 
 
-def criterion_15(seed: int = DEFAULT_SEED, scale: float = 1.0) -> SuiteResult:
-    name = "krull round trip and product rule"
+@_criterion(15, "krull round trip and product rule")
+def criterion_15(seed: int, scale: float) -> str:
     n_curves = _count(50, scale)
     lifts = []
     for i in range(n_curves):
         nu = _seeded_curve(seed + 29 * i + 11)
         k = krull_lift(nu)
         if not isinstance(k, KrullRank2):
-            return _fail(15, name, f"curve {i}: lift is not rank 2", nu)
+            raise _Failed(f"curve {i}: lift is not rank 2", nu)
         back = rank1_section(k.val)
         if back is None or not equal_valuations(back, nu):
-            return _fail(15, name, f"curve {i}: section does not invert the lift", nu)
+            raise _Failed(f"curve {i}: section does not invert the lift", nu)
         lifts.append(k.val)
     n_products = _count(500, scale)
 
-    def product(i: int) -> Optional[SuiteResult]:
+    def product(i: int) -> None:
         rho = lifts[i % len(lifts)]
         phi, psi = sample_polys(seed + 37 * i + 12, 2, max_deg=3, max_terms=3, coeff_bound=5)
         vp, vq = rank2_eval(rho, phi), rank2_eval(rho, psi)
         got = rank2_eval(rho, phi * psi)
         if got != (vp[0] + vq[0], vp[1] + vq[1]):
-            return _fail(15, name, f"product {i}: {got} != {vp}+{vq}", (phi, psi))
-        return None
+            raise _Failed(f"product {i}: {got} != {vp}+{vq}", (phi, psi))
 
-    failure = _run_items(product, n_products)
-    return failure or _ok(15, name, f"{n_curves} curves inverted; {n_products} products additive")
+    _run_items(product, n_products)
+    return f"{n_curves} curves inverted; {n_products} products additive"
 
 
-ALL_CRITERIA: Tuple[Callable[..., SuiteResult], ...] = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-    criterion_13,
-    criterion_14,
-    criterion_15,
-)
+ALL_CRITERIA: Tuple[Callable[..., SuiteResult], ...] = tuple(_CRITERIA)
 
 
 def run_all(seed: int = DEFAULT_SEED, scale: float = 1.0) -> List[SuiteResult]:

@@ -5,7 +5,9 @@ with the criterion's own detail and witness if the property breaks.
 """
 
 import itertools
+import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -15,8 +17,10 @@ from fractions import Fraction
 import pytest
 
 from valtree import suites
-from valtree.suites import ALL_CRITERIA, criterion_9
-from valtree.testkit import DEFAULT_SEED, gen_qmv
+from valtree.cli import main
+from valtree.suites import ALL_CRITERIA, criterion_3, criterion_9
+from valtree.testkit import DEFAULT_SEED, gen_qmv, sample_polys
+from valtree.valuation import monomial, normalize
 
 
 @pytest.mark.parametrize(
@@ -33,6 +37,67 @@ def test_deep_chain_weight_pairs():
     # seed 7 draws (10/11, 11/12), whose chain runs past the stream guard
     result = criterion_9(7, scale=1.0)
     assert result.passed, result.detail
+
+
+def test_criterion_3_counts_the_polynomials_it_checked():
+    assert criterion_3(DEFAULT_SEED, scale=0.25).detail == "5 seeded polynomials agree; no rank-1 section"
+    assert criterion_3(DEFAULT_SEED, scale=1.0).detail == "20 seeded polynomials agree; no rank-1 section"
+
+
+class TestFailureReports:
+    """A criterion broken on purpose reports its number, name, detail and
+    witness, in process and through ``valtree suite all``."""
+
+    FIXTURE = normalize(monomial(Fraction(1), Fraction(5, 2)))
+
+    def test_a_broken_stream_fails_criterion_9_at_its_fixture(self, monkeypatch):
+        monkeypatch.setattr(suites, "multiplicity_stream", lambda nu: iter(()))
+        result = suites.criterion_9(DEFAULT_SEED, scale=1.0)
+        assert (result.criterion, result.name, result.passed) == (
+            9, "multiplicity streams match the subtractive oracle", False
+        )
+        assert result.detail == "fixture (1,5/2) stream is off"
+        assert result.witness == self.FIXTURE
+
+    def test_a_broken_oracle_fails_criterion_9_at_its_first_pair(self, monkeypatch):
+        monkeypatch.setattr(suites, "euclid_multiplicity_oracle", lambda a, b: [])
+        rng = random.Random(DEFAULT_SEED)
+        g1, g2 = (Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(2))
+        got = suites._stream_multiplicities(normalize(monomial(g1, g2)))
+        result = suites.criterion_9(DEFAULT_SEED, scale=1.0)
+        assert (result.criterion, result.passed) == (9, False)
+        assert result.detail == f"weights ({g1},{g2}): {got} != []"
+        assert result.witness == (g1, g2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_broken_value_fails_criterion_10_at_its_first_broken_triple(self, monkeypatch, k):
+        seed, n = DEFAULT_SEED, 200  # the triples of scale 0.2
+        bad = gen_qmv(seed + 17 * 3 + 7)
+        first = next(i for i in range(n) if gen_qmv(seed + 17 * i + 7) == bad)
+        evaluate = suites.evaluate
+        monkeypatch.setattr(
+            suites, "evaluate", lambda nu, phi: evaluate(nu, phi) + (1 if nu == bad else 0)
+        )
+        result = run_shared(monkeypatch, suites.criterion_10, k)
+        assert (result.criterion, result.name, result.passed) == (10, "value axioms hold exactly", False)
+        assert result.detail == f"triple {first}: product rule fails"
+        phi, psi = sample_polys(seed + 17 * first + 8, 2, max_deg=3, max_terms=3, coeff_bound=5)
+        assert result.witness == (bad, phi, psi)
+
+    def test_suite_all_prints_the_failure_and_its_witness(self, monkeypatch, capsys):
+        monkeypatch.setattr(suites, "dilatation_length", lambda nu: 0)
+        assert main(["suite", "all"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fail = lines.index(
+            "FAIL criterion  9: multiplicity streams match the subtractive oracle"
+            " -- fixture (1,5/2) length is off"
+        )
+        assert lines[fail + 1] == f"     witness: {self.FIXTURE}"
+        assert sum(line.startswith("PASS criterion") for line in lines) == 14
+        assert main(["suite", "all", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["criterion"] for r in doc if not r["passed"]] == [9]
+        assert doc[8]["passed"] is False and doc[8]["detail"] == "fixture (1,5/2) length is off"
 
 
 class TestCriterion8Guards:
@@ -120,7 +185,8 @@ def test_the_lowest_failing_item_is_found(monkeypatch, k):
     def item(i):
         if i == 900:
             raise ZeroDivisionError("broken on purpose")
-        return "failed" if i in (517, 518) else None
+        if i in (517, 518):
+            raise suites._Failed("failed")
 
     monkeypatch.setattr(suites, "_cpu_count", lambda: k)
     try:
