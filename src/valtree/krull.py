@@ -9,7 +9,6 @@ curve types, whose support generator is a linear form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -17,6 +16,7 @@ from .poly import (
     BivarPoly,
     IDENTITY_FRAME,
     LinearFrame,
+    Record,
     clear_denominators,
     divide_out_linear,
 )
@@ -39,13 +39,12 @@ class InfiniteResidualError(ValueError):
     is still valued infinity, so the lift would not be a valuation."""
 
 
-@dataclass(frozen=True)
-class Rank2Val:
+class Rank2Val(Record):
     """Monomial Z x Q valuation in the coordinates named by the frame rows."""
 
     wx: Rank2Value
     wy: Rank2Value
-    frame: LinearFrame = field(default=IDENTITY_FRAME)
+    frame: LinearFrame = IDENTITY_FRAME
 
     def __post_init__(self):
         object.__setattr__(self, "wx", (int(self.wx[0]), Fraction(self.wx[1])))
@@ -55,13 +54,11 @@ class Rank2Val:
         return rank2_eval(self, phi)
 
 
-@dataclass(frozen=True)
-class KrullSameRank1:
+class KrullSameRank1(Record):
     valuation: QuasiMonomialVal
 
 
-@dataclass(frozen=True)
-class KrullRank2:
+class KrullRank2(Record):
     val: Rank2Val
     support_generator: BivarPoly
 

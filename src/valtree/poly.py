@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, Iterator, Mapping, Tuple, Union
 
 from .rationals import INF, ExtRat, ONE, ZERO, is_inf, parse_rat, scale
@@ -54,8 +54,50 @@ def _coerce(c) -> Fraction:
 MEMO_SIZE = 1024
 
 
+class Record:
+    """An immutable value: its fields are its class's annotated names, in order,
+    with the class attributes of those names as defaults.  Built by position or
+    keyword, it then runs its class's ``__post_init__``, if there is one.
+    Equality, hash and repr are a frozen dataclass's; memos live in ``__dict__``."""
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        get = attrgetter(*names) if names else lambda r: ()
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        key = (lambda r: (get(r),)) if len(names) == 1 else get
+        places, post = tuple(enumerate(names)), hasattr(cls, "__post_init__")
+        put = object.__setattr__  # not __dict__.update: a built __dict__ slows every read
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != len(names):
+                rest, given = names[len(args):], {**cls._defaults, **kwargs}
+                if len(args) > len(names) or not set(kwargs) <= set(rest) <= set(given):
+                    raise TypeError(f"{cls.__qualname__}() takes the fields {names}")
+                args += tuple(given[n] for n in rest)
+            for i, name in places:
+                put(self, name, args[i])
+            if post:
+                self.__post_init__()
+
+        def __eq__(self, other):
+            return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+        cls.__init__, cls.__eq__ = __init__, __eq__
+        cls.__hash__ = cls.__dict__.get("__hash__") or (lambda self: hash(key(self)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable: {name!r} stays")
+
+    __delattr__ = __setattr__
+
+
 def _cached_hash(obj, fields: tuple) -> int:
-    """The hash of a frozen dataclass, computed once and kept beside its fields."""
+    """The hash of a record, computed once and kept beside its fields."""
     try:
         return obj._hash
     except AttributeError:
@@ -356,8 +398,7 @@ def divide_out_linear(phi: BivarPoly, ell: BivarPoly) -> Tuple[int, BivarPoly]:
     return r, psi
 
 
-@dataclass(frozen=True)
-class LinearFrame:
+class LinearFrame(Record):
     """An invertible change of coordinates; each row is the form of one target coordinate.
 
     Beside the rows each frame keeps ``int_rows``, the rows times the lcm of

@@ -10,16 +10,16 @@ process per CPU and raises what the loop would.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .krull import KrullRank2, KrullSameRank1, Rank2Val, krull_lift, rank1_section, rank2_eval
-from .poly import BivarPoly, IDENTITY_FRAME
+from .poly import BivarPoly, IDENTITY_FRAME, Record
 from .rationals import INF, ONE, is_inf
 from .testkit import (
     DEFAULT_SEED,
@@ -85,8 +85,7 @@ from .valuation import (
 _X, _Y = BivarPoly.var_x(), BivarPoly.var_y()
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     criterion: int
     name: str
     passed: bool
@@ -171,7 +170,8 @@ def _first_failing(item: Item, n: int) -> int:
     raises, else n.
 
     With k CPUs, k processes check the items at once: this one and k - 1
-    forked children, which start with everything this process has built.
+    forked children, which start with everything this process has built,
+    frozen (``gc.freeze``) so that no collection copies a page they share.
     Each takes the next ticket from one pipe whenever it is free, so a
     process whose CPU the host takes away holds the others up by one ticket
     at most.  The tickets leave the pipe in order, and a process stops
@@ -190,6 +190,7 @@ def _first_failing(item: Item, n: int) -> int:
     children: List[Tuple[int, int]] = []  # (pid, read end of its pipe)
     tickets = None
     answered = False
+    gc.freeze()
     try:
         per = -(-n // _TICKETS)  # items per ticket
         tickets, w = os.pipe()
@@ -239,6 +240,7 @@ def _first_failing(item: Item, n: int) -> int:
                 os.waitpid(pid, 0)
             except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
                 pass
+        gc.unfreeze()
 
 
 def _run_items(item: Item, n: int, raised: Optional[Exception] = None) -> None:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .poly import BivarPoly
+from .poly import BivarPoly, Record
 from .rationals import INF, ONE
 from .tree import RootedTree, TreePoint, t_leq
 from .valuation import (
@@ -272,13 +271,11 @@ def brute_meet_oracle(tree: RootedTree, p: TreePoint, q: TreePoint) -> TreePoint
     return best
 
 
-@dataclass(frozen=True)
-class ConsistentWithLeq:
+class ConsistentWithLeq(Record):
     """No sampled counterexample; proves nothing, corroborates compare()."""
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     phi: BivarPoly
 
 

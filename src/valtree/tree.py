@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import MEMO_SIZE, _cached_hash
+from .poly import MEMO_SIZE, Record, _cached_hash
 from .rationals import ExtRat, Infinity, ONE, ZERO, is_inf
 from .valuation import EmptySetError, PreconditionViolatedError, QuasiMonomialVal, monomial
 
@@ -133,8 +132,7 @@ class RootedTree:
         return list(grid)
 
 
-@dataclass(frozen=True)
-class TreePoint:
+class TreePoint(Record):
     tree: RootedTree
     path: Path
     t: ExtRat
@@ -226,8 +224,7 @@ def t_tangent_equiv_definitional(
     return _tangent_bucket(tau, sigma) == _tangent_bucket(tau, alpha)
 
 
-@dataclass(frozen=True)
-class TangentRef:
+class TangentRef(Record):
     """A tangent vector at `base`, represented by the class of `rep`."""
 
     base: TreePoint
@@ -362,8 +359,7 @@ def chain_infimum(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     t1: bool
     t2: bool
     t3: bool
@@ -427,8 +423,7 @@ def tree_axiom_report(tree: RootedTree, seed: int = 0, samples: int = 40) -> Axi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FIPoint:
+class FIPoint(Record):
     """Point of the forked interval: Seg(t) for t in [0,1), or top X, or top Y."""
 
     kind: str  # "seg" | "X" | "Y"
@@ -517,8 +512,7 @@ def fi_axiom_report(samples: int = 40, seed: int = 0) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallReport:
+class BallReport(Record):
     epsilon: Fraction
     checked: int
     violations: Tuple[TreePoint, ...]

@@ -47,7 +47,6 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -60,6 +59,7 @@ from .poly import (
     IDENTITY_FRAME,
     LinearFrame,
     MEMO_SIZE,
+    Record,
     _cached_hash,
     clear_denominators,
     frame_apply,
@@ -92,8 +92,7 @@ class ChainTooLongError(ValueError):
     """Raised when a canonical chain would exceed ``MAX_CHAIN_STEPS`` steps."""
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     """A point of P^1(Q): a finite rational, or the point at infinity.
 
     Beside its value each point keeps its primitive integer pair ``[a:b]``,
@@ -164,8 +163,7 @@ def _coerce_weight(w) -> ExtRat:
     return w if isinstance(w, (Fraction, Infinity)) else Fraction(w)
 
 
-@dataclass(frozen=True)
-class QuasiMonomialVal:
+class QuasiMonomialVal(Record):
     """A dilatation program: centers, a coordinate frame, and monomial weights.
 
     The default instance is the order of vanishing at the origin (the m-adic
@@ -183,7 +181,7 @@ class QuasiMonomialVal:
     """
 
     steps: Tuple[ProjPoint, ...] = ()
-    frame: LinearFrame = field(default=IDENTITY_FRAME)
+    frame: LinearFrame = IDENTITY_FRAME
     weights: Tuple[ExtRat, ExtRat] = (ONE, ONE)
 
     def __post_init__(self):
@@ -640,30 +638,25 @@ def _require_normalized(nu: QuasiMonomialVal, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Continue:
+class Continue(Record):
     step: ProjPoint
     tail: QuasiMonomialVal
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(Record):
     gamma: Fraction
 
 
-@dataclass(frozen=True)
-class Divisorial:
+class Divisorial(Record):
     gamma: Fraction
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     direction: ProjPoint
     gamma: Fraction
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     steps: Tuple[ProjPoint, ...]
     terminal: Union[Divisorial, Curve]
 

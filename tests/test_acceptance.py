@@ -4,6 +4,7 @@ Run with -s to see the per-criterion lines as they pass; each test fails
 with the criterion's own detail and witness if the property breaks.
 """
 
+import gc
 import itertools
 import json
 import os
@@ -194,6 +195,58 @@ def test_the_lowest_failing_item_is_found(monkeypatch, k):
         assert suites._first_failing(lambda i: item(i + 400), 601) == 117
     finally:
         assert_no_children()
+
+
+class TestTheCollectorAcrossForks:
+    """The collector's objects are frozen while forked children share them,
+    and unfrozen once every child is reaped, whatever the children did; with
+    one process nothing is frozen."""
+
+    @staticmethod
+    def _run(monkeypatch, tmp_path, k, item, n=40):
+        """_run_items over n items on k processes: the (process, freeze count)
+        that each item checked saw, in the order each process checked them."""
+        log = tmp_path / "freeze.txt"
+
+        def logged(i):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {gc.get_freeze_count()}\n")
+            item(i)
+
+        monkeypatch.setattr(suites, "_cpu_count", lambda: k)
+        try:
+            suites._run_items(logged, n)
+        finally:
+            assert_no_children()
+            assert gc.get_freeze_count() == 0
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_passing_items(self, monkeypatch, tmp_path, k):
+        seen = self._run(monkeypatch, tmp_path, k, lambda i: None)
+        assert len(seen) == 40
+        assert all(count > 0 for _, count in seen) if k > 1 else {c for _, c in seen} == {0}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_failing_item(self, monkeypatch, tmp_path, k):
+        def item(i):
+            if i == 17:
+                raise suites._Failed("failed")
+
+        with pytest.raises(suites._Failed):
+            self._run(monkeypatch, tmp_path, k, item)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_child_that_dies_without_answering(self, monkeypatch, tmp_path, k):
+        parent = os.getpid()
+
+        def item(i):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        seen = self._run(monkeypatch, tmp_path, k, item)
+        # a lost answer leaves all 40 items to this process, checked unfrozen
+        assert seen[-40:] == [(parent, 0)] * 40
 
 
 # the criteria besides 5 (see TestCriterion5Shares) that split their items
