@@ -109,7 +109,7 @@ def _cached_hash(obj, fields: tuple) -> int:
 class BivarPoly:
     """A polynomial in x and y with rational coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Exponents, Union[Fraction, int]] = ()):
         clean = {}
@@ -120,7 +120,6 @@ class BivarPoly:
             if c != 0:
                 clean[(int(r), int(s))] = c
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("BivarPoly is immutable")
@@ -135,7 +134,6 @@ class BivarPoly:
         a nonzero ``Fraction``; the dict is not mutated afterwards."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "terms", terms)
-        object.__setattr__(poly, "_hash", None)
         return poly
 
     @classmethod
@@ -175,11 +173,7 @@ class BivarPoly:
         return isinstance(other, BivarPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         out = dict(self.terms)
@@ -341,15 +335,18 @@ def poly_parse(text: str) -> BivarPoly:
 
     if not tokens:
         raise PolyParseError("empty input", 0)
-    total = BivarPoly.zero()
+    # every term goes into one dict, so a long sum is not copied per term
+    total: dict = {}
+    get = total.get
     while True:
         sign = term_sign()
         if peek()[0] == "end":
             raise PolyParseError("dangling sign or empty term", peek()[2])
-        total = total + term() * sign
+        for e, c in term().terms.items():
+            total[e] = get(e, ZERO) + sign * c
         kind, tok, at = peek()
         if kind == "end":
-            return total
+            return BivarPoly(total)
         if not (kind == "op" and tok in "+-"):
             raise PolyParseError(f"expected + or - between terms, got {tok!r}", at)
 

@@ -67,6 +67,7 @@ from .valuation import (
     QuasiMonomialVal,
     TERMINAL,
     ValueNumerators,
+    _closing,
     canonicalize,
     common_minimizer,
     compare,
@@ -337,15 +338,10 @@ def criterion_4(seed: int, scale: float) -> str:
 
 def _divisorial_truncations(nu: QuasiMonomialVal) -> List[QuasiMonomialVal]:
     """The valuation's dilatation prefixes, each closed off divisorially."""
-    form = canonicalize(nu)
-    chains = [form.steps[:k] for k in range(len(form.steps) + 1)]
-    if isinstance(form.terminal, Curve):
-        d = form.terminal.direction
-        extra = INF_POINT if d.is_inf else d.negate()
-        chains.append(form.steps + (extra,))
+    steps, _ = _closing(canonicalize(nu))
     return [
-        normalize(QuasiMonomialVal(chain, IDENTITY_FRAME, (ONE, ONE)))
-        for chain in chains
+        normalize(QuasiMonomialVal(steps[:k], IDENTITY_FRAME, (ONE, ONE)))
+        for k in range(len(steps) + 1)
     ]
 
 

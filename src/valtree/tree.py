@@ -186,7 +186,7 @@ def t_segment_member(r: TreePoint, p: TreePoint, q: TreePoint) -> bool:
     """Whether r lies on the closed segment between p and q."""
     _same_tree(r, p, q)
     m = t_meet(p, q)
-    return (t_leq(m, r) and t_leq(r, p)) or (t_leq(m, r) and t_leq(r, q))
+    return t_leq(m, r) and (t_leq(r, p) or t_leq(r, q))
 
 
 def _check_tangent_args(tau: TreePoint, sigma: TreePoint, alpha: TreePoint) -> None:
@@ -259,9 +259,17 @@ class PathParam:
         self._recips: Dict[TreePoint, Tuple[int, int]] = {}
 
     def _node_depth(self, path: Path) -> ExtRat:
-        if path not in self._depth:
-            self._depth[path] = self._node_depth(path[:-1]) + self.tree.edge_length(path)
-        return self._depth[path]
+        """The summed edge lengths from the root to path, kept for every node
+        on the way: a loop down from the deepest node already known."""
+        depth = self._depth
+        k = len(path)
+        while path[:k] not in depth:
+            k -= 1
+        d = depth[path[:k]]
+        for k in range(k + 1, len(path) + 1):
+            node = path[:k]
+            d = depth[node] = d + self.tree.edge_length(node)
+        return d
 
     def psi(self, p: TreePoint) -> ExtRat:
         if p.tree is not self.tree:

@@ -1,12 +1,11 @@
 """Chain-layer readings as exact rationals, shared by the valuation and
 deep-chain tests."""
 
-import itertools
 from fractions import Fraction
 
 from valtree import valuation
 from valtree.rationals import INF
-from valtree.valuation import TERMINAL, Divisorial
+from valtree.valuation import TERMINAL
 
 
 def level_values(nu):
@@ -22,13 +21,10 @@ def record_values(nu):
 
 
 def walk(form):
-    """Every level of a canonical chain in order, ``valuation._level_entry``
-    read off ``valuation._chain_numerators``, as exact rationals: (center, m,
-    e) per level, e being None at a divisorial end and INF for an infinite
-    value.  A divisorial walk ends on its TERMINAL level, a curve's goes on
-    forever."""
-    q, steps, levels = valuation._chain_numerators(form)
-    t = form.terminal
-    for i in range(len(steps) + 1) if isinstance(t, Divisorial) else itertools.count():
-        center, m, e = valuation._level_entry(steps, levels, t, i)
+    """Every level of a canonical chain in order, ``valuation._chain``'s
+    reader, as exact rationals: (center, m, e) per level, e being None at a
+    divisorial end and INF for an infinite value.  A divisorial walk ends on
+    its TERMINAL level, a curve's goes on forever."""
+    q, _, levels = valuation._chain(form)
+    for center, m, e in levels:
         yield center, Fraction(m, q), (None if center is TERMINAL else INF) if e is None else Fraction(e, q)

@@ -72,6 +72,12 @@ class TestParse:
         assert poly_parse("3/2*x + 1") == X * Fraction(3, 2) + BivarPoly.constant(1)
         assert poly_parse("-x - -y") == Y - X
 
+    def test_a_long_sum_is_parsed_whole(self):
+        """Each term is added into one table: 20,000 terms parse at once."""
+        n = 20_000
+        want = BivarPoly({(i, i % 3): Fraction(1 if i % 2 else -2) for i in range(1, n + 1)})
+        assert poly_parse(str(want)) == want
+
     @given(polys())
     def test_round_trip(self, p):
         assert poly_parse(str(p)) == p

@@ -194,6 +194,15 @@ class TestMetric:
         for value in (1, Fraction(3, 2), Fraction(5, 2), 3):
             assert psi.psi(psi.point_at_psi(tau, value)) == value
 
+    def test_psi_and_distance_at_depth_5000(self):
+        """A node's depth is summed by a loop, not by one call per level, so a
+        path deeper than the interpreter's recursion limit is measured."""
+        n = 5000
+        tree = RootedTree({(0,) * k: 1 for k in range(1, n + 1)})
+        deep, mid = tree.node_point((0,) * n), tree.node_point((0,) * (n // 2))
+        assert PathParam(tree).psi(deep) == n + 1
+        assert t_dpsi(PathParam(tree), mid, deep) == Fraction(1, n // 2 + 1) - Fraction(1, n + 1)
+
 
 class TestInfimum:
     def test_matches_folded_meets(self):
