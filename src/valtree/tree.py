@@ -5,6 +5,9 @@ prefix comparison, and every pair has a deepest common point.  A
 parametrization assigns increasing values along root-to-leaf paths and
 induces a metric through reciprocal differences at the meet.
 
+A tree is one node table: each table of a tree and of its parametrization
+keys a node by the one path object that ``RootedTree.edges`` holds, parents first.
+
 The forked interval (a totally ordered segment with two incomparable tops)
 is kept as its own poset type: it satisfies the chain axioms but has a
 two-element subset with no infimum, so it is deliberately not a tree.
@@ -14,7 +17,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from operator import index
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .poly import MEMO_SIZE, Record, _cached_hash
@@ -46,29 +51,32 @@ def _coerce_len(v) -> ExtRat:
 
 
 class RootedTree:
-    """Finite rooted tree; each non-root node carries its parent-edge length."""
+    """Finite rooted tree; each non-root node carries its parent-edge length.
+
+    One pass over the sorted paths, in which a child's index must be its
+    parent's next free index, fills ``edges`` (parents first) and ``_kids``."""
 
     def __init__(self, edges: Mapping[Path, object]):
-        self.edges: Dict[Path, ExtRat] = {
-            tuple(k): _coerce_len(v) for k, v in edges.items()
-        }
+        self.edges: Dict[Path, ExtRat] = {}
         self._kids: Dict[Path, int] = {}
-        for path, length in self.edges.items():
+        line: List[Path] = [()]  # the root path of the node placed last
+        for path, length in sorted((tuple(k), _coerce_len(v)) for k, v in edges.items()):
             if not path:
                 raise ValueError("the root has no parent edge")
             if not is_inf(length) and length <= 0:
                 raise ValueError("edge lengths must be positive")
-            parent = path[:-1]
-            if parent and parent not in self.edges:
+            del line[len(path):]
+            parent = line[-1]
+            if path[:-1] != parent:
                 raise ValueError(f"dangling node {path}: parent missing")
-            self._kids[parent] = max(self._kids.get(parent, 0), path[-1] + 1)
-        for parent, n in self._kids.items():
-            for i in range(n):
-                if parent + (i,) not in self.edges:
-                    raise ValueError(f"child indices of {parent} must be contiguous")
-        for path, length in self.edges.items():
-            if is_inf(length) and self.n_children(path):
+            if parent and is_inf(self.edges[parent]):
                 raise ValueError("infinite edges must end in leaves")
+            n = self._kids.get(parent, 0)
+            if index(path[-1]) != n:  # an integer, the parent's next free index
+                raise ValueError(f"child indices of {parent} must be contiguous")
+            self._kids[parent] = n + 1
+            self.edges[path] = length
+            line.append(path)
         self._grids: Dict[int, Tuple["TreePoint", ...]] = {}
         # one point object per node, so memos keyed by points mostly hit by identity
         self._nodes: Dict[Path, TreePoint] = {(): TreePoint(self, (), ZERO)}
@@ -80,7 +88,7 @@ class RootedTree:
         return self.edges[tuple(path)]
 
     def node_paths(self) -> List[Path]:
-        return [()] + sorted(self.edges.keys())
+        return [()] + list(self.edges)
 
     def root_point(self) -> "TreePoint":
         return self._nodes[()]
@@ -118,7 +126,7 @@ class RootedTree:
         grid = self._grids.get(per_edge)
         if grid is None:
             out = self.node_points()
-            for path, length in sorted(self.edges.items()):
+            for path, length in self.edges.items():
                 if is_inf(length):
                     out.extend(self.point(path, i) for i in range(1, per_edge + 1))
                 else:
@@ -191,8 +199,9 @@ def t_segment_member(r: TreePoint, p: TreePoint, q: TreePoint) -> bool:
 
 def _check_tangent_args(tau: TreePoint, sigma: TreePoint, alpha: TreePoint) -> None:
     _same_tree(tau, sigma, alpha)
-    if sigma == tau or alpha == tau:
-        raise BasePointEqualsRepError("tangent points must differ from the base")
+    for p in (sigma, alpha):  # on one tree, a point is its offset and path
+        if p is tau or (p.t == tau.t and p.path == tau.path):
+            raise BasePointEqualsRepError("tangent points must differ from the base")
 
 
 def t_tangent_equiv(tau: TreePoint, sigma: TreePoint, alpha: TreePoint) -> bool:
@@ -249,34 +258,28 @@ def class_member(ref: TangentRef, cand: TreePoint) -> bool:
 
 
 class PathParam:
-    """Arclength-plus-one parametrization: Psi(root)=1, affine on every edge."""
+    """Arclength-plus-one parametrization: Psi(root)=1, affine on every edge.
+
+    One parents-first pass over ``tree.edges`` fills its depth table: Psi at
+    each edge's lower end, keyed by the tree's own path object."""
 
     def __init__(self, tree: RootedTree):
         self.tree = tree
-        self._depth: Dict[Path, ExtRat] = {(): ZERO}
+        edges, low = tree.edges, {}
+        for path in edges:
+            parent = path[:-1]
+            low[path] = low[parent] + edges[parent] if parent else ONE
+        self._low: Dict[Path, ExtRat] = low
         # 1/Psi(p) per point as a pair (numerator, denominator) in lowest
         # terms with a positive denominator; (0, 1) at infinity
         self._recips: Dict[TreePoint, Tuple[int, int]] = {}
-
-    def _node_depth(self, path: Path) -> ExtRat:
-        """The summed edge lengths from the root to path, kept for every node
-        on the way: a loop down from the deepest node already known."""
-        depth = self._depth
-        k = len(path)
-        while path[:k] not in depth:
-            k -= 1
-        d = depth[path[:k]]
-        for k in range(k + 1, len(path) + 1):
-            node = path[:k]
-            d = depth[node] = d + self.tree.edge_length(node)
-        return d
 
     def psi(self, p: TreePoint) -> ExtRat:
         if p.tree is not self.tree:
             raise ForeignPointError("point is not on the parametrized tree")
         if p.is_root():
             return ONE
-        return ONE + self._node_depth(p.path[:-1]) + p.t
+        return self._low[p.path] + p.t
 
     def recip(self, p: TreePoint) -> Fraction:
         """``1/Psi(p)``, 0 at infinity.
@@ -286,9 +289,7 @@ class PathParam:
         return Fraction(*self._recip_pair(p))
 
     def _recip_pair(self, p: TreePoint) -> Tuple[int, int]:
-        if p.tree is not self.tree:
-            raise ForeignPointError("point is not on the parametrized tree")
-        pair = self._recips.get(p)
+        pair = self._recips.get(p)  # a point of another tree misses: its key holds the tree
         if pair is None:
             v = self.psi(p)
             pair = (0, 1) if is_inf(v) else (v.denominator, v.numerator)
@@ -300,14 +301,12 @@ class PathParam:
         """The unique point on [root, tau] with the given Psi-value."""
         if value < 1 or value > self.psi(tau):
             raise ValueError(f"Psi-value {value} not attained on [root, tau]")
-        acc = ONE
-        for k in range(1, len(tau.path) + 1):
-            prefix = tau.path[:k]
-            limit = tau.t if k == len(tau.path) else self.tree.edge_length(prefix)
-            if value <= acc + limit:
-                return self.tree.point(prefix, value - acc)
-            acc = acc + self.tree.edge_length(prefix)
-        return self.tree.root_point()
+        path, low = tau.path, self._low
+        if not path:
+            return self.tree.root_point()
+        # the first edge k of the path whose upper end reaches the value
+        k = 1 + bisect_left(range(2, len(path) + 1), value, key=lambda j: low[path[:j]])
+        return self.tree.point(path[:k], value - low[path[:k]])
 
 
 def _dpsi_pair(psi: PathParam, p: TreePoint, q: TreePoint) -> Tuple[int, int]:

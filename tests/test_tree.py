@@ -65,6 +65,9 @@ class TestRootedTree:
     def test_dangling_parent_rejected(self):
         with pytest.raises(ValueError):
             RootedTree({(0, 0): ONE})
+        # the missing parent (1,) sorts after a node of its depth that is there
+        with pytest.raises(ValueError, match=r"dangling node \(1, 0\): parent missing"):
+            RootedTree({(0,): ONE, (1, 0): ONE})
 
     def test_infinite_edges_are_leaves(self):
         with pytest.raises(ValueError):
@@ -73,6 +76,41 @@ class TestRootedTree:
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValueError):
             RootedTree({(0,): Fraction(0)})
+
+    def test_negative_child_indices_rejected(self):
+        """A child's index is its parent's next free index, so -1 is never one."""
+        for edges in ({(-1,): ONE}, {(0,): ONE, (-1,): ONE}):
+            with pytest.raises(ValueError, match=r"child indices of \(\) must be contiguous"):
+                RootedTree(edges)
+
+    def test_child_indices_are_integers(self):
+        for edges in ({(0.0,): ONE}, {(0,): ONE, (0, "1"): ONE}):
+            with pytest.raises(TypeError):
+                RootedTree(edges)
+
+    def test_node_paths_is_a_new_list_each_call(self, tree):
+        first = tree.node_paths()
+        first.clear()
+        assert tree.node_paths() == [(), (0,), (0, 0), (0, 1), (1,)]
+        assert tree.node_paths() is not tree.node_paths()
+
+    def test_insertion_order_changes_nothing(self):
+        """The node table is built from the sorted paths, so the order of the
+        caller's edge dict changes no order, count or Psi-value."""
+        for s in range(25):
+            tree = gen_tree(DEFAULT_SEED + 3000 + s, max_nodes=14)
+            items = list(tree.edges.items())
+            random.Random(s).shuffle(items)
+            twin = RootedTree(dict(items))
+            paths = twin.node_paths()
+            assert paths == tree.node_paths() == [()] + sorted(tree.edges)
+            kids = [sum(q[:-1] == p for q in tree.edges) for p in paths]
+            assert [twin.n_children(p) for p in paths] == [tree.n_children(p) for p in paths] == kids
+            psi, twin_psi = PathParam(tree), PathParam(twin)
+            for k in (1, 2, 3):
+                pts, twin_pts = tree.grid_points(k), twin.grid_points(k)
+                assert [(p.path, p.t) for p in twin_pts] == [(p.path, p.t) for p in pts]
+                assert [twin_psi.psi(p) for p in twin_pts] == [psi.psi(p) for p in pts]
 
     def test_point_canonical_form(self, tree):
         assert tree.point((0,), 0) == tree.root_point()
@@ -157,6 +195,18 @@ class TestTangent:
         assert not class_member(ref, tree.root_point())
         assert not class_member(ref, tau)  # the base is in none of its classes
 
+    def test_a_copy_of_the_base_is_the_base(self, tree):
+        """An equal point that is another object is still the base point."""
+        alpha = tree.root_point()
+        tau, node = tree.point((0,), 1), tree.node_point((0,))
+        for base, copy in ((tau, tree.point((0,), 1)), (node, tree.point((0,), Fraction(3, 2)))):
+            assert copy is not base and copy == base
+            for check in (t_tangent_equiv, t_tangent_equiv_definitional):
+                with pytest.raises(BasePointEqualsRepError):
+                    check(base, copy, alpha)
+                with pytest.raises(BasePointEqualsRepError):
+                    check(base, alpha, copy)
+
     def test_base_equals_rep_rejected(self, tree):
         tau = tree.point((0,), 1)
         with pytest.raises(BasePointEqualsRepError):
@@ -194,14 +244,28 @@ class TestMetric:
         for value in (1, Fraction(3, 2), Fraction(5, 2), 3):
             assert psi.psi(psi.point_at_psi(tau, value)) == value
 
+    def test_psi_is_one_plus_arclength_and_point_at_psi_inverts_it(self):
+        for s in range(15):
+            t = gen_tree(DEFAULT_SEED + 3100 + s, max_nodes=14)
+            psi = PathParam(t)
+            pts = t.grid_points(2)
+            for tau in pts:
+                above = sum((t.edge_length(tau.path[:k]) for k in range(1, len(tau.path))), ONE)
+                assert psi.psi(tau) == above + tau.t
+                for r in pts:
+                    if t_leq(r, tau):
+                        assert psi.point_at_psi(tau, psi.psi(r)) == r
+
     def test_psi_and_distance_at_depth_5000(self):
-        """A node's depth is summed by a loop, not by one call per level, so a
-        path deeper than the interpreter's recursion limit is measured."""
+        """Depths are filled in one pass, not by one call per level, so a path
+        deeper than the interpreter's recursion limit is measured."""
         n = 5000
         tree = RootedTree({(0,) * k: 1 for k in range(1, n + 1)})
         deep, mid = tree.node_point((0,) * n), tree.node_point((0,) * (n // 2))
-        assert PathParam(tree).psi(deep) == n + 1
-        assert t_dpsi(PathParam(tree), mid, deep) == Fraction(1, n // 2 + 1) - Fraction(1, n + 1)
+        psi = PathParam(tree)
+        assert psi.psi(deep) == n + 1
+        assert t_dpsi(psi, mid, deep) == Fraction(1, n // 2 + 1) - Fraction(1, n + 1)
+        assert psi.point_at_psi(deep, n // 2 + 1) == mid
 
 
 class TestInfimum:
