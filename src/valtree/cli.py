@@ -249,7 +249,9 @@ def _cmd_val_stream(args) -> int:
     form = canonicalize(nu)
     lam = dilatation_length(nu)
     stream = multiplicity_stream(nu)
-    rows = zip(range(len(form.steps)), stream)  # takes no entry past the last row
+    # a curve whose direction [a:b] has a, b != 0 closes on -a/b, a row before its tail
+    n = len(form.steps) + (is_inf(lam) and all(form.terminal.direction.as_pair()))
+    rows = zip(range(n), stream)  # takes no entry past the last row
 
     # a long chain's document and its text each take much memory, so each
     # is made only in its own mode, and the rows only as the stream yields them

@@ -18,10 +18,12 @@ coordinate's level value, and the first strict transform with a unique least
 term gives the value.  Past the last center the remainder is rewritten in
 the frame coordinates and its weighted order taken.
 
-A canonical chain has one reader, ``_chain``: it yields each level's center,
-multiplicity and exceptional value, then a divisorial's terminal level or a
-curve's constant tail.  ``meet`` walks two readers in lockstep and
-``multiplicity_stream`` maps one.
+A program's levels have one reader, ``_levels``: one pass back from the last
+center finds each level's multiplicity and exceptional value.  ``_chain``
+pairs them with a canonical chain's centers, then a divisorial's terminal
+level or a curve's constant tail; ``meet`` walks two chains in lockstep and
+``multiplicity_stream`` maps one.  ``_strict_transform`` reads each level's
+coordinate values off them.
 
 Each valuation on the path parse -> normalize -> meet is built once: a
 construction runs the level recursion once and keeps one integer record of
@@ -55,7 +57,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .poly import (
@@ -375,17 +377,18 @@ def _least(f: Iterable[Tuple[int, int]], vx: _Num, vy: _Num) -> Tuple[_Num, bool
 def _strict_transform(nu: QuasiMonomialVal, phi: BivarPoly) -> _Num:
     """v(phi) by strict transforms, level by level, as a numerator over the
     program's q (None for infinity); phi is nonzero."""
-    _, levels = _level_numerators(nu)
+    ms, es = _levels(nu.steps, *_last_level(nu.frame, *nu._lead[4:6]))
     f = clear_denominators(phi.terms)
     acc = 0
-    for step, (vx, vy) in zip(nu.steps, islice(levels, 1, None)):
-        e, f = _chart(f, step)
-        # the exceptional coordinate's value is finite on a legal program:
-        # an infinite one would make both values at the level above infinite
-        acc += e * (vy if step.is_inf else vx)
+    for step, m, e in zip(nu.steps, ms, es):
+        k, f = _chart(f, step)
+        # the new exceptional coordinate, y_{i+1} at infinity (x_i = x_{i+1} * y_{i+1})
+        # and x_{i+1} at a finite center (x_i = x_{i+1}), has the value m, finite
+        # on a legal program; the other coordinate has e - m, or None when e is
+        acc += k * m
         if step.is_inf or not step.value:
             continue  # an exponent map keeps every term's value, so the tie stands
-        least, tie = _least(f, vx, vy)
+        least, tie = _least(f, m, None if e is None else e - m)
         if not tie:
             return None if least is None else acc + least
     if not nu.frame.is_identity():
@@ -530,28 +533,38 @@ def _min_num(u: _Num, v: _Num) -> _Num:
     return v if u is None else u if v is None else min(u, v)
 
 
-def _levels_back(steps: Sequence[ProjPoint], vx: _Num, vy: _Num) -> List[Tuple[_Num, _Num]]:
-    """The values at every level, level 0 first, from those ``(vx, vy)`` after
-    the last center.  Each center is undone by its chart: at infinity
-    ``x_i = x_{i+1} * y_{i+1}``, else ``y_i = x_{i+1} * (y_{i+1} + c)``, where
-    the second factor is a unit unless c = 0."""
-    levels = [(vx, vy)]
+def _levels(steps: Sequence[ProjPoint], vx: _Num, vy: _Num) -> Tuple[List[int], List[_Num]]:
+    """``(ms, es)``: per center i, the multiplicity ``min(v(x_i), v(y_i))``
+    and the value ``v(x_{i+1}) + v(y_{i+1})`` of its exceptional linear form,
+    from the values ``(vx, vy)`` after the last center, in one pass back from
+    the last: each center is undone by its chart, at infinity ``x_i = x_{i+1}
+    * y_{i+1}``, else ``y_i = x_{i+1} * (y_{i+1} + c)``, where the second
+    factor is a unit unless c = 0.  The levels are kept in two lists of
+    integers, not as tuples that hold their centers: the garbage collector
+    keeps scanning such tuples, which made meet of the normalized (1, 4*10^5)
+    and (1, 4*10^5 + 1/2) about twice as slow."""
+    ms, es = [], []
     for step in reversed(steps):
+        e = None if vx is None or vy is None else vx + vy
         a, b = step._pair
         if not b:  # infinity
-            vx = None if vx is None or vy is None else vx + vy
+            vx = e
         elif a:
             vy = vx
         else:
-            vy = None if vx is None or vy is None else vx + vy
-        levels.append((vx, vy))
-    levels.reverse()
-    return levels
+            vy = e
+        ms.append(vx if vy is None else vy if vx is None or vy < vx else vx)
+        es.append(e)
+    ms.reverse()
+    es.reverse()
+    return ms, es
 
 
 def _level_zero(steps: Sequence[ProjPoint], vx: _Num, vy: _Num) -> Tuple[_Num, _Num]:
-    """The values at level 0, by the recursion of ``_levels_back`` without
-    keeping the levels between."""
+    """The values at level 0 from those after the last center, by the charts
+    of ``_levels``: v(x) gains v(y) at infinity, v(y) gains v(x) at 0 and
+    becomes v(x) elsewhere.  A construction needs level 0 only, so this fold
+    keeps no list, which for a deep program would hold every level."""
     for step in reversed(steps):
         a, b = step._pair
         if not b:  # infinity
@@ -582,14 +595,6 @@ def _last_level(frame: LinearFrame, n1: _Num, n2: _Num) -> Tuple[_Num, _Num]:
         _min_num(n1 if d else None, n2 if b else None),
         _min_num(n1 if c else None, n2 if a else None),
     )
-
-
-def _level_numerators(nu: QuasiMonomialVal) -> Tuple[int, List[Tuple[_Num, _Num]]]:
-    """``(q, levels)``: ``(v(x_i), v(y_i))`` at every level i, level 0 being the
-    original x, y, as integer numerators over q, the lcm of the finite
-    weights' denominators.  The recursion back to level 0 adds integers only."""
-    _, _, q, _, n1, n2 = nu._lead
-    return q, _levels_back(nu.steps, *_last_level(nu.frame, n1, n2))
 
 
 def m_value(nu: QuasiMonomialVal) -> Fraction:
@@ -810,41 +815,22 @@ _NumLevel = Tuple[object, int, _Num]
 def _chain(form: CanonicalForm) -> Tuple[int, Tuple[ProjPoint, ...], Iterator[_NumLevel]]:
     """``(q, steps, levels)``: the centers of the program ``from_canonical``
     rebuilds from a canonical form, found without building the program, and
-    the one reader of its levels, in order.
+    its levels in order.
 
-    A level is its center, its multiplicity ``min(v(x_i), v(y_i))`` and the
-    value ``v(x_{i+1}) + v(y_{i+1})`` of its exceptional linear form, as
-    integer numerators over q, the terminal weight's denominator (None for
-    infinity).  Past the steps come a divisorial's one level (TERMINAL, g,
-    None) or a curve's constant tail, its center with g and None, forever.
-    An early level's values depend on every later one, so the levels of the
-    steps are found in one pass back from the last, by the recursion of
-    ``_levels_back``, and the reader pairs them with their centers as it is
-    read.  They are kept in two lists of integers, not as tuples that hold
-    their centers: the garbage collector keeps scanning such tuples, which
-    made meet of the normalized (1, 4*10^5) and (1, 4*10^5 + 1/2) about
-    twice as slow."""
+    A level is its center, its multiplicity and the value of its exceptional
+    linear form, as ``_levels`` finds them, integer numerators over q, the
+    terminal weight's denominator (None for infinity).  Past the steps come
+    a divisorial's one level (TERMINAL, g, None) or a curve's constant tail,
+    its center with g and None, forever."""
     t = form.terminal
     steps, (w1, w2) = _closing(form)
     g = t.gamma.numerator
-    vx, vy = None if w1 is INF else g, None if w2 is INF else g
-    ms, es = [], []
-    for step in reversed(steps):
-        e = None if vx is None or vy is None else vx + vy
-        a, b = step._pair
-        if not b:
-            vx = e
-        elif a:
-            vy = vx
-        else:
-            vy = e
-        ms.append(vx if vy is None else vy if vx is None or vy < vx else vx)
-        es.append(e)
+    ms, es = _levels(steps, None if w1 is INF else g, None if w2 is INF else g)
     if isinstance(t, Divisorial):
         tail = ((TERMINAL, g, None),)
     else:
         tail = repeat((INF_POINT if t.direction.is_inf else ZERO_POINT, g, None))
-    return t.gamma.denominator, steps, chain(zip(steps, reversed(ms), reversed(es)), tail)
+    return t.gamma.denominator, steps, chain(zip(steps, ms, es), tail)
 
 
 def multiplicity_stream(nu: QuasiMonomialVal):

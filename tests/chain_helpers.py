@@ -9,8 +9,17 @@ from valtree.valuation import TERMINAL
 
 
 def level_values(nu):
-    """``valuation._level_numerators`` as exact rationals."""
-    q, levels = valuation._level_numerators(nu)
+    """``(v(x_i), v(y_i))`` at every level i, level 0 first, as exact
+    rationals: level 0 from the record, each later level from the center
+    before it and its ``(m, e)`` in ``valuation._levels``.  The new exceptional
+    coordinate, y after infinity and x after a finite center, has value m;
+    the other has e - m, infinite when e is."""
+    nx, ny, q, _, n1, n2 = nu._lead
+    ms, es = valuation._levels(nu.steps, *valuation._last_level(nu.frame, n1, n2))
+    levels = [(nx, ny)]
+    for step, m, e in zip(nu.steps, ms, es):
+        other = None if e is None else e - m
+        levels.append((other, m) if step.is_inf else (m, other))
     return [tuple(INF if n is None else Fraction(n, q) for n in level) for level in levels]
 
 

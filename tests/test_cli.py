@@ -1,5 +1,6 @@
 """Command-line behavior: pinned examples, exit codes, round trips."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -118,6 +119,32 @@ class TestValCommands:
         )
         assert "center 0, m=1 (repeats)" in out
         assert "lambda = inf" in out
+
+    def test_stream_curve_closing_center_is_a_row(self, capsys):
+        """A curve whose direction [a:b] has a, b != 0 closes on the center
+        -a/b, which does not repeat: it is the last row, and the tail is the
+        center 0 that the stream repeats.  Curves closing on 0 or inf show
+        their closing center as the tail."""
+        frame = '"frame":[["1","0"],["1","2"]],'
+        cases = [
+            ('{%s"weights":["1","inf"]}' % frame, [("0", "-1/2")], "0"),
+            ('{"steps":[{"center":"inf"}],%s"weights":["1","inf"]}' % frame,
+             [("0", "inf"), ("1", "-1/2")], "0"),
+            ('{"weights":["1","inf"]}', [], "0"),
+            ('{"frame":[["0","1"],["1","0"]],"weights":["1","inf"]}', [], "inf"),
+        ]
+        for doc, rows, tail in cases:
+            _, out, _ = run(capsys, "val", "stream", "--valuation", doc)
+            lines = out.splitlines()
+            assert [tuple(ln.split()[:2]) for ln in lines[1:1 + len(rows)]] == rows
+            assert lines[1 + len(rows)] == f"center {tail}, m=1 (repeats)"
+            _, out, _ = run(capsys, "val", "stream", "--valuation", doc, "--json")
+            got = json.loads(out)
+            assert [(str(r["level"]), r["center"]) for r in got["rows"]] == rows
+            assert got["tail"] == {"center": tail, "m": "1"}
+            stream = valuation.multiplicity_stream(normalize(valuation_from_json(json.loads(doc))))
+            entries = [str(c) for c, _ in itertools.islice(stream, len(rows) + 3)]
+            assert entries == [c for _, c in rows] + [tail] * 3
 
     def test_normalize_round_trips(self, capsys):
         code, out, _ = run(

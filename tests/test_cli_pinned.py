@@ -67,6 +67,7 @@ COMMANDS = [
     ("val-inf-files", ["val", "inf", "--in", "a.json", "--valuation", B, "--valuation", XY]),
     ("val-stream", ["val", "stream", "--valuation", S]),
     ("val-stream-tail", ["val", "stream", "--valuation", CURVE]),
+    ("val-stream-closing-row", ["val", "stream", "--valuation", RANK2]),
     ("val-canon", ["val", "canon", "--valuation", C]),
     ("val-krull-rank2", ["val", "krull", "--valuation", RANK2, "--poly", "x*y+y^2", "--poly", "x^3-y"]),
     ("val-krull-rank2-bare", ["val", "krull", "--valuation", CURVE]),

@@ -308,8 +308,8 @@ class TestLevelValues:
             for nu in PROGRAMS for k in (Fraction(3, 2), Fraction(2, 7))
         ]
         calls = []
-        levels_back = valuation._levels_back
-        monkeypatch.setattr(valuation, "_levels_back", lambda *a: calls.append(1) or levels_back(*a))
+        levels = valuation._levels
+        monkeypatch.setattr(valuation, "_levels", lambda *a: calls.append(1) or levels(*a))
         got = [normalize(big) for _, big in pairs]
         assert calls == []
         monkeypatch.undo()

@@ -5,17 +5,19 @@ A construction reads level 0 with a loop that keeps no level list and the
 head's root off the first center's pair; ``meet`` builds its results from the
 canonical forms it makes, without the checked constructor; ``compare``
 answers by identity when ``meet`` hands back one of its inputs.  Each is
-checked here against the slower definition: the level list of
-``_levels_back``, the root of the ``negate()``-d direction,
-``from_canonical`` of the result's canonical form, and the order the
-canonical forms decide.
+checked here against the slower definition: level 0 of the Fraction
+recursion ``test_deep_chains.reference_levels``, the root of the
+``negate()``-d direction, ``from_canonical`` of the result's canonical form,
+and the order the canonical forms decide.
 """
 
 import random
 from fractions import Fraction
 
+from test_deep_chains import reference_levels
 from valtree import valuation
 from valtree.poly import LinearFrame
+from valtree.rationals import INF
 from valtree.testkit import DEFAULT_SEED, gen_qmv
 from valtree.valuation import (
     CanonicalForm,
@@ -108,10 +110,11 @@ class TestConstruction:
         infinite = 0
         for nu in programs():
             _, _, q, _, n1, n2 = nu._lead
-            last = valuation._last_level(nu.frame, n1, n2)
-            levels = valuation._levels_back(nu.steps, *last)
-            assert valuation._level_zero(nu.steps, *last) == levels[0] == nu._lead[:2]
-            infinite += bool(nu.steps) and any(None in level for level in levels)
+            nx, ny = valuation._level_zero(nu.steps, *valuation._last_level(nu.frame, n1, n2))
+            assert (nx, ny) == nu._lead[:2]
+            levels = reference_levels(nu)
+            assert tuple(INF if n is None else Fraction(n, q) for n in (nx, ny)) == levels[0]
+            infinite += bool(nu.steps) and any(INF in level for level in levels)
         assert infinite >= 50  # the loop's branch for an infinite value is reached
 
     def test_head_root_is_that_of_the_negated_center(self):

@@ -485,6 +485,24 @@ class TestEvaluateWork:
             assert 1 <= len(sizes) <= len(nu.steps)
             assert max(sizes) <= 8
 
+    def test_a_tie_reads_the_levels_once(self, monkeypatch):
+        """A tie that reaches the strict transforms reads the program's levels
+        with one call of ``_levels``; a unique least term reads none."""
+        nu = QuasiMonomialVal(self.DEEP.steps, self.DEEP.frame, self.DEEP.weights)
+        calls = []
+        levels = valuation._levels
+        monkeypatch.setattr(valuation, "_levels", lambda *a: calls.append(1) or levels(*a))
+        ell = poly_parse("y - 2*x")  # the head's exceptional form
+        assert evaluate(nu, ell) == evaluate_naive(nu, ell)
+        assert calls == [1]
+        for phi in (ell**2 + X**3, ell**3 + Y**4, ell**3 * X + Y**5 - X**6):
+            del calls[:]
+            assert evaluate(nu, phi) > min(r + s for r, s in phi.terms) * m_value(nu)
+            assert calls == [1]
+        del calls[:]
+        assert evaluate(nu, X**3 * Y + Y**7) == 4 * m_value(nu)
+        assert calls == []
+
     def test_warm_evaluate_never_hashes_the_valuation(self, monkeypatch):
         """evaluate keeps its state on the valuation (its level-0 numerators
         and value table) and runs no cache lookup keyed by it."""
@@ -566,8 +584,8 @@ class TestNormalize:
         assert len(scaled) > 600
         assert sum(None in nu._lead[:2] for nu in scaled) > 100
         calls = []
-        levels_back = valuation._levels_back
-        monkeypatch.setattr(valuation, "_levels_back", lambda *a: calls.append(1) or levels_back(*a))
+        levels = valuation._levels
+        monkeypatch.setattr(valuation, "_levels", lambda *a: calls.append(1) or levels(*a))
         normalized = [normalize(nu) for nu in scaled]
         assert calls == []
         assert all(is_normalized(nu) for nu in normalized)
