@@ -3,7 +3,10 @@
 A valuation with nontrivial support sends the support generator to infinity;
 its rank-2 refinement counts the generator multiplicity first and evaluates
 the residual factor second.  Here the representable cases are the level-0
-curve types, whose support generator is a linear form.
+curve types, whose support generator is a linear form gen.  Such a
+refinement is monomial in the coordinates (gen, other), so it is two values:
+gen gets (1, 0) and the other coordinate gets (0, nu(other)), finite because
+the other coordinate is never a multiple of gen.
 """
 
 from __future__ import annotations
@@ -12,15 +15,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .poly import (
-    BivarPoly,
-    IDENTITY_FRAME,
-    LinearFrame,
-    Record,
-    clear_denominators,
-    divide_out_linear,
-)
-from .rationals import INF, ExtRat, is_inf
+from .poly import BivarPoly, IDENTITY_FRAME, LinearFrame, Record, clear_denominators
+from .rationals import INF, ExtRat
 from .valuation import (
     Curve,
     QuasiMonomialVal,
@@ -32,11 +28,6 @@ from .valuation import (
 )
 
 Rank2Value = Tuple[int, Fraction]
-
-
-class InfiniteResidualError(ValueError):
-    """Raised when the factor left after dividing out the support generator
-    is still valued infinity, so the lift would not be a valuation."""
 
 
 class Rank2Val(Record):
@@ -70,8 +61,11 @@ def krull_lift(nu: QuasiMonomialVal) -> KrullResult:
     """Refine nu to a Krull valuation.
 
     Trivial support (finite values everywhere) returns the valuation itself.
-    A level-0 curve valuation maps psi = gen^r * psi' to (r, nu(psi')); the
-    weights of x and y under that rule determine the rank-2 valuation.
+    A level-0 curve valuation maps psi = gen^r * psi' to (r, nu(psi')), which
+    on the coordinates (gen, other) is two values: (1, 0) for gen and
+    (0, nu(other)) for the other one.  At infinity gen = x under the identity
+    frame, so the other coordinate is y; otherwise gen = a*x + b*y with b != 0
+    is the second row of the frame ((1, 0), (a, b)), and the other one is x.
     """
     _require_normalized(nu, "krull_lift")
     form = _canonicalize_raw(nu)
@@ -84,21 +78,10 @@ def krull_lift(nu: QuasiMonomialVal) -> KrullResult:
     direction = form.terminal.direction
     gen = direction.form()
     if direction.is_inf:
-        frame = IDENTITY_FRAME  # gen = x is already the first coordinate
+        rho = Rank2Val((1, 0), (0, evaluate(nu, BivarPoly.var_y())))
     else:
-        frame = LinearFrame(
-            ((Fraction(1), Fraction(0)), tuple(map(Fraction, direction.as_pair())))
-        )
-
-    def lift_value(phi: BivarPoly) -> Rank2Value:
-        r, psi = divide_out_linear(phi, gen)
-        residual = evaluate(nu, psi)
-        if is_inf(residual):
-            raise InfiniteResidualError(f"the residual factor {psi} is valued infinity")
-        return (r, residual)
-
-    # weights belong to the frame coordinates; the generator's row gets (1, 0)
-    rho = Rank2Val(lift_value(frame.row_form(0)), lift_value(frame.row_form(1)), frame)
+        frame = LinearFrame(((1, 0), direction.as_pair()))
+        rho = Rank2Val((0, evaluate(nu, BivarPoly.var_x())), (1, 0), frame)
     return KrullRank2(rho, gen)
 
 

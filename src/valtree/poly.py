@@ -4,6 +4,11 @@ Polynomials are immutable mappings from exponent pairs ``(r, s)`` (for
 ``x^r * y^s``) to nonzero ``Fraction`` coefficients.  They are the ring
 elements every valuation in this package is evaluated on, so everything here
 is exact: no floats, no approximate cancellation.
+
+The library's own rewriting runs on integer dicts (``valuation._chart`` and
+``valuation._in_frame``).  ``BivarPoly.substitute``, ``frame_apply`` and
+``divide_out_linear`` rewrite over ``Fraction`` and serve the reference
+oracle ``valuation.evaluate_naive`` and the tests only.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ def _coerce(c) -> Fraction:
 # The one memo policy of the package, and its one bound:
 #
 # * a memo that derives from one object lives on that object and is freed
-#   with it (``_cached_hash`` below, a valuation's record and canonical form);
+#   with it (a record's hash, kept by ``_cached_hash`` below on the first
+#   ``hash``; a valuation's record and canonical form);
 # * a module-level memo is a ``functools.lru_cache(maxsize=MEMO_SIZE)``, so
 #   ``cache_info()`` reports it: ``valuation.meet`` and ``jsonio._center_from``;
 # * a per-object table that can grow stops storing at ``MEMO_SIZE`` entries
@@ -58,7 +64,8 @@ class Record:
     """An immutable value: its fields are its class's annotated names, in order,
     with the class attributes of those names as defaults.  Built by position or
     keyword, it then runs its class's ``__post_init__``, if there is one.
-    Equality, hash and repr are a frozen dataclass's; memos live in ``__dict__``."""
+    Equality, hash and repr are a frozen dataclass's, but the hash of the
+    fields is computed once and kept; memos live in ``__dict__``."""
 
     def __init_subclass__(cls):
         cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
@@ -83,8 +90,14 @@ class Record:
         def __eq__(self, other):
             return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
 
+        def __hash__(self):
+            try:
+                return self._hash
+            except AttributeError:
+                return _cached_hash(self, key(self))
+
         cls.__init__, cls.__eq__ = __init__, __eq__
-        cls.__hash__ = cls.__dict__.get("__hash__") or (lambda self: hash(key(self)))
+        cls.__hash__ = cls.__dict__.get("__hash__") or __hash__
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
@@ -412,9 +425,6 @@ class LinearFrame(Record):
         if a * d == b * c:
             raise SingularFrameError(f"rows {rows} are linearly dependent")
         object.__setattr__(self, "int_rows", ints)
-
-    def __hash__(self) -> int:
-        return _cached_hash(self, (self.rows,))
 
     @classmethod
     def identity(cls) -> "LinearFrame":

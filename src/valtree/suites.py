@@ -372,7 +372,8 @@ def _refutation_pool(
     for side in (nu, mu):
         form = canonicalize(side)
         if len(form.steps) > len(chain):
-            dirs.append(ProjPoint(form.steps[len(chain)].value))
+            # the deeper side's next center c leaves along the direction [-c:1]
+            dirs.append(form.steps[len(chain)].negate())
         elif isinstance(form.terminal, Curve) and len(form.steps) == len(chain):
             dirs.append(form.terminal.direction)
     seen = set()

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import index
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import MEMO_SIZE, Record, _cached_hash
+from .poly import MEMO_SIZE, Record
 from .rationals import ExtRat, Infinity, ONE, ZERO, is_inf
 from .valuation import EmptySetError, PreconditionViolatedError, QuasiMonomialVal, monomial
 
@@ -144,9 +144,6 @@ class TreePoint(Record):
     tree: RootedTree
     path: Path
     t: ExtRat
-
-    def __hash__(self) -> int:
-        return _cached_hash(self, (self.tree, self.path, self.t))
 
     def is_root(self) -> bool:
         return not self.path

@@ -120,14 +120,6 @@ class ProjPoint(Record):
             pair = (v.numerator, v.denominator)
         object.__setattr__(self, "_pair", pair)
 
-    def __hash__(self) -> int:
-        # hashing a program hashes each of its centers: read the kept hash
-        # here, without the call into _cached_hash
-        try:
-            return self._hash
-        except AttributeError:
-            return _cached_hash(self, (self.value,))
-
     @property
     def is_inf(self) -> bool:
         return self.value is INF
@@ -669,9 +661,6 @@ class Curve(Record):
 class CanonicalForm(Record):
     steps: Tuple[ProjPoint, ...]
     terminal: Union[Divisorial, Curve]
-
-    def __hash__(self) -> int:
-        return _cached_hash(self, (self.steps, self.terminal))
 
 
 def dilate(nu: QuasiMonomialVal) -> Union[Continue, Terminal]:

@@ -19,9 +19,10 @@ import pytest
 
 from valtree import suites
 from valtree.cli import main
+from valtree.poly import IDENTITY_FRAME
 from valtree.suites import ALL_CRITERIA, criterion_3, criterion_9
-from valtree.testkit import DEFAULT_SEED, gen_qmv, sample_polys
-from valtree.valuation import monomial, normalize
+from valtree.testkit import DEFAULT_SEED, curvette, gen_qmv, sample_polys
+from valtree.valuation import M_ADIC, ProjPoint, QuasiMonomialVal, evaluate, monomial, normalize
 
 
 @pytest.mark.parametrize(
@@ -385,6 +386,17 @@ class TestCriterion5Shares:
         monkeypatch.setattr(os, "pipe", no_pipe)
         result = self._run(monkeypatch, 3)
         assert result.detail == "40 pairs: bound x100, laws, maximality"
+
+
+def test_a_maximality_probe_follows_the_deeper_sides_next_center():
+    """The center 1/2 leaves along the direction [-1/2:1], so the probe is
+    2y - x, which nu values at 3 and the m-adic candidate at 1; the curvette
+    of the direction [1/2:1], x + 2y, takes 1 under both and refutes nothing."""
+    nu = QuasiMonomialVal((ProjPoint(Fraction(1, 2)),), IDENTITY_FRAME, (1, 2))
+    pool = list(suites._refutation_pool(M_ADIC, nu, M_ADIC, []))
+    probe = curvette((), ProjPoint(Fraction(-1, 2)))
+    assert probe in pool
+    assert (evaluate(nu, probe), evaluate(M_ADIC, probe)) == (3, 1)
 
 
 class TestTreeCriteriaShares:

@@ -4,9 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from valtree import krull
 from valtree.krull import (
-    InfiniteResidualError,
     KrullRank2,
     KrullSameRank1,
     Rank2Val,
@@ -28,6 +26,7 @@ from valtree.valuation import (
     canonicalize,
     Curve,
     CanonicalForm,
+    INF_POINT,
     ProjPoint,
     UnsupportedDeepCurveError,
     equal_valuations,
@@ -109,11 +108,48 @@ class TestLift:
                 r, psi = divide_out_linear(phi, result.support_generator)
                 assert rank2_eval(result.val, phi) == (r, evaluate(nu, psi))
 
-    def test_infinite_residual_is_a_typed_error(self, monkeypatch):
-        # a division that leaves the generator in place values it at infinity
-        monkeypatch.setattr(krull, "divide_out_linear", lambda phi, gen: (0, phi))
-        with pytest.raises(InfiniteResidualError):
-            krull_lift(monomial(1, INF))
+    # (a normalized curve, its direction, the frame's second row, and which
+    # coordinate is its generator: 0 for the first, 1 for the second)
+    KINDS = [
+        (monomial(INF, 1), INF_POINT, (0, 1), 0),
+        (monomial(1, INF), ProjPoint(0), (0, 1), 1),
+    ] + [
+        (
+            normalize(from_canonical(CanonicalForm((), Curve(ProjPoint(d), Fraction(5, 2))))),
+            ProjPoint(d),
+            (d.numerator, d.denominator),
+            1,
+        )
+        for d in (Fraction(2), Fraction(-1, 3), Fraction(1, 3))
+    ]
+
+    @pytest.mark.parametrize("nu, direction, row, at", KINDS, ids=["inf", "0", "2", "-1over3", "1over3"])
+    def test_lift_is_two_coordinate_values(self, nu, direction, row, at):
+        """The generator's coordinate gets (1, 0), the other one (0, nu(x)),
+        or (0, nu(y)) at infinity, where the generator is x."""
+        result = krull_lift(nu)
+        assert isinstance(result, KrullRank2)
+        rho, gen = result.val, result.support_generator
+        assert gen == direction.form()
+        assert rho.frame.rows == ((1, 0), row) and rho.frame.row_form(at) == gen
+        values = (rho.wx, rho.wy)
+        assert values[at] == (1, Fraction(0))
+        other = evaluate(nu, Y if direction.is_inf else X)
+        assert values[1 - at] == (0, other) == (0, Fraction(1))
+        assert rank2_eval(rho, gen) == (1, Fraction(0))
+
+    def test_lift_substitutes_nothing(self, monkeypatch):
+        calls = []
+        substitute = BivarPoly.substitute
+
+        def counting(self, ex, ey):
+            calls.append(1)
+            return substitute(self, ex, ey)
+
+        monkeypatch.setattr(BivarPoly, "substitute", counting)
+        for nu, *_ in self.KINDS:
+            krull_lift(nu)
+        assert len(calls) == 0
 
     def test_zero_goes_to_infinity(self):
         result = krull_lift(monomial(1, INF))
