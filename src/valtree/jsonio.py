@@ -8,6 +8,14 @@ Every number is written in ASCII digits: a rational field takes exactly
 tree point's path or the first entry of a rank-2 value, takes ``p``
 (``rationals.parse_int``), and any other spelling is a ``FormatError``
 that names the document and the field.
+
+A valuation document is read in one pass when it has the shape every
+printed one has: steps that are objects with string centers, and two string
+weights.  Centers and weights go through bounded spelling memos
+(``_center_from``, ``_weight_from``), so a batch of documents parses each
+spelling once.  Any other shape, and any spelling the parser refuses, is
+read again field by field, and that reading raises the error; so the fast
+path changes no error text, and only strings reach the memos.
 """
 
 from __future__ import annotations
@@ -40,8 +48,10 @@ class FormatError(ValueError):
 # Every field is checked for its JSON type before it is converted, and a
 # wrong type is a FormatError that names the field ("weights[0]"): rationals
 # travel as strings, so a JSON number is rejected rather than guessed at.
-# Field names are built only on the error path: documents carry a step per
-# chain level, and parsing them is on the CLI's hot path.
+# Field names are built only on the error path, and for a valuation's steps
+# and weights the checks that build them (``_typed``, ``_strings``,
+# ``_number``) run only when the one-pass reading fails: documents carry a
+# step per chain level, and parsing them is on the CLI's hot path.
 _KINDS = {str: (str, "a string"), dict: (dict, "an object"), list: ((list, tuple), "an array")}
 _JSON_TYPES = (
     (bool, "a boolean"), ((int, float), "a number"), (str, "a string"),
@@ -94,8 +104,32 @@ def _member(obj: dict, key: str, kind: type, where: str):
 
 
 def _steps_from(data: dict) -> Tuple[ProjPoint, ...]:
+    """The centers of a document's steps.
+
+    Steps that are all objects with a string center, as every printed
+    document has them, are read in one comprehension through the spelling
+    memo ``_center_from``.  Anything else, and a spelling the parser
+    refuses, goes to ``_checked_steps``, which names the first bad step; so
+    only strings reach the memo, and every error reads as the loop's."""
+    steps = data.get("steps", ())
+    if isinstance(steps, (list, tuple)):
+        try:
+            centers = tuple([_center_from(text) for s in steps
+                             if type(s) is dict and type(text := s.get("center")) is str])
+        except ValueError:
+            pass  # a spelling the parser refuses: the loop names its step
+        else:
+            if len(centers) == len(steps):
+                return centers
+    return _checked_steps(steps)
+
+
+def _checked_steps(steps) -> Tuple[ProjPoint, ...]:
+    """The centers of a document's steps, each step checked in turn: the
+    first one that is not an object with a well-spelled string center
+    raises, naming itself."""
     centers = []
-    for i, s in enumerate(_typed(data.get("steps", []), list, "steps")):
+    for i, s in enumerate(_typed(steps, list, "steps")):
         text = s.get("center") if isinstance(s, dict) else None
         if not isinstance(text, str):
             # raises, naming what is wrong with the step
@@ -105,6 +139,29 @@ def _steps_from(data: dict) -> Tuple[ProjPoint, ...]:
         except ValueError as exc:
             raise ValueError(f"steps[{i}].center: {exc}") from None
     return tuple(centers)
+
+
+# the weights of a document that names none
+_UNIT_WEIGHTS = ("1", "1")
+
+
+def _weights_from(data: dict) -> Tuple[ExtRat, ExtRat]:
+    """The two weights of a valuation document.  Two string entries are read
+    through the spelling memo ``_weight_from``; anything else, and a
+    spelling the parser refuses, is read entry by entry, which names the
+    first bad one."""
+    weights = data.get("weights", _UNIT_WEIGHTS)
+    if isinstance(weights, (list, tuple)) and len(weights) == 2:
+        a, b = weights
+        if type(a) is str and type(b) is str:
+            try:
+                return _weight_from(a), _weight_from(b)
+            except ValueError:
+                pass  # the reading below names the entry
+    return tuple(
+        _number(parse_extrat, w, "weights", i)
+        for i, w in enumerate(_strings(weights, "weights", 2))
+    )
 
 
 def format_direction(d: ProjPoint) -> str:
@@ -136,6 +193,14 @@ def _center_from(text: str) -> ProjPoint:
     ``INF_POINT``."""
     value = parse_extrat(text)
     return INF_POINT if value is INF else ProjPoint(value) if value else ZERO_POINT
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _weight_from(text: str) -> ExtRat:
+    """The value a weight spelling names, ``parse_extrat(text)``, shared by
+    every parse of the spelling while it is among the last ``MEMO_SIZE``
+    weight spellings parsed: a batch of documents repeats few of them."""
+    return parse_extrat(text)
 
 
 def _steps_to_json(steps: Tuple[ProjPoint, ...]) -> list:
@@ -178,11 +243,7 @@ def valuation_from_json(data: dict) -> QuasiMonomialVal:
                 )
             )
         )
-        weights = tuple(
-            _number(parse_extrat, w, "weights", i)
-            for i, w in enumerate(_strings(data.get("weights", ["1", "1"]), "weights", 2))
-        )
-        return QuasiMonomialVal(steps, frame, weights)
+        return QuasiMonomialVal(steps, frame, _weights_from(data))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -54,7 +54,8 @@ def _coerce(c) -> Fraction:
 #   with it (a record's hash, kept by ``_cached_hash`` below on the first
 #   ``hash``; a valuation's record and canonical form);
 # * a module-level memo is a ``functools.lru_cache(maxsize=MEMO_SIZE)``, so
-#   ``cache_info()`` reports it: ``valuation.meet`` and ``jsonio._center_from``;
+#   ``cache_info()`` reports it: ``valuation.meet``, and the spelling memos
+#   ``jsonio._center_from`` and ``jsonio._weight_from``, keyed by strings only;
 # * a per-object table that can grow stops storing at ``MEMO_SIZE`` entries
 #   (a tree's grids, a parametrization's reciprocals).
 MEMO_SIZE = 1024
@@ -110,13 +111,11 @@ class Record:
 
 
 def _cached_hash(obj, fields: tuple) -> int:
-    """The hash of a record, computed once and kept beside its fields."""
-    try:
-        return obj._hash
-    except AttributeError:
-        h = hash(fields)
-        object.__setattr__(obj, "_hash", h)
-        return h
+    """The hash of a record's fields, kept beside them.  Its callers return
+    the kept hash when there is one, so it runs once per record."""
+    h = hash(fields)
+    object.__setattr__(obj, "_hash", h)
+    return h
 
 
 class BivarPoly:

@@ -30,9 +30,10 @@ construction runs the level recursion once and keeps one integer record of
 the level-0 and weight numerators (see ``QuasiMonomialVal``), which
 ``normalize`` rescales without running the recursion again.  What derives
 from one valuation, the record and its canonical form, is kept on it and
-freed with it.  ``meet`` builds its results from the canonical forms it
-makes, each record read off one pass over the centers to level 0, and hands
-a monomial result the canonical form it built.
+freed with it.  ``meet`` hands back an input that lies below the other as
+that very object, and builds every other result from the canonical form it
+makes, each record read off one pass over the centers to level 0; the result
+carries that form, so ``compare`` and ``canonicalize`` read it and build none.
 ``meet`` keeps the one module-level memo of this module, bounded as
 ``poly.MEMO_SIZE`` states: a pair has no single object to hold its meet,
 and ``compare`` meets again the pair an operation has just met.
@@ -174,7 +175,7 @@ class QuasiMonomialVal(Record):
     for an infinite one), the zero of the head's exceptional form when
     nx = ny (``_head_root``), and the weights as numerators over q.  The
     canonical form is kept as ``_form`` once it is built
-    (``_canonicalize_raw``), or handed in by ``meet`` (``_monomial_meet``).
+    (``_canonicalize_raw``), or handed in by ``meet`` (``_divisorial``).
     Equality and repr read only the three fields; the hash reads the steps,
     the frame and the record's q, n1, n2, which equal weights share.
     """
@@ -227,12 +228,13 @@ class QuasiMonomialVal(Record):
 
     def __hash__(self) -> int:
         # the weights enter as their numerators in the record, which equal
-        # weights share, so no Fraction is hashed
-        try:
-            return self._hash
-        except AttributeError:
+        # weights share, so no Fraction is hashed; getattr's default, unlike
+        # a try, raises no AttributeError for each program's first hash
+        h = getattr(self, "_hash", None)
+        if h is None:
             _, _, q, _, n1, n2 = self._lead
-            return _cached_hash(self, (self.steps, self.frame, q, n1, n2))
+            h = _cached_hash(self, (self.steps, self.frame, q, n1, n2))
+        return h
 
     def __call__(self, phi: BivarPoly) -> ExtRat:
         return evaluate(self, phi)
@@ -291,9 +293,27 @@ def _step_images(step: ProjPoint) -> Tuple[BivarPoly, BivarPoly]:
 _IntPoly = Dict[Tuple[int, int], int]
 
 
-def _binomial_row(a: int, b: int, n: int) -> List[int]:
-    """The coefficients of ``(a*X + b*Y)^n``, the j-th being that of ``X^(n-j) * Y^j``."""
-    return [math.comb(n, j) * a ** (n - j) * b**j for j in range(n + 1)]
+def _binomial_row(a: int, b: int, n: int) -> List[Tuple[int, int]]:
+    """The nonzero terms of ``(a*X + b*Y)^n`` as pairs ``(j, c)``, c being the
+    coefficient of ``X^(n-j) * Y^j``: one pair when a or b is 0.
+
+    Each coefficient ``C(n, j) * a^(n-j) * b^j`` comes from the last by the
+    recurrence ``C(n, j) = C(n, j-1) * (n-j+1) / j``, with the power of a
+    divided down and that of b multiplied up, all exact, so a row costs
+    O(n) multiplications and no binomial is computed from scratch."""
+    if not b:
+        return [(0, a**n)]
+    if not a:
+        return [(n, b**n)]
+    power_a = a**n
+    row = [(0, power_a)]
+    c = power_b = 1
+    for j in range(1, n + 1):
+        c = c * (n - j + 1) // j
+        power_a //= a
+        power_b *= b
+        row.append((j, c * power_a * power_b))
+    return row
 
 
 def _chart(f: _IntPoly, step: ProjPoint) -> Tuple[int, _IntPoly]:
@@ -314,7 +334,7 @@ def _chart(f: _IntPoly, step: ProjPoint) -> Tuple[int, _IntPoly]:
     if not a:
         return e, {(r + s - e, s): k for (r, s), k in f.items()}
     top = max(s for _, s in f)
-    rows: Dict[int, List[int]] = {}
+    rows: Dict[int, List[Tuple[int, int]]] = {}
     out: _IntPoly = {}
     get = out.get
     for (r, s), k in f.items():
@@ -324,7 +344,7 @@ def _chart(f: _IntPoly, step: ProjPoint) -> Tuple[int, _IntPoly]:
         if b != 1:
             k *= b ** (top - s)
         d = r + s - e
-        for j, m in enumerate(row):
+        for j, m in row:
             out[d, j] = get((d, j), 0) + k * m
     return e, {t: k for t, k in out.items() if k}
 
@@ -343,8 +363,8 @@ def _in_frame(f: _IntPoly, frame: LinearFrame) -> _IntPoly:
     get = out.get
     for (r, s), k in f.items():
         us, vs = _binomial_row(d, -b, r), _binomial_row(-c, a, s)
-        for i, m in enumerate(us):
-            for j, n in enumerate(vs):
+        for i, m in us:
+            for j, n in vs:
                 t = (r - i + s - j, i + j)
                 out[t] = get(t, 0) + k * m * n
     return {t: k for t, k in out.items() if k}
@@ -694,13 +714,13 @@ MAX_CHAIN_STEPS = 10**6
 
 def _canonicalize_raw(nu: QuasiMonomialVal) -> CanonicalForm:
     """The canonical form, built by ``_build_canonical`` on the first call
-    and kept on nu as ``_form``: it lives as long as nu does."""
-    try:
-        return nu._form
-    except AttributeError:
+    and kept on nu as ``_form``: it lives as long as nu does.  getattr's
+    default, unlike a try, raises no AttributeError on that first call."""
+    form = getattr(nu, "_form", None)
+    if form is None:
         form = _build_canonical(nu)
         object.__setattr__(nu, "_form", form)
-        return form
+    return form
 
 
 def _build_canonical(nu: QuasiMonomialVal) -> CanonicalForm:
@@ -863,7 +883,10 @@ def _monomial_meet(
     That value ``v_y`` exceeds the smaller multiplicity (an exceptional form
     is valued above m), so the frame's second row is the head's blow-up and
     the canonical form follows from the weights alone (``_euclid_form``); the
-    generic row is never read.  ``v_y`` is finite: ``e`` is infinite only on
+    generic row is never read.  When that form is the smaller side's own,
+    the smaller side lies below the other and is returned itself, so that
+    ``compare`` reads the order by identity; otherwise the result carries
+    the form.  ``v_y`` is finite: ``e`` is infinite only on
     the last center of a curve's chain and its constant tail, and two
     normalized chains that agree in centers and multiplicities up to a
     level where both are there have the same curve weight, so their
@@ -885,23 +908,26 @@ def _monomial_meet(
     y_a = m_a if exc_a != small_exc else None if e_a is None else e_a * k_a
     y_b = m_b if exc_b != small_exc else None if e_b is None else e_b * k_b
     form = _euclid_form(prefix, small_exc, min(m_a, m_b), _min_num(y_a, y_b), q)
-    g = form.terminal.gamma
-    result = _divisorial(form.steps, g, *_level_zero(form.steps, g.numerator, g.numerator))
-    # the form is canonical by construction: the result keeps it, so that
-    # canonicalize reads it instead of building it again
-    object.__setattr__(result, "_form", form)
-    return result
+    if form == _canonicalize_raw(small):  # the smaller side lies below the other
+        return small
+    n = form.terminal.gamma.numerator
+    return _divisorial(form, *_level_zero(form.steps, n, n))
 
 
-def _divisorial(steps: Tuple[ProjPoint, ...], g: Fraction, nx: int, ny: int) -> QuasiMonomialVal:
+def _divisorial(form: CanonicalForm, nx: int, ny: int) -> QuasiMonomialVal:
     """The program ``from_canonical`` builds from the divisorial form
     ``(steps, g)``, given its level-0 values nx, ny as numerators over g's
     denominator (``_level_zero`` from the weights' numerators): the record is
     read off them, without the checks of ``__post_init__``, which such a
-    program always passes."""
+    program always passes.  The program keeps the form as its canonical
+    form, so that ``canonicalize`` and ``compare`` read it instead of
+    building it again."""
+    steps, g = form.steps, form.terminal.gamma
     root = _center_root(steps[0]) if steps and nx == ny else None
     n, q = g.numerator, g.denominator
-    return QuasiMonomialVal._derived(steps, IDENTITY_FRAME, (g, g), (nx, ny, q, root, n, n))
+    nu = QuasiMonomialVal._derived(steps, IDENTITY_FRAME, (g, g), (nx, ny, q, root, n, n))
+    object.__setattr__(nu, "_form", form)
+    return nu
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -912,6 +938,10 @@ def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
     divergence: differing multiplicities produce a monomial valuation in
     matched coordinates, a divisorial terminal wins outright, and differing
     centers truncate to the shared divisorial level.
+
+    An input that lies below the other is returned as that very object;
+    every other result carries the canonical form built for it, which
+    ``canonicalize`` and ``compare`` read.
 
     The last ``MEMO_SIZE`` pairs met are kept, so that ``compare`` reads the
     pair an operation has just met.  An entry holds both inputs and the
@@ -942,7 +972,7 @@ def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
             # values from the weights (1, 1) have minimum m, so its weights are 1/m
             prefix = (steps_a if i <= n_a else steps_b)[:i]
             nx, ny = _level_zero(prefix, 1, 1)
-            return _divisorial(prefix, Fraction(1, min(nx, ny)), nx, ny)
+            return _divisorial(CanonicalForm(prefix, Divisorial(Fraction(1, min(nx, ny)))), nx, ny)
     raise AssertionError("divergence search exceeded both program lengths")
 
 
@@ -954,11 +984,16 @@ class Comparison(Enum):
 
 
 def compare(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> Comparison:
-    """Order of two normalized valuations, decided through the meet."""
+    """Order of two normalized valuations, decided through the meet.
+
+    ``meet`` hands back an input that lies below the other as that very
+    object, so LT and GT are read by identity.  When the meet memo answers
+    for an equal but distinct pair, the canonical forms decide; the inputs'
+    were built by ``equal_valuations`` and the meet's is carried, so none
+    is built here."""
     if equal_valuations(nu, mu):
         return Comparison.EQ
     w = meet(nu, mu)
-    # meet hands back an input it found below the other as that very object
     if w is nu:
         return Comparison.LT
     if w is mu:

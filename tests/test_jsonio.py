@@ -389,3 +389,108 @@ class TestFieldTypes:
             rank2_values_from_json([["0", "1"], [1, "0"]])
         with pytest.raises(FormatError, match="values must be an array"):
             rank2_values_from_json("01")
+
+
+GOOD_STEPS = [{"center": "0"}, {"center": "inf"}, {"center": "-2/3"}, {"center": "5"}]
+SPELLING = "expected p or p/q in ASCII digits with q > 0, got '1/0'"
+# a bad step, and the text of the error it raises at position i; a type error
+# names the field, a bad spelling is wrapped by the document's reader
+BAD_STEPS = [
+    ({"center": 0}, "steps[{i}].center must be a string, got a number", False),
+    ({"center": None}, "steps[{i}].center must be a string, got null", False),
+    ({"center": ["0"]}, "steps[{i}].center must be a string, got an array", False),
+    ({"center": True}, "steps[{i}].center must be a string, got a boolean", False),
+    ({}, "steps[{i}].center is missing", False),
+    ({"centre": "0"}, "steps[{i}].center is missing", False),
+    ("0", "steps[{i}] must be an object, got a string", False),
+    (["0"], "steps[{i}] must be an object, got an array", False),
+    (None, "steps[{i}] must be an object, got null", False),
+    ({"center": "1/0"}, f"steps[{{i}}].center: {SPELLING}", True),
+]
+BAD_WEIGHTS = [
+    (1, "weights[{i}] must be a string, got a number", False),
+    (None, "weights[{i}] must be a string, got null", False),
+    (["1"], "weights[{i}] must be a string, got an array", False),
+    ("1/0", f"weights[{{i}}]: {SPELLING}", True),
+]
+
+
+def bad_step_docs():
+    """``(steps, text, wrapped)``: each bad step among good ones, at
+    positions 0, 1 and last, and two bad steps, the first of which is named."""
+    n = len(GOOD_STEPS)
+    for step, text, wrapped in BAD_STEPS:
+        for i in (0, 1, n - 1):
+            steps = GOOD_STEPS[:i] + [step] + GOOD_STEPS[i + 1:]
+            yield steps, text.format(i=i), wrapped
+    yield [{"center": 0}, {"center": "1/0"}], BAD_STEPS[0][1].format(i=0), False
+    yield GOOD_STEPS + [{"center": "1/0"}, {"center": 0}], BAD_STEPS[-1][1].format(i=n), True
+
+
+class TestReaderParity:
+    """Documents whose steps are all objects with string centers are read in
+    one pass; every other document is read step by step.  Either way a bad
+    entry raises the same FormatError, naming the first bad entry, from both
+    readers and from the CLI, which exits 2."""
+
+    @pytest.mark.parametrize("steps, text, wrapped", list(bad_step_docs()))
+    def test_bad_steps(self, capsys, steps, text, wrapped):
+        doc = {"steps": steps, "weights": ["2", "3"]}
+        self.check(valuation_from_json, doc, ("malformed valuation: " if wrapped else "") + text)
+        canonical = {"steps": steps, "terminal": {"divisorial": "1"}}
+        self.check(canonical_from_json, canonical, ("malformed canonical form: " if wrapped else "") + text)
+        self.check_cli(capsys, doc, ("malformed valuation: " if wrapped else "") + text)
+
+    @pytest.mark.parametrize("weight, text, wrapped", BAD_WEIGHTS)
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_bad_weights(self, capsys, weight, text, wrapped, i):
+        weights = ["3/2", "inf"]
+        weights[i] = weight
+        doc = {"steps": GOOD_STEPS, "weights": weights}
+        want = ("malformed valuation: " if wrapped else "") + text.format(i=i)
+        self.check(valuation_from_json, doc, want)
+        self.check_cli(capsys, doc, want)
+
+    @staticmethod
+    def check(parse, doc, want):
+        with pytest.raises(FormatError) as exc:
+            parse(doc)
+        assert str(exc.value) == want
+
+    @staticmethod
+    def check_cli(capsys, doc, want):
+        from valtree.cli import main
+
+        assert main(["val", "canon", "--valuation", json.dumps(doc)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {want}"
+
+    def test_good_documents_read_alike_either_way(self):
+        """A document read in one pass equals the same document read step
+        by step, its steps spelled in a dict subclass to force that way."""
+
+        class Step(dict):
+            pass
+
+        for nu in (gen_qmv(s, max_depth=8) for s in range(40)):
+            doc = json.loads(json.dumps(valuation_to_json(nu)))
+            slow = dict(doc, steps=[Step(s) for s in doc["steps"]], weights=tuple(doc["weights"]))
+            assert valuation_from_json(doc) == valuation_from_json(slow) == nu
+
+    def test_only_strings_reach_the_spelling_memos(self, monkeypatch):
+        from valtree import jsonio
+
+        seen = []
+        for name in ("_center_from", "_weight_from"):
+            memo = getattr(jsonio, name)
+            monkeypatch.setattr(jsonio, name, lambda text, memo=memo: seen.append(type(text)) or memo(text))
+        steps = [steps for steps, _, _ in bad_step_docs()]
+        docs = [{"steps": s, "weights": ["2", "3"]} for s in steps]
+        docs += [{"weights": [w, "1"]} for w, _, _ in BAD_WEIGHTS]
+        docs += [{"weights": ["1", w]} for w, _, _ in BAD_WEIGHTS]
+        for doc in docs:
+            with pytest.raises(FormatError):
+                valuation_from_json(doc)
+        for s in steps:
+            with pytest.raises(FormatError):
+                canonical_from_json({"steps": s, "terminal": {"divisorial": "1"}})
+        assert len(seen) > len(docs) and set(seen) == {str}

@@ -157,14 +157,26 @@ def meet_pairs():
     return pairs
 
 
-def branch(nu, mu, w):
-    """Which result meet gave: an input, or a result it built, the monomial
-    one holding the canonical form handed in."""
-    if w is nu:
-        return "first input"
-    if w is mu:
-        return "second input"
-    return "monomial" if "_form" in vars(w) else "shared prefix"
+def met(nu, mu):
+    """``(w, kind, monomial)``: meet's result on a pair, computed past the
+    memo, which branch gave it (an input, a result the monomial meet built,
+    or the shared-prefix truncation), and whether the monomial meet ran,
+    told by a wrapper around it."""
+    ran = []
+    monomial_meet = valuation._monomial_meet
+
+    def recording(*args):
+        ran.append(True)
+        return monomial_meet(*args)
+
+    valuation._monomial_meet = recording
+    try:
+        w = meet.__wrapped__(nu, mu)
+    finally:
+        valuation._monomial_meet = monomial_meet
+    kind = ("first input" if w is nu else "second input" if w is mu
+            else "monomial" if ran else "shared prefix")
+    return w, kind, bool(ran)
 
 
 def word_from_forms(nu, mu):
@@ -181,8 +193,7 @@ class TestMeetResults:
         assert len(pairs) >= 500
         seen = dict.fromkeys(("first input", "second input", "monomial", "shared prefix"), 0)
         for nu, mu in pairs:
-            w = meet.__wrapped__(nu, mu)
-            kind = branch(nu, mu, w)
+            w, kind, _ = met(nu, mu)
             seen[kind] += 1
             if kind in ("first input", "second input"):
                 continue
@@ -194,8 +205,7 @@ class TestMeetResults:
             assert is_normalized(w)
             # the form meet handed in is the one canonicalize builds afresh
             assert canonicalize(ref) == canonicalize(w)
-            if kind == "monomial":
-                assert canonicalize(w) is handed
+            assert canonicalize(w) is handed
             assert hash(w) == hash(ref)
         assert min(seen.values()) >= 50, seen
 
@@ -207,3 +217,79 @@ class TestMeetResults:
                 assert word == word_from_forms(a, b)
                 words.add(word)
         assert words == {"EQ", "LT", "GT", "INCOMPARABLE"}
+
+
+def deep_programs(rng, n):
+    """Normalized programs whose chains run 1-48 levels deep, as in the
+    benchmark's meet-deep workload: a prefix of up to 40 centers, then the
+    Euclid walk of two small weights."""
+    out = []
+    for _ in range(n):
+        steps = random_steps(rng, rng.randint(0, 40))
+        w1, w2 = (Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(2))
+        out.append(normalize(QuasiMonomialVal(steps, weights=(w1, w2))))
+    return out
+
+
+def deep_pairs():
+    """Each deep program with a random other one, with the same centers under
+    other weights (the two chains agree down to the end of the centers), and
+    with its partners."""
+    rng = random.Random(DEFAULT_SEED + 1703)
+    vals = deep_programs(rng, 200)
+    pairs = []
+    for nu in vals:
+        w1, w2 = (Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(2))
+        pairs.append((nu, rng.choice(vals)))
+        pairs.append((nu, normalize(QuasiMonomialVal(nu.steps, weights=(w1, w2)))))
+        pairs += [(nu, mu) for mu in partners(nu, rng)]
+    return pairs
+
+
+def raise_if_built(nu):
+    raise AssertionError("a canonical form was built where a carried one should be read")
+
+
+class TestCarriedForms:
+    """Every result ``meet`` builds carries its canonical form, and a meet
+    that equals an input is that input, on seeded deep pairs; ``compare``
+    then answers without building a form."""
+
+    def test_built_results_carry_their_canonical_form(self):
+        seen = dict.fromkeys(("monomial", "shared prefix"), 0)
+        for nu, mu in deep_pairs():
+            w, kind, _ = met(nu, mu)
+            if kind in seen:
+                seen[kind] += 1
+                assert "_form" in vars(w)
+                assert w._form == valuation._build_canonical(w)
+        assert min(seen.values()) >= 50, seen
+
+    def test_a_meet_equal_to_an_input_is_that_input(self):
+        returned = 0
+        for nu, mu in deep_pairs():
+            w, kind, monomial = met(nu, mu)
+            if kind in ("first input", "second input"):
+                returned += monomial
+            else:
+                form = valuation._build_canonical(w)
+                assert form != valuation._build_canonical(nu)
+                assert form != valuation._build_canonical(mu)
+        assert returned >= 100  # the monomial meet handed back an input
+
+    def test_compare_builds_no_form_and_agrees_with_the_forms(self, monkeypatch):
+        pairs = deep_pairs()
+        build = valuation._build_canonical
+        want = []
+        for nu, mu in pairs:
+            c_nu, c_mu, c_w = build(nu), build(mu), build(meet.__wrapped__(nu, mu))
+            want.append("EQ" if c_nu == c_mu else "LT" if c_w == c_nu
+                        else "GT" if c_w == c_mu else "INCOMPARABLE")
+            meet(nu, mu)  # as an operation meets before it compares
+        monkeypatch.setattr(valuation, "_build_canonical", raise_if_built)
+        mirror = {"LT": "GT", "GT": "LT", "EQ": "EQ", "INCOMPARABLE": "INCOMPARABLE"}
+        for (nu, mu), word in zip(pairs, want):
+            assert compare(nu, mu).value == word
+            assert compare(mu, nu).value == mirror[word]
+            canonicalize(meet(nu, mu))
+        assert set(want) == set(mirror)

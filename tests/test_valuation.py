@@ -523,6 +523,26 @@ class TestEvaluateWork:
         assert len(calls) == 0
 
 
+class TestBinomialRow:
+    """``_binomial_row`` builds the terms of ``(a*X + b*Y)^n`` by the
+    recurrence on binomials; they equal those of ``math.comb``, and a zero
+    entry gives a row of one term."""
+
+    def test_rows_equal_those_of_math_comb(self):
+        for a, b in itertools.product(range(-3, 4), repeat=2):
+            if not (a or b):
+                continue
+            for n in range(41):
+                terms = ((j, math.comb(n, j) * a ** (n - j) * b**j) for j in range(n + 1))
+                assert valuation._binomial_row(a, b, n) == [(j, c) for j, c in terms if c], (a, b, n)
+
+    def test_a_zero_entry_gives_one_term(self):
+        row = valuation._binomial_row
+        assert row(3, 0, 8000) == [(0, 3**8000)]
+        assert row(0, -2, 8000) == [(8000, 2**8000)]
+        assert row(-1, 0, 7) == [(0, -1)] and row(0, 1, 0) == [(0, 1)]
+
+
 class TestNormalize:
     def test_scales_by_m(self):
         nu = monomial(2, 3)
@@ -814,16 +834,29 @@ class TestLevelValues:
             return form
 
         monkeypatch.setattr(valuation, "_euclid_form", recording)
+        built = []
+        monomial_meet = valuation._monomial_meet
+        monkeypatch.setattr(valuation, "_monomial_meet", lambda *a: built.append(monomial_meet(*a)) or built[-1])
         vals = self.programs()
         rng = random.Random(DEFAULT_SEED + 1)
         pairs = list(zip(vals[:40], vals[40:80])) + list(zip(vals[80:], vals[81:]))
         pairs += [(nu, normalize(QuasiMonomialVal(nu.steps, weights=(1, rng.randint(2, 5)))))
                   for nu in vals[80:]]
+        # siblings that part from each program at a random level, where the
+        # monomial case builds a valuation below both
+        for nu in vals:
+            steps = canonicalize(nu).steps
+            for _ in range(3):
+                sibling = steps[: rng.randint(0, len(steps))] + (ProjPoint(Fraction(rng.randint(1, 9), 7)),)
+                gamma = Fraction(1, rng.randint(2, 5))
+                pairs.append((nu, normalize(from_canonical(CanonicalForm(sibling, Divisorial(gamma))))))
         handed = []
         for nu, mu in pairs:
             w = meet.__wrapped__(nu, mu)
             assert m_value(w) == 1 == min(evaluate(w, X), evaluate(w, Y))
-            if w is not nu and w is not mu and "_form" in vars(w):
+            # a result the monomial case built, not an input it handed back
+            if w is not nu and w is not mu and built and w is built[-1]:
+                assert "_form" in vars(w)
                 handed.append(w)
         monkeypatch.undo()
         forms = {id(w._form) for w in handed}
@@ -939,8 +972,9 @@ class TestMemoPolicy:
     def test_meet_holds_the_one_module_level_cache(self):
         """The scan valbench's ``cache_stats`` makes, over every ``valtree.*``
         module: every module attribute that has ``cache_info``, through
-        ``__wrapped__``.  The package keeps two module-level memos, each an
-        LRU bounded by ``MEMO_SIZE``."""
+        ``__wrapped__``.  The package keeps three module-level memos, each an
+        LRU bounded by ``MEMO_SIZE``: meet's pairs and the two spelling memos
+        of the document reader."""
         import valtree
 
         cached = {}
@@ -950,7 +984,9 @@ class TestMemoPolicy:
                     value = getattr(value, "__wrapped__", None)
                 if value is not None:
                     cached[f"{value.__module__}.{value.__qualname__}"] = value
-        assert cached.keys() == {"valtree.valuation.meet", "valtree.jsonio._center_from"}
+        assert cached.keys() == {
+            "valtree.valuation.meet", "valtree.jsonio._center_from", "valtree.jsonio._weight_from",
+        }
         assert all(memo.cache_info().maxsize == MEMO_SIZE for memo in cached.values())
 
     def test_meet_cache_frees_pairs_past_its_bound(self):
