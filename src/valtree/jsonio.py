@@ -9,13 +9,10 @@ tree point's path or the first entry of a rank-2 value, takes ``p``
 (``rationals.parse_int``), and any other spelling is a ``FormatError``
 that names the document and the field.
 
-A valuation document is read in one pass when it has the shape every
-printed one has: steps that are objects with string centers, and two string
-weights.  Centers and weights go through bounded spelling memos
-(``_center_from``, ``_weight_from``), so a batch of documents parses each
-spelling once.  Any other shape, and any spelling the parser refuses, is
-read again field by field, and that reading raises the error; so the fast
-path changes no error text, and only strings reach the memos.
+A valuation document's steps and weights are read in one checked pass.
+Centers and weights go through bounded spelling memos (``_center_from``,
+``_weight_from``), so a batch of documents parses each spelling once; only
+plain strings reach them.
 """
 
 from __future__ import annotations
@@ -48,10 +45,8 @@ class FormatError(ValueError):
 # Every field is checked for its JSON type before it is converted, and a
 # wrong type is a FormatError that names the field ("weights[0]"): rationals
 # travel as strings, so a JSON number is rejected rather than guessed at.
-# Field names are built only on the error path, and for a valuation's steps
-# and weights the checks that build them (``_typed``, ``_strings``,
-# ``_number``) run only when the one-pass reading fails: documents carry a
-# step per chain level, and parsing them is on the CLI's hot path.
+# A valuation's steps and weights are tested with ``type(...) is`` inline and
+# their field names built only when that fails: parsing is on the hot path.
 _KINDS = {str: (str, "a string"), dict: (dict, "an object"), list: ((list, tuple), "an array")}
 _JSON_TYPES = (
     (bool, "a boolean"), ((int, float), "a number"), (str, "a string"),
@@ -77,12 +72,11 @@ def _typed(value, kind: type, where: str, length: Optional[int] = None):
 
 
 def _strings(value, where: str, length: int) -> list:
-    """An array of the given length whose entries are strings."""
+    """An array of the given length whose entries are strings, each as the
+    plain ``str`` it holds (``str.__str__`` copies a str subclass)."""
     entries = _typed(value, list, where, length)
-    for i, v in enumerate(entries):
-        if not isinstance(v, str):
-            _typed(v, str, f"{where}[{i}]")
-    return entries
+    return [v if type(v) is str else str.__str__(_typed(v, str, f"{where}[{i}]"))
+            for i, v in enumerate(entries)]
 
 
 def _number(parse, text: str, where: str, *keys):
@@ -104,40 +98,19 @@ def _member(obj: dict, key: str, kind: type, where: str):
 
 
 def _steps_from(data: dict) -> Tuple[ProjPoint, ...]:
-    """The centers of a document's steps.
-
-    Steps that are all objects with a string center, as every printed
-    document has them, are read in one comprehension through the spelling
-    memo ``_center_from``.  Anything else, and a spelling the parser
-    refuses, goes to ``_checked_steps``, which names the first bad step; so
-    only strings reach the memo, and every error reads as the loop's."""
-    steps = data.get("steps", ())
-    if isinstance(steps, (list, tuple)):
-        try:
-            centers = tuple([_center_from(text) for s in steps
-                             if type(s) is dict and type(text := s.get("center")) is str])
-        except ValueError:
-            pass  # a spelling the parser refuses: the loop names its step
-        else:
-            if len(centers) == len(steps):
-                return centers
-    return _checked_steps(steps)
-
-
-def _checked_steps(steps) -> Tuple[ProjPoint, ...]:
-    """The centers of a document's steps, each step checked in turn: the
-    first one that is not an object with a well-spelled string center
-    raises, naming itself."""
+    """The centers of a document's steps, read in one pass through the
+    spelling memo ``_center_from``.  The first step that is not an object
+    with a well-spelled string center raises, naming itself by its index."""
     centers = []
-    for i, s in enumerate(_typed(steps, list, "steps")):
-        text = s.get("center") if isinstance(s, dict) else None
-        if not isinstance(text, str):
-            # raises, naming what is wrong with the step
-            _member(_typed(s, dict, f"steps[{i}]"), "center", str, f"steps[{i}]")
+    for s in _typed(data.get("steps", ()), list, "steps"):
+        text = s.get("center") if type(s) is dict else None
+        if type(text) is not str:  # raises, naming the step, unless a str subclass
+            where = f"steps[{len(centers)}]"
+            text = str.__str__(_member(_typed(s, dict, where), "center", str, where))
         try:
             centers.append(_center_from(text))
         except ValueError as exc:
-            raise ValueError(f"steps[{i}].center: {exc}") from None
+            raise ValueError(f"steps[{len(centers)}].center: {exc}") from None
     return tuple(centers)
 
 
@@ -146,22 +119,19 @@ _UNIT_WEIGHTS = ("1", "1")
 
 
 def _weights_from(data: dict) -> Tuple[ExtRat, ExtRat]:
-    """The two weights of a valuation document.  Two string entries are read
-    through the spelling memo ``_weight_from``; anything else, and a
-    spelling the parser refuses, is read entry by entry, which names the
-    first bad one."""
-    weights = data.get("weights", _UNIT_WEIGHTS)
-    if isinstance(weights, (list, tuple)) and len(weights) == 2:
-        a, b = weights
-        if type(a) is str and type(b) is str:
-            try:
-                return _weight_from(a), _weight_from(b)
-            except ValueError:
-                pass  # the reading below names the entry
-    return tuple(
-        _number(parse_extrat, w, "weights", i)
-        for i, w in enumerate(_strings(weights, "weights", 2))
-    )
+    """The two weights of a valuation document, read through the spelling
+    memo ``_weight_from``.  Both entries are checked for a string before
+    either is parsed, and the first bad one raises, naming itself."""
+    a, b = weights = _typed(data.get("weights", _UNIT_WEIGHTS), list, "weights", 2)
+    if type(a) is not str or type(b) is not str:
+        a, b = _strings(weights, "weights", 2)
+    i = 0
+    try:
+        w = _weight_from(a)
+        i = 1
+        return w, _weight_from(b)
+    except ValueError as exc:
+        raise ValueError(f"weights[{i}]: {exc}") from None
 
 
 def format_direction(d: ProjPoint) -> str:

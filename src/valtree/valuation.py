@@ -3,20 +3,20 @@
 A valuation is described by a *dilatation program*: a list of blow-up centers,
 an optional linear coordinate frame, and a final pair of monomial weights.
 Every question reads the values ``(v(x_i), v(y_i))`` of the coordinates at
-each level first.  Chain questions (legality, m-values, multiplicities,
-meets) need nothing else, and they run on integers: the level values are
-integer numerators over one denominator, canonicalization takes each run of
-Euclid's algorithm on the weights with one ``divmod``-style quotient, and
-``meet`` compares multiplicities by cross-multiplication, so no valuation is
-built per dilatation step.  A chain longer than ``MAX_CHAIN_STEPS`` steps is
-refused with ``ChainTooLongError`` before it is built.  Evaluation takes the
-least ``r*v(x) + s*v(y)`` over the terms of a polynomial, which is its value
-unless the least terms can cancel.  Only then does it push the polynomial
-through the centers one chart at a time, on integer coefficients: each chart
-divides out the new exceptional coordinate and adds that power times the
-coordinate's level value, and the first strict transform with a unique least
-term gives the value.  Past the last center the remainder is rewritten in
-the frame coordinates and its weighted order taken.
+each level first.  Chain questions (legality, m-values, multiplicities, meets)
+need nothing else, and they run on integers: the level values are integer
+numerators over one denominator, canonicalization takes each run of Euclid's
+algorithm on the weights with one ``divmod``-style quotient, and ``meet``
+compares multiplicities by cross-multiplication, so no valuation is built per
+dilatation step.  A chain over ``MAX_CHAIN_STEPS`` steps, a program's own
+centers counted, is refused with ``ChainTooLongError`` before it is built.
+Evaluation takes the least ``r*v(x) + s*v(y)`` over the terms of a polynomial,
+which is its value unless the least terms can cancel.  Only then does it push
+the polynomial through the centers one chart at a time, on integer
+coefficients: each chart divides out the new exceptional coordinate and adds
+that power times the coordinate's level value, and the first strict transform
+with a unique least term gives the value.  Past the last center the remainder
+is rewritten in the frame coordinates and its weighted order taken.
 
 A program's levels have one reader, ``_levels``: one pass back from the last
 center finds each level's multiplicity and exceptional value.  ``_chain``
@@ -48,7 +48,9 @@ Conventions, fixed once and used everywhere:
   the center at infinity performs ``x <- x*y``;
 * the center ``c`` corresponds to the direction ``[-c : 1]`` of the projective
   line of linear forms ``a*x + b*y``, and the infinite center to ``[1 : 0]``;
-  ``ProjPoint.negate`` converts either way, being its own inverse;
+  ``ProjPoint.negate`` converts either way, being its own inverse.  Inside,
+  a level is named by its center; only a ``Curve`` terminal,
+  ``common_minimizer`` and ``homogeneous_witness`` build directions;
 * weights are strictly positive and at most one of them is infinite.
 """
 
@@ -173,9 +175,9 @@ class QuasiMonomialVal(Record):
     them, ``_lead = (nx, ny, q, root, n1, n2)``: the level-0 values as
     numerators over q, the lcm of the finite weights' denominators (None
     for an infinite one), the zero of the head's exceptional form when
-    nx = ny (``_head_root``), and the weights as numerators over q.  The
-    canonical form is kept as ``_form`` once it is built
-    (``_canonicalize_raw``), or handed in by ``meet`` (``_divisorial``).
+    nx = ny (``_center_root`` of ``_head_center``), and the weights as
+    numerators over q.  The canonical form is kept as ``_form`` once it is
+    built (``_canonicalize_raw``), or handed in by ``meet`` (``_divisorial``).
     Equality and repr read only the three fields; the hash reads the steps,
     the frame and the record's q, n1, n2, which equal weights share.
     """
@@ -205,7 +207,8 @@ class QuasiMonomialVal(Record):
                 "illegal program: every element of the maximal ideal "
                 "would get value infinity"
             )
-        root = _head_root(self) if nx == ny else None
+        head = _head_center(self) if nx == ny else None
+        root = None if head is None else _center_root(head)
         object.__setattr__(self, "_lead", (nx, ny, q, root, n1, n2))
 
     @classmethod
@@ -409,40 +412,26 @@ def _strict_transform(nu: QuasiMonomialVal, phi: BivarPoly) -> _Num:
     return None if least is None else acc + least
 
 
-def _row_direction(frame: LinearFrame, row: int) -> ProjPoint:
-    """The direction ``[p : q]`` of one row of a frame, read off its integer rows."""
+def _row_center(frame: LinearFrame, row: int) -> ProjPoint:
+    """The center of the blow-up along one row ``(p, q)`` of a frame, read
+    off its integer rows: ``-p/q``, infinity when q = 0."""
     p, q = frame.int_rows[row]
     if not q:
         return INF_POINT
-    return ProjPoint(Fraction(p, q)) if p else ZERO_POINT
+    return ProjPoint(Fraction(-p, q)) if p else ZERO_POINT
 
 
-def _head_exceptional(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
-    """The unique direction valued above the m-value, if any.
-
-    It is the direction of the first center of the canonical chain, read off
-    the program without canonicalizing: the program's own first center when
-    it has one, else the center ``dilate`` would pick, the frame row of the
-    larger weight (an infinite weight included).  Equal finite weights make
-    the head terminal."""
+def _head_center(nu: QuasiMonomialVal) -> Optional[ProjPoint]:
+    """The first center of the canonical chain, read off the program: its own
+    first center, else, as ``dilate`` picks it, that of the frame row of the
+    larger weight (an infinite one included); None when equal finite weights
+    make the head terminal.  Its ``negate()`` is the direction valued above m."""
     if nu.steps:
-        return nu.steps[0].negate()
+        return nu.steps[0]
     w1, w2 = nu.weights
     if w1 == w2:
         return None
-    return _row_direction(nu.frame, 0 if w1 > w2 else 1)
-
-
-def _head_root(nu: QuasiMonomialVal) -> Optional[Tuple[int, int]]:
-    """A zero ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, None if
-    the head is terminal; ``evaluate`` reads it when ``v(x) = v(y)``."""
-    if nu.steps:
-        return _center_root(nu.steps[0])
-    d = _head_exceptional(nu)
-    if d is None:
-        return None
-    a, b = d.as_pair()
-    return b, -a
+    return _row_center(nu.frame, 0 if w1 > w2 else 1)
 
 
 def _center_root(center: ProjPoint) -> Tuple[int, int]:
@@ -699,17 +688,23 @@ def dilate(nu: QuasiMonomialVal) -> Union[Continue, Terminal]:
         return Terminal(w1)
     big = 0 if w1 > w2 else 1
     large, small = nu.weights[big], nu.weights[1 - big]
-    p, q = nu.frame.rows[big]
-    if q != 0:
-        return Continue(ProjPoint(-p / q), monomial(small, large - small))
-    return Continue(INF_POINT, monomial(large - small, small))
+    c = _row_center(nu.frame, big)
+    return Continue(c, monomial(large - small, small) if c.is_inf else monomial(small, large - small))
 
 
 # Chains are stored one step per Euclidean subtraction, so weights that are
 # short to write can need billions of steps: (1, 10^8) needs 10^8 - 1.  The
-# limit admits (1, 10^6), whose chain has 999,999 steps, and is checked
-# before each run is added, so a longer chain allocates nothing.
+# limit counts a program's own centers too and admits (1, 10^6), 999,999
+# steps; it is checked before each run is added, so no longer chain is stored.
 MAX_CHAIN_STEPS = 10**6
+
+
+def _limit(n: int) -> None:
+    """Refuse a canonical chain of n steps when n exceeds ``MAX_CHAIN_STEPS``."""
+    if n > MAX_CHAIN_STEPS:
+        raise ChainTooLongError(
+            f"the canonical chain needs more than the limit of {MAX_CHAIN_STEPS} steps"
+        )
 
 
 def _canonicalize_raw(nu: QuasiMonomialVal) -> CanonicalForm:
@@ -728,38 +723,39 @@ def _build_canonical(nu: QuasiMonomialVal) -> CanonicalForm:
 
     The head is settled once, on the weights' numerators in the record: a
     curve if a weight is infinite, a terminal if the weights are equal, else
-    the one blow-up ``dilate`` would make, which reads the frame row of the
-    larger weight (``_euclid_form``)."""
+    the one blow-up ``dilate`` would make at the center of the frame row of
+    the larger weight (``_euclid_form``).  Each branch checks the step limit."""
     _, _, q, _, n1, n2 = nu._lead
     if n1 is None or n2 is None:
         big = 0 if n1 is None else 1
-        # fold trailing steps that merely re-state the curve's own direction;
+        # fold trailing steps that merely re-state the curve's own center;
         # a curve only ends a program that never dilated, and legality makes
-        # each folded center match d (0 under 0, inf under inf), see
+        # each folded center match the row's (0 under 0, inf under inf), see
         # tests/test_valuation.py::TestCanonical::test_curve_fold_invariant
         steps = list(nu.steps)
-        d = _row_direction(nu.frame, big)
-        while steps and d in (ZERO_POINT, INF_POINT):
-            d = steps.pop().negate()
-        return CanonicalForm(tuple(steps), Curve(d, nu.weights[1 - big]))
+        c = _row_center(nu.frame, big)
+        while steps and c in (ZERO_POINT, INF_POINT):
+            c = steps.pop()
+        _limit(len(steps))
+        return CanonicalForm(tuple(steps), Curve(c.negate(), nu.weights[1 - big]))
     if n1 == n2:
+        _limit(len(nu.steps))
         return CanonicalForm(nu.steps, Divisorial(nu.weights[0]))
-    return _euclid_form(nu.steps, _row_direction(nu.frame, 0 if n1 > n2 else 1), n1, n2, q)
+    return _euclid_form(nu.steps, _row_center(nu.frame, 0 if n1 > n2 else 1), n1, n2, q)
 
 
 def _euclid_form(
-    prefix: Sequence[ProjPoint], d: ProjPoint, a: int, b: int, q: int
+    prefix: Sequence[ProjPoint], center: ProjPoint, a: int, b: int, q: int
 ) -> CanonicalForm:
     """The canonical form of the centers prefix followed by a monomial head
     with the unequal finite weights a/q and b/q, in a frame whose row of the
-    larger weight has direction d.
+    larger weight has this center.
 
-    The head's blow-up is at d's center; after it the frame is the identity
+    The head's blow-up is at that center; after it the frame is the identity
     and the chain is Euclid's algorithm on a and b: each run of the center 0
     (or infinity) is one quotient."""
-    center = d.negate()
-    steps = list(prefix)
-    steps.append(center)
+    _limit(len(prefix) + 1)
+    steps = [*prefix, center]
     small, large = min(a, b), max(a, b)
     a, b = (large - small, small) if center.is_inf else (small, large - small)
     while a != b:
@@ -769,10 +765,7 @@ def _euclid_form(
         else:
             n, run = (a - 1) // b, INF_POINT
             a -= n * b
-        if len(steps) + n > MAX_CHAIN_STEPS:
-            raise ChainTooLongError(
-                f"the canonical chain needs more than the limit of {MAX_CHAIN_STEPS} steps"
-            )
+        _limit(len(steps) + n)
         steps += [run] * n
     return CanonicalForm(tuple(steps), Divisorial(Fraction(a, q)))
 
@@ -896,18 +889,13 @@ def _monomial_meet(
     (c_a, m_a, e_a), (c_b, m_b, e_b) = level_a, level_b
     k_a, k_b = q // q_a, q // q_b
     m_a, m_b = m_a * k_a, m_b * k_b
-    # the one direction valued above the multiplicity at each level
-    exc_a = None if c_a is TERMINAL else c_a.negate()
-    exc_b = None if c_b is TERMINAL else c_b.negate()
-    if m_a < m_b:
-        small, small_exc = side_a, exc_a
-    else:
-        small, small_exc = side_b, exc_b
-    if small_exc is None:
+    # each level's center names the one direction valued above its multiplicity
+    small, small_c = (side_a, c_a) if m_a < m_b else (side_b, c_b)
+    if small_c is TERMINAL:
         return small
-    y_a = m_a if exc_a != small_exc else None if e_a is None else e_a * k_a
-    y_b = m_b if exc_b != small_exc else None if e_b is None else e_b * k_b
-    form = _euclid_form(prefix, small_exc, min(m_a, m_b), _min_num(y_a, y_b), q)
+    y_a = m_a if c_a != small_c else None if e_a is None else e_a * k_a
+    y_b = m_b if c_b != small_c else None if e_b is None else e_b * k_b
+    form = _euclid_form(prefix, small_c, min(m_a, m_b), _min_num(y_a, y_b), q)
     if form == _canonicalize_raw(small):  # the smaller side lies below the other
         return small
     n = form.terminal.gamma.numerator
@@ -1060,7 +1048,7 @@ def common_minimizer(
     """Coefficients (a, b) with nu(ax+by) = nu(m) and mu(ax+by) = mu(m)."""
     _require_normalized(nu, "common_minimizer")
     _require_normalized(mu, "common_minimizer")
-    banned = {_head_exceptional(nu), _head_exceptional(mu)}
+    banned = {c.negate() for c in (_head_center(nu), _head_center(mu)) if c is not None}
     d = next(p for p in direction_enumeration() if p not in banned)
     a, b = d.as_pair()
     return Fraction(a), Fraction(b)
@@ -1069,8 +1057,8 @@ def common_minimizer(
 def homogeneous_witness(nu: QuasiMonomialVal) -> Optional[BivarPoly]:
     """A degree-1 form valued above 1, or None when nu is the m-adic valuation."""
     _require_normalized(nu, "homogeneous_witness")
-    d = _head_exceptional(nu)
-    return None if d is None else d.form()
+    c = _head_center(nu)
+    return None if c is None else c.negate().form()
 
 
 # ---------------------------------------------------------------------------

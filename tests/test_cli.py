@@ -420,6 +420,32 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines()[-1] == STEP_LIMIT_ERROR % 999
 
+    @pytest.mark.parametrize(
+        "centers, weights, steps",
+        [
+            (999, ["1", "1"], 999),  # divisorial: the program's own centers
+            (1000, ["1", "1"], None),
+            (998, ["1", "2"], 999),  # the head's blow-up, after which Euclid ends at once
+            (999, ["1", "2"], None),
+            (1000, ["1", "inf"], 999),  # a curve folds its last center into its direction
+            (1001, ["1", "inf"], None),
+        ],
+    )
+    def test_step_limit_counts_the_programs_own_centers(self, capsys, monkeypatch, centers, weights, steps):
+        """Under a limit of 999, every kind of canonical form is refused past
+        999 steps, a program's own centers counted, and a form of exactly 999
+        steps prints; steps is None where the CLI must exit 2."""
+        monkeypatch.setattr(valuation, "MAX_CHAIN_STEPS", 999)
+        doc = json.dumps({"steps": [{"center": "1"}] * centers, "weights": weights})
+        code, out, err = run(capsys, "val", "canon", "--valuation", doc)
+        if steps is None:
+            assert code == 2
+            assert out == ""
+            assert err.splitlines()[-1] == STEP_LIMIT_ERROR % 999
+        else:
+            assert code == 0
+            assert len(json.loads(out)["steps"]) == steps
+
 
 
 class TestInputLimits:

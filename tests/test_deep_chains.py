@@ -502,7 +502,7 @@ class TestEvaluate:
             except ValueError:  # the prefix makes a curve program illegal
                 continue
             polys = chain_curvettes(p.steps, 12, 12)
-            polys += [curvette(p.steps, valuation._row_direction(p.frame, i)) for i in (0, 1)]
+            polys += [curvette(p.steps, valuation._row_center(p.frame, i).negate()) for i in (0, 1)]
             polys += [c + X ** (c.total_degree() + 1) for c in polys] + [c * c for c in polys[:3]]
             for phi in polys:
                 assert evaluate(p, phi) == evaluate_naive(p, phi), (p, phi)

@@ -428,10 +428,10 @@ def bad_step_docs():
 
 
 class TestReaderParity:
-    """Documents whose steps are all objects with string centers are read in
-    one pass; every other document is read step by step.  Either way a bad
-    entry raises the same FormatError, naming the first bad entry, from both
-    readers and from the CLI, which exits 2."""
+    """A valuation's steps and weights are read in one checked pass.  A bad
+    entry raises the FormatError that names the first bad one, whatever the
+    entries around it, from the valuation and canonical-form readers and
+    from the CLI, which exits 2."""
 
     @pytest.mark.parametrize("steps, text, wrapped", list(bad_step_docs()))
     def test_bad_steps(self, capsys, steps, text, wrapped):
@@ -465,8 +465,9 @@ class TestReaderParity:
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {want}"
 
     def test_good_documents_read_alike_either_way(self):
-        """A document read in one pass equals the same document read step
-        by step, its steps spelled in a dict subclass to force that way."""
+        """A document reads alike in plain containers and in the other ones
+        the reader takes: steps spelled in a dict subclass, weights in a
+        tuple."""
 
         class Step(dict):
             pass
@@ -494,3 +495,27 @@ class TestReaderParity:
             with pytest.raises(FormatError):
                 canonical_from_json({"steps": s, "terminal": {"divisorial": "1"}})
         assert len(seen) > len(docs) and set(seen) == {str}
+
+    def test_string_subclasses_read_as_their_plain_spelling(self, monkeypatch):
+        """A center or weight spelled as a str subclass reads equal to the
+        plain spelling, and only ``str`` reaches the spelling memos: the
+        subclass's own methods are never called."""
+        from valtree import jsonio
+
+        class Text(str):
+            def strip(self, *chars):
+                raise AssertionError("a str subclass reached the parser")
+
+        seen = []
+        for name in ("_center_from", "_weight_from"):
+            memo = getattr(jsonio, name)
+            monkeypatch.setattr(jsonio, name, lambda text, memo=memo: seen.append(type(text)) or memo(text))
+        for nu in (gen_qmv(s, max_depth=8) for s in range(40)):
+            doc = json.loads(json.dumps(valuation_to_json(nu)))
+            texts = dict(doc, steps=[{"center": Text(s["center"])} for s in doc["steps"]],
+                         weights=[Text(w) for w in doc["weights"]])
+            assert valuation_from_json(texts) == valuation_from_json(doc) == nu
+            form = canonical_to_json(canonicalize(normalize(nu)))
+            steps = [{"center": Text(s["center"])} for s in form["steps"]]
+            assert canonical_from_json(dict(form, steps=steps)) == canonical_from_json(form)
+        assert len(seen) > 80 and set(seen) == {str}

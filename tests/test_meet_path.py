@@ -11,11 +11,14 @@ recursion ``test_deep_chains.reference_levels``, the root of the
 and the order the canonical forms decide.
 """
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from test_deep_chains import reference_levels
 from valtree import valuation
+from valtree.jsonio import valuation_from_json
 from valtree.poly import LinearFrame
 from valtree.rationals import INF
 from valtree.testkit import DEFAULT_SEED, gen_qmv
@@ -98,10 +101,10 @@ def programs():
 def negate_root(nu):
     """The zero ``(b, -a)`` of the head's exceptional form ``a*x + b*y``, its
     direction found by ``negate()`` on the first center."""
-    d = valuation._head_exceptional(nu)
-    if d is None:
+    center = valuation._head_center(nu)
+    if center is None:
         return None
-    a, b = d.as_pair()
+    a, b = center.negate().as_pair()
     return b, -a
 
 
@@ -119,7 +122,8 @@ class TestConstruction:
 
     def test_head_root_is_that_of_the_negated_center(self):
         for nu in programs():
-            assert valuation._head_root(nu) == negate_root(nu)
+            center = valuation._head_center(nu)
+            assert (None if center is None else valuation._center_root(center)) == negate_root(nu)
             nx, ny = nu._lead[:2]
             assert nu._lead[3] == (negate_root(nu) if nx == ny else None)
 
@@ -293,3 +297,38 @@ class TestCarriedForms:
             assert compare(mu, nu).value == mirror[word]
             canonicalize(meet(nu, mu))
         assert set(want) == set(mirror)
+
+
+def meet_deep_documents(seed):
+    """The document pairs of valbench's meet-deep workload at this seed;
+    its input module imports nothing from valtree."""
+    path = Path(__file__).resolve().parents[1] / "valbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("valbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(pair["nu"]["doc"], pair["mu"]["doc"]) for pair in inputs.meet_pairs(seed)]
+
+
+class TestNoPointBuilt:
+    def test_the_meet_deep_op_builds_no_point(self, monkeypatch):
+        """valbench's meet-deep op, parse -> normalize -> meet -> compare ->
+        canonicalize, builds no ``ProjPoint`` over its 120 seed-1 pairs once
+        the spelling memos hold the documents' centers and meet's memo is
+        empty: the chain and order layers name each level by a center that
+        a document or a Euclid run (``ZERO_POINT``, ``INF_POINT``) holds."""
+        docs = meet_deep_documents(1)
+        assert len(docs) == 120
+        for a, b in docs:  # the spelling memos learn every center and weight
+            valuation_from_json(a), valuation_from_json(b)
+        meet.cache_clear()
+        built, monomial = [], []
+        post_init, monomial_meet = ProjPoint.__post_init__, valuation._monomial_meet
+        monkeypatch.setattr(ProjPoint, "__post_init__", lambda p: built.append(p) or post_init(p))
+        monkeypatch.setattr(valuation, "_monomial_meet", lambda *a: monomial.append(1) or monomial_meet(*a))
+        for a, b in docs:
+            nu, mu = normalize(valuation_from_json(a)), normalize(valuation_from_json(b))
+            w = meet(nu, mu)
+            compare(nu, mu)
+            canonicalize(w)
+        assert built == []
+        assert len(monomial) >= 20  # meet's monomial case, which hands a level's center on, is reached

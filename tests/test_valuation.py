@@ -84,7 +84,7 @@ class TestProjPoint:
         acts on the pair and twice gives the point back, and equality, hash
         and ``str`` give what they gave when they read the value
         alone.  Points: parsed JSON centers, the centers, canonical chains,
-        curve directions and frame rows of generated programs, the
+        curve directions and frame-row centers of generated programs, the
         directions curvettes are drawn from, and random rationals."""
         rng = random.Random(DEFAULT_SEED + 31)
         spellings = ["0", "-0", "00", "0/5", "3", "-7/2", "6/4", " 5 ", "inf", "INF", str(10**40) + "/3"]
@@ -94,7 +94,7 @@ class TestProjPoint:
         programs += [alternating_chain(rng, n) for n in range(1, 10)]
         for nu in programs:
             form = canonicalize(nu)
-            points += nu.steps + form.steps + tuple(valuation._row_direction(nu.frame, i) for i in (0, 1))
+            points += nu.steps + form.steps + tuple(valuation._row_center(nu.frame, i) for i in (0, 1))
             if isinstance(form.terminal, Curve):
                 d = form.terminal.direction
                 points += [d, ProjPoint(1 if d.is_inf else d.value + 1)]  # the two curvette directions
@@ -290,8 +290,9 @@ class TestEvaluate:
                 X - Y**2 + X * Y,
                 X + Y**2,
             ]
-            d = valuation._head_exceptional(nu)
-            if d is not None:
+            center = valuation._head_center(nu)
+            if center is not None:
+                d = center.negate()
                 ell = d.form()
                 other = ProjPoint(d.value + 1).form() if not d.is_inf else Y
                 polys += [
@@ -413,8 +414,9 @@ class TestValueNumerators:
         ]
         polys = [BivarPoly.zero(), BivarPoly.constant(3), X * Y + X**2 + Y**2, X - Y**2 + X * Y]
         for nu in programs:
-            d = valuation._head_exceptional(nu)
-            if d is not None:
+            center = valuation._head_center(nu)
+            if center is not None:
+                d = center.negate()
                 ell = d.form()
                 other = ProjPoint(d.value + 1).form() if not d.is_inf else Y
                 polys += [ell, ell**2 + X**3 * Y, ell * other + Y**4 - X**5, other**2 + ell * X]
@@ -475,7 +477,7 @@ class TestEvaluateWork:
         per center, on strict transforms of a few terms."""
         nu = QuasiMonomialVal(self.DEEP.steps, self.DEEP.frame, self.DEEP.weights)
         ell = poly_parse("y - 2*x")  # the direction of the first center, 2
-        assert valuation._head_exceptional(nu).form() == ell
+        assert valuation._head_center(nu).negate().form() == ell
         sizes = self.count_charts(monkeypatch)
         assert evaluate(nu, ell) == evaluate_naive(nu, ell) > m_value(nu)
         assert sizes == [1]  # the chart at 2 takes y - 2x to the single term y
@@ -796,9 +798,10 @@ class TestLevelValues:
             self.check_walk(canonicalize(nu))
 
     def test_head_exceptional_is_the_first_walk_direction(self):
-        """The head's exceptional direction, read off the program, against the
-        direction of the first center of its canonical walk, on normalized and
-        rescaled programs, framed and curve ones included."""
+        """The head's center, read off the program, against the first center
+        of its canonical walk, whose ``negate()`` is the head's exceptional
+        direction, on normalized and rescaled programs, framed and curve ones
+        included."""
         shear = LinearFrame(((1, 0), (1, 1)))
         programs = self.programs() + [gen_qmv(DEFAULT_SEED + 500 + s, max_depth=8) for s in range(40)]
         for nu in programs[:60]:
@@ -814,23 +817,36 @@ class TestLevelValues:
         ]
         for nu in programs:
             center, _, _ = next(walk(valuation._canonicalize_raw(nu)))
-            assert valuation._head_exceptional(nu) == (None if center is TERMINAL else center.negate()), nu
+            assert valuation._head_center(nu) == (None if center is TERMINAL else center), nu
             assert m_value(nu) == min(evaluate(nu, X), evaluate(nu, Y))
 
     def test_framed_programs_built_by_meet(self, monkeypatch):
         """meet's monomial case describes a framed program: the prefix, then
-        the exceptional direction d on the row of the larger weight and a
+        the exceptional direction on the row of the larger weight and a
         generic direction on the other.  It builds that program's canonical
-        form from the weights alone (``_euclid_form``) and hands it to its
-        result.  Each described program is built here: it is legal, its
-        canonical form is the one meet built, and that form walks right;
-        each result keeps the form ``canonicalize`` would build afresh."""
+        form from the weights alone, handing ``_euclid_form`` the level's
+        center, and hands the form to its result.  Each described program is
+        built here, its exceptional direction the ``negate()`` of the
+        recorded center: it is legal, its canonical form is the one meet
+        built, and that form walks right; each result keeps the form
+        ``canonicalize`` would build afresh.
+
+        meet records only the centers 0 and infinity, which ``negate()``
+        fixes: where two normalized chains' multiplicities first differ, the
+        smaller side's center is never finite and nonzero.  At such a center
+        ``v(x_k) = v(y_k) = m_k``, and every chart gives the level before
+        the multiplicity ``v(x_k)`` (or ``v(y_k)``) on that side but at least
+        the larger ``m'_k`` on the other, so the two would differ a level
+        earlier.  The siblings that part at a finite nonzero center check
+        that; and each described program is built again with finite nonzero
+        centers in the recorded one's place, whose canonical form must read
+        that center, not its direction, after the prefix."""
         calls = []
         euclid = valuation._euclid_form
 
-        def recording(prefix, d, a, b, q):
-            form = euclid(prefix, d, a, b, q)
-            calls.append((tuple(prefix), d, a, b, q, form))
+        def recording(prefix, center, a, b, q):
+            form = euclid(prefix, center, a, b, q)
+            calls.append((tuple(prefix), center, a, b, q, form))
             return form
 
         monkeypatch.setattr(valuation, "_euclid_form", recording)
@@ -850,26 +866,46 @@ class TestLevelValues:
                 sibling = steps[: rng.randint(0, len(steps))] + (ProjPoint(Fraction(rng.randint(1, 9), 7)),)
                 gamma = Fraction(1, rng.randint(2, 5))
                 pairs.append((nu, normalize(from_canonical(CanonicalForm(sibling, Divisorial(gamma))))))
+        # siblings that part at a finite nonzero center and go on below it;
+        # where the multiplicities first differ, the smaller side's center is
+        # still 0 or infinity
+        for nu in vals:
+            steps = canonicalize(nu).steps
+            for tail in ((), (ZERO_POINT,), (INF_POINT, ZERO_POINT), (ProjPoint(3),)):
+                cut = rng.randint(0, len(steps))
+                sibling = steps[:cut] + (ProjPoint(Fraction(-rng.randint(1, 9), 5)),) + tail
+                gamma = Fraction(rng.randint(1, 3), rng.randint(2, 7))
+                pairs.append((nu, normalize(from_canonical(CanonicalForm(sibling, Divisorial(gamma))))))
         handed = []
         for nu, mu in pairs:
-            w = meet.__wrapped__(nu, mu)
-            assert m_value(w) == 1 == min(evaluate(w, X), evaluate(w, Y))
-            # a result the monomial case built, not an input it handed back
-            if w is not nu and w is not mu and built and w is built[-1]:
-                assert "_form" in vars(w)
-                handed.append(w)
+            for first, second in ((nu, mu), (mu, nu)):
+                w = meet.__wrapped__(first, second)
+                assert m_value(w) == 1 == min(evaluate(w, X), evaluate(w, Y))
+                # a result the monomial case built, not an input it handed back
+                if w is not first and w is not second and built and w is built[-1]:
+                    assert "_form" in vars(w)
+                    handed.append(w)
         monkeypatch.undo()
+        assert {call[1] for call in calls} <= {ZERO_POINT, INF_POINT}
         forms = {id(w._form) for w in handed}
         calls = [call for call in calls if id(call[-1]) in forms]
         assert len(calls) == len(handed) >= 20
-        for prefix, d, a, b, q, form in calls:
-            x_dir = next(e for e in direction_enumeration() if e != d)
-            rows = (x_dir.as_pair(), d.as_pair()) if a < b else (d.as_pair(), x_dir.as_pair())
-            p = QuasiMonomialVal(prefix, LinearFrame(rows), (Fraction(a, q), Fraction(b, q)))
-            self.check_level_zero(p)
-            assert m_value(p) == 1
-            assert valuation._build_canonical(p) == form
-            self.check_walk(form)
+        free = (ProjPoint(Fraction(2, 7)), ProjPoint(-3))
+        for prefix, center, a, b, q, form in calls:
+            for c in (center,) + free:
+                d = c.negate()
+                x_dir = next(e for e in direction_enumeration() if e != d)
+                rows = (x_dir.as_pair(), d.as_pair()) if a < b else (d.as_pair(), x_dir.as_pair())
+                p = QuasiMonomialVal(prefix, LinearFrame(rows), (Fraction(a, q), Fraction(b, q)))
+                self.check_level_zero(p)
+                got = valuation._build_canonical(p)
+                if c is center:
+                    assert m_value(p) == 1
+                    assert got == form
+                assert got.steps[len(prefix)] == c and got == valuation._euclid_form(prefix, c, a, b, q)
+                self.check_walk(got)
+                rebuilt = from_canonical(got)
+                assert all(evaluate(rebuilt, phi) == evaluate(p, phi) for phi in (X, Y, d.form(), x_dir.form()))
         for w in handed:
             assert valuation._build_canonical(w) == w._form
 
