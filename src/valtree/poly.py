@@ -54,7 +54,7 @@ def _coerce(c) -> Fraction:
 #   with it (a record's hash, kept by ``_cached_hash`` below on the first
 #   ``hash``; a valuation's record and canonical form);
 # * a module-level memo is a ``functools.lru_cache(maxsize=MEMO_SIZE)``, so
-#   ``cache_info()`` reports it: ``valuation.meet``, and the spelling memos
+#   ``cache_info()`` reports it: ``valuation._walk``, and the spelling memos
 #   ``jsonio._center_from`` and ``jsonio._weight_from``, keyed by strings only;
 # * a per-object table that can grow stops storing at ``MEMO_SIZE`` entries
 #   (a tree's grids, a parametrization's reciprocals).

@@ -21,7 +21,7 @@ is rewritten in the frame coordinates and its weighted order taken.
 A program's levels have one reader, ``_levels``: one pass back from the last
 center finds each level's multiplicity and exceptional value.  ``_chain``
 pairs them with a canonical chain's centers, then a divisorial's terminal
-level or a curve's constant tail; ``meet`` walks two chains in lockstep and
+level or a curve's constant tail; ``_walk`` steps two chains in lockstep and
 ``multiplicity_stream`` maps one.  ``_strict_transform`` reads each level's
 coordinate values off them.
 
@@ -30,13 +30,13 @@ construction runs the level recursion once and keeps one integer record of
 the level-0 and weight numerators (see ``QuasiMonomialVal``), which
 ``normalize`` rescales without running the recursion again.  What derives
 from one valuation, the record and its canonical form, is kept on it and
-freed with it.  ``meet`` hands back an input that lies below the other as
-that very object, and builds every other result from the canonical form it
-makes, each record read off one pass over the centers to level 0; the result
-carries that form, so ``compare`` and ``canonicalize`` read it and build none.
-``meet`` keeps the one module-level memo of this module, bounded as
-``poly.MEMO_SIZE`` states: a pair has no single object to hold its meet,
-and ``compare`` meets again the pair an operation has just met.
+freed with it.  ``meet`` and ``compare`` read one lockstep walk, ``_walk``:
+where two chains part fixes both their meet and their order.  A meet that is
+not an input is built from the canonical form the walk makes, its record
+read off one pass over the centers to level 0, and carries that form, which
+``canonicalize`` reads.  ``_walk`` keeps the one module-level memo of this
+module, bounded as ``poly.MEMO_SIZE`` states: a pair has no single object
+to hold its walk, and an operation that meets a pair often compares it next.
 
 The chain and order layers read integers: a point's primitive pair, a
 frame's integer rows and the record.  ``Fraction``s are built only for the
@@ -877,9 +877,8 @@ def _monomial_meet(
     is valued above m), so the frame's second row is the head's blow-up and
     the canonical form follows from the weights alone (``_euclid_form``); the
     generic row is never read.  When that form is the smaller side's own,
-    the smaller side lies below the other and is returned itself, so that
-    ``compare`` reads the order by identity; otherwise the result carries
-    the form.  ``v_y`` is finite: ``e`` is infinite only on
+    the smaller side lies below the other and is returned itself; otherwise
+    the result carries the form.  ``v_y`` is finite: ``e`` is infinite only on
     the last center of a curve's chain and its constant tail, and two
     normalized chains that agree in centers and multiplicities up to a
     level where both are there have the same curve weight, so their
@@ -908,8 +907,7 @@ def _divisorial(form: CanonicalForm, nx: int, ny: int) -> QuasiMonomialVal:
     denominator (``_level_zero`` from the weights' numerators): the record is
     read off them, without the checks of ``__post_init__``, which such a
     program always passes.  The program keeps the form as its canonical
-    form, so that ``canonicalize`` and ``compare`` read it instead of
-    building it again."""
+    form, so that ``canonicalize`` reads it instead of building it again."""
     steps, g = form.steps, form.terminal.gamma
     root = _center_root(steps[0]) if steps and nx == ny else None
     n, q = g.numerator, g.denominator
@@ -918,28 +916,27 @@ def _divisorial(form: CanonicalForm, nx: int, ny: int) -> QuasiMonomialVal:
     return nu
 
 
+class Comparison(Enum):
+    LT = "LT"
+    EQ = "EQ"
+    GT = "GT"
+    INCOMPARABLE = "INCOMPARABLE"
+
+
 @lru_cache(maxsize=MEMO_SIZE)
-def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
-    """Greatest common lower bound of two normalized valuations.
+def _walk(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> Tuple[QuasiMonomialVal, Comparison]:
+    """``(meet, order)`` of two normalized valuations, read off the first
+    divergence of their dilatation sequences, walked in lockstep: equal forms
+    are EQ; differing multiplicities give a monomial valuation in matched
+    coordinates, LT or GT when it is an input itself; a divisorial terminal
+    wins outright, LT on nu's side and GT on mu's; differing centers truncate
+    to the shared divisorial level, INCOMPARABLE.
 
-    Walks the two dilatation sequences in lockstep and resolves the first
-    divergence: differing multiplicities produce a monomial valuation in
-    matched coordinates, a divisorial terminal wins outright, and differing
-    centers truncate to the shared divisorial level.
-
-    An input that lies below the other is returned as that very object;
-    every other result carries the canonical form built for it, which
-    ``canonicalize`` and ``compare`` read.
-
-    The last ``MEMO_SIZE`` pairs met are kept, so that ``compare`` reads the
-    pair an operation has just met.  An entry holds both inputs and the
-    result, and with them their canonical forms, one step per chain level.
-    """
-    _require_normalized(nu, "meet")
-    _require_normalized(mu, "meet")
+    The last ``MEMO_SIZE`` pairs are kept, each entry holding both inputs,
+    the meet and their canonical forms, one step per chain level."""
     form_a, form_b = _canonicalize_raw(nu), _canonicalize_raw(mu)
     if form_a == form_b:
-        return nu
+        return nu, Comparison.EQ
     q_a, steps_a, levels_a = _chain(form_a)
     q_b, steps_b, levels_b = _chain(form_b)
     n_a = len(steps_a)
@@ -950,48 +947,35 @@ def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
         c_b, m_b, _ = level_b
         if m_a * q_b != m_b * q_a:
             prefix = (steps_a if i <= n_a else steps_b)[:i]
-            return _monomial_meet(prefix, level_a, q_a, level_b, q_b, nu, mu)
+            w = _monomial_meet(prefix, level_a, q_a, level_b, q_b, nu, mu)
+            return w, Comparison.LT if w is nu else Comparison.GT if w is mu else Comparison.INCOMPARABLE
         if c_a is TERMINAL:
-            return nu
+            return nu, Comparison.LT
         if c_b is TERMINAL:
-            return mu
+            return mu, Comparison.GT
         if c_a._pair != c_b._pair:
             # the divisorial of the last shared level, normalized: its level-0
             # values from the weights (1, 1) have minimum m, so its weights are 1/m
             prefix = (steps_a if i <= n_a else steps_b)[:i]
             nx, ny = _level_zero(prefix, 1, 1)
-            return _divisorial(CanonicalForm(prefix, Divisorial(Fraction(1, min(nx, ny)))), nx, ny)
+            form = CanonicalForm(prefix, Divisorial(Fraction(1, min(nx, ny))))
+            return _divisorial(form, nx, ny), Comparison.INCOMPARABLE
     raise AssertionError("divergence search exceeded both program lengths")
 
 
-class Comparison(Enum):
-    LT = "LT"
-    EQ = "EQ"
-    GT = "GT"
-    INCOMPARABLE = "INCOMPARABLE"
+def meet(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> QuasiMonomialVal:
+    """Greatest common lower bound of two normalized valuations: the meet
+    that ``_walk`` finds."""
+    _require_normalized(nu, "meet")
+    _require_normalized(mu, "meet")
+    return _walk(nu, mu)[0]
 
 
 def compare(nu: QuasiMonomialVal, mu: QuasiMonomialVal) -> Comparison:
-    """Order of two normalized valuations, decided through the meet.
-
-    ``meet`` hands back an input that lies below the other as that very
-    object, so LT and GT are read by identity.  When the meet memo answers
-    for an equal but distinct pair, the canonical forms decide; the inputs'
-    were built by ``equal_valuations`` and the meet's is carried, so none
-    is built here."""
-    if equal_valuations(nu, mu):
-        return Comparison.EQ
-    w = meet(nu, mu)
-    if w is nu:
-        return Comparison.LT
-    if w is mu:
-        return Comparison.GT
-    w = _canonicalize_raw(w)
-    if w == _canonicalize_raw(nu):
-        return Comparison.LT
-    if w == _canonicalize_raw(mu):
-        return Comparison.GT
-    return Comparison.INCOMPARABLE
+    """Order of two normalized valuations: the order that ``_walk`` finds."""
+    _require_normalized(nu, "compare")
+    _require_normalized(mu, "compare")
+    return _walk(nu, mu)[1]
 
 
 def infimum(vals: Iterable[QuasiMonomialVal]) -> QuasiMonomialVal:
@@ -999,10 +983,11 @@ def infimum(vals: Iterable[QuasiMonomialVal]) -> QuasiMonomialVal:
     items = list(vals)
     if not items:
         raise EmptySetError("infimum of an empty family")
+    for v in items:
+        _require_normalized(v, "infimum")
     out = items[0]
-    _require_normalized(out, "infimum")
     for v in items[1:]:
-        out = meet(out, v)
+        out = _walk(out, v)[0]
     return out
 
 

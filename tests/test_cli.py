@@ -449,8 +449,9 @@ class TestExitCodes:
 
 
 class TestInputLimits:
-    """The digit and sample limits are checked while the arguments are read:
-    over either, the CLI exits 2 before any work, naming the limit."""
+    """The digit and sample limits are checked while the arguments are read,
+    and ``tree check``'s limits once its document is read: over any, the CLI
+    exits 2 before any work, naming the limit."""
 
     @staticmethod
     def refused(capsys, *argv):
@@ -495,6 +496,43 @@ class TestInputLimits:
         )
         code, out, _ = run(capsys, "tree", "countability", "--samples", str(limit), "--json")
         assert code == 0 and json.loads(out)["neighborhoods"] == limit
+
+    @staticmethod
+    def shaped_tree(tmp_path, shape, n):
+        """A tree document of n nodes: a star (the root and n - 1 leaves) or a chain."""
+        if shape == "star":
+            root = {"children": [{"edge": "1"} for _ in range(n - 1)]}
+        else:
+            root = {}
+            for _ in range(n - 1):
+                root = {"children": [{"edge": "1", "node": root}]}
+        path = tmp_path / f"{shape}{n}.json"
+        path.write_text(json.dumps({"nodes": {"root": root}}))
+        return str(path)
+
+    @pytest.mark.parametrize("shape", ["star", "chain"])
+    def test_tree_check_nodes_are_limited(self, capsys, tmp_path, shape):
+        limit = cli_module.MAX_CHECK_NODES
+        assert limit == 40
+        over = self.shaped_tree(tmp_path, shape, limit + 1)
+        code, out, err = run(capsys, "tree", "check", "--tree", over, "--samples", "10000")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: tree check is limited to trees of 40 nodes, this one has 41"
+        code, out, _ = run(capsys, "tree", "check", "--tree", self.shaped_tree(tmp_path, shape, limit),
+                           "--samples", "1", "--json")
+        assert code == 0 and json.loads(out)["t4"]
+
+    def test_tree_check_samples_on_the_forked_interval_are_limited(self, capsys, fork_file, tree_file):
+        limit = cli_module.MAX_POSET_SAMPLES
+        assert limit == 400
+        code, out, err = run(capsys, "tree", "check", "--tree", fork_file, "--samples", str(limit + 1))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: tree check --samples is limited to 400 on the forked interval"
+        code, out, _ = run(capsys, "tree", "check", "--tree", fork_file, "--samples", str(limit), "--json")
+        assert code == 1 and json.loads(out)["t1"] and not json.loads(out)["t4"]
+        # the limit is the forked interval's: a tree takes more samples
+        code, _, _ = run(capsys, "tree", "check", "--tree", tree_file, "--samples", str(limit + 1))
+        assert code == 0
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="this Python prints ints of any length"

@@ -435,7 +435,7 @@ class TestMeet:
     def test_long_euclid_meet_builds_a_bounded_number_of_valuations(self, monkeypatch, n):
         nu, mu = normalize(monomial(1, n)), normalize(monomial(1, n + Fraction(1, 2)))
         calls = count_constructions(monkeypatch)
-        w = meet.__wrapped__(nu, mu)
+        w = valuation._walk.__wrapped__(nu, mu)[0]
         assert len(calls) <= 4
         assert compare(nu, mu) is Comparison.LT and canonicalize(w) == canonicalize(nu)
 

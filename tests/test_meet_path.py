@@ -4,8 +4,8 @@ once, against the definitions they shortcut.
 A construction reads level 0 with a loop that keeps no level list and the
 head's root off the first center's pair; ``meet`` builds its results from the
 canonical forms it makes, without the checked constructor; ``compare``
-answers by identity when ``meet`` hands back one of its inputs.  Each is
-checked here against the slower definition: level 0 of the Fraction
+reads the order that the same walk finds, also through the walk's memo.
+Each is checked here against the slower definition: level 0 of the Fraction
 recursion ``test_deep_chains.reference_levels``, the root of the
 ``negate()``-d direction, ``from_canonical`` of the result's canonical form,
 and the order the canonical forms decide.
@@ -175,7 +175,7 @@ def met(nu, mu):
 
     valuation._monomial_meet = recording
     try:
-        w = meet.__wrapped__(nu, mu)
+        w = valuation._walk.__wrapped__(nu, mu)[0]
     finally:
         valuation._monomial_meet = monomial_meet
     kind = ("first input" if w is nu else "second input" if w is mu
@@ -286,7 +286,7 @@ class TestCarriedForms:
         build = valuation._build_canonical
         want = []
         for nu, mu in pairs:
-            c_nu, c_mu, c_w = build(nu), build(mu), build(meet.__wrapped__(nu, mu))
+            c_nu, c_mu, c_w = build(nu), build(mu), build(valuation._walk.__wrapped__(nu, mu)[0])
             want.append("EQ" if c_nu == c_mu else "LT" if c_w == c_nu
                         else "GT" if c_w == c_mu else "INCOMPARABLE")
             meet(nu, mu)  # as an operation meets before it compares
@@ -297,6 +297,25 @@ class TestCarriedForms:
             assert compare(mu, nu).value == mirror[word]
             canonicalize(meet(nu, mu))
         assert set(want) == set(mirror)
+
+
+class TestOrderThroughTheMemo:
+    def test_twins_read_the_order_the_forms_decide(self):
+        """After ``meet(nu, mu)``, the walk's memo answers ``compare`` for
+        equal but distinct copies of both, with the word the canonical forms
+        give; the swapped copies give the mirrored word."""
+        mirror = {"LT": "GT", "GT": "LT", "EQ": "EQ", "INCOMPARABLE": "INCOMPARABLE"}
+        words = set()
+        for nu, mu in deep_pairs():
+            word = word_from_forms(nu, mu)  # meets the pair
+            twin_nu, twin_mu = (QuasiMonomialVal(v.steps, v.frame, v.weights) for v in (nu, mu))
+            assert twin_nu == nu and twin_nu is not nu and twin_mu == mu and twin_mu is not mu
+            hits = valuation._walk.cache_info().hits
+            assert compare(twin_nu, twin_mu).value == word
+            assert valuation._walk.cache_info().hits == hits + 1
+            assert compare(twin_mu, twin_nu).value == mirror[word]
+            words.add(word)
+        assert words == set(mirror)
 
 
 def meet_deep_documents(seed):
@@ -320,7 +339,7 @@ class TestNoPointBuilt:
         assert len(docs) == 120
         for a, b in docs:  # the spelling memos learn every center and weight
             valuation_from_json(a), valuation_from_json(b)
-        meet.cache_clear()
+        valuation._walk.cache_clear()
         built, monomial = [], []
         post_init, monomial_meet = ProjPoint.__post_init__, valuation._monomial_meet
         monkeypatch.setattr(ProjPoint, "__post_init__", lambda p: built.append(p) or post_init(p))

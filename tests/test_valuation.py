@@ -25,6 +25,7 @@ from valtree.valuation import (
     Divisorial,
     INF_POINT,
     M_ADIC,
+    PreconditionViolatedError,
     ProjPoint,
     QuasiMonomialVal,
     TERMINAL,
@@ -32,6 +33,7 @@ from valtree.valuation import (
     ValueNumerators,
     ZERO_POINT,
     canonicalize,
+    compare,
     dilatation_length,
     dilate,
     direction_enumeration,
@@ -39,6 +41,7 @@ from valtree.valuation import (
     evaluate,
     evaluate_naive,
     from_canonical,
+    infimum,
     is_normalized,
     m_value,
     monomial,
@@ -613,6 +616,29 @@ class TestNormalize:
         assert all(is_normalized(nu) for nu in normalized)
 
 
+class TestPreconditionNames:
+    """A valuation that is not normalized is refused by the function that was
+    called, named in the message, whichever input it is: a memo's key cannot
+    carry its caller, so each function checks its own inputs."""
+
+    @pytest.mark.parametrize("name, call", [
+        ("meet", lambda bad, good: meet(bad, good)),
+        ("meet", lambda bad, good: meet(good, bad)),
+        ("compare", lambda bad, good: compare(bad, good)),
+        ("compare", lambda bad, good: compare(good, bad)),
+        ("equal_valuations", lambda bad, good: equal_valuations(bad, good)),
+        ("equal_valuations", lambda bad, good: equal_valuations(good, bad)),
+        ("canonicalize", lambda bad, good: canonicalize(bad)),
+        ("infimum", lambda bad, good: infimum([bad, good])),
+        ("infimum", lambda bad, good: infimum([good, monomial(1, 3), bad])),
+    ], ids=["meet-first", "meet-second", "compare-first", "compare-second", "equal-first",
+            "equal-second", "canonicalize", "infimum-first", "infimum-later"])
+    def test_the_message_names_the_function_called(self, name, call):
+        bad, good = monomial(2, 3), monomial(1, 2)
+        with pytest.raises(PreconditionViolatedError, match=f"^{name} requires a normalized valuation$"):
+            call(bad, good)
+
+
 class TestDilate:
     def test_equal_weights_terminate(self):
         assert dilate(monomial(1, 1)) == Terminal(Fraction(1))
@@ -879,7 +905,7 @@ class TestLevelValues:
         handed = []
         for nu, mu in pairs:
             for first, second in ((nu, mu), (mu, nu)):
-                w = meet.__wrapped__(first, second)
+                w = valuation._walk.__wrapped__(first, second)[0]
                 assert m_value(w) == 1 == min(evaluate(w, X), evaluate(w, Y))
                 # a result the monomial case built, not an input it handed back
                 if w is not first and w is not second and built and w is built[-1]:
@@ -970,7 +996,8 @@ class TestCachedHash:
 
 class TestMemoPolicy:
     """What derives from one valuation is kept on it and freed with it; the
-    pair cache of ``meet`` is the one module-level table."""
+    pair cache of ``_walk``, which ``meet`` and ``compare`` read, is the one
+    module-level table of ``valuation``."""
 
     @staticmethod
     def fresh_programs():
@@ -1009,8 +1036,8 @@ class TestMemoPolicy:
         """The scan valbench's ``cache_stats`` makes, over every ``valtree.*``
         module: every module attribute that has ``cache_info``, through
         ``__wrapped__``.  The package keeps three module-level memos, each an
-        LRU bounded by ``MEMO_SIZE``: meet's pairs and the two spelling memos
-        of the document reader."""
+        LRU bounded by ``MEMO_SIZE``: the pairs of the walk that meet and
+        compare read, and the two spelling memos of the document reader."""
         import valtree
 
         cached = {}
@@ -1021,7 +1048,7 @@ class TestMemoPolicy:
                 if value is not None:
                     cached[f"{value.__module__}.{value.__qualname__}"] = value
         assert cached.keys() == {
-            "valtree.valuation.meet", "valtree.jsonio._center_from", "valtree.jsonio._weight_from",
+            "valtree.valuation._walk", "valtree.jsonio._center_from", "valtree.jsonio._weight_from",
         }
         assert all(memo.cache_info().maxsize == MEMO_SIZE for memo in cached.values())
 
