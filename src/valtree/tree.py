@@ -10,7 +10,8 @@ keys a node by the one path object that ``RootedTree.edges`` holds, parents firs
 
 The forked interval (a totally ordered segment with two incomparable tops)
 is kept as its own poset type: it satisfies the chain axioms but has a
-two-element subset with no infimum, so it is deliberately not a tree.
+two-element subset with no infimum, so it is deliberately not a tree.  One
+checker of the tree axioms T1-T4 serves both.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 from operator import index
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .poly import MEMO_SIZE, Record
 from .rationals import ExtRat, Infinity, ONE, ZERO, is_inf
@@ -374,52 +375,50 @@ class AxiomReport(Record):
         return self.t1 and self.t2 and self.t3 and self.t4
 
 
-def _is_lower_bound(r: TreePoint, pts: Iterable[TreePoint]) -> bool:
-    return all(t_leq(r, p) for p in pts)
+def _axiom_report(points: Sequence, leq, values: Sequence, bottom, meet, n_pool: int) -> AxiomReport:
+    """T1-T4 on a finite list of distinct points, from their order, chain
+    values, bottom and two-point meet (None where there is no infimum).
 
+    Down-sets are bitmasks from n^2 ``leq`` calls, so the order is checked
+    against the meet.  T1: ``bottom`` lies below every point and only itself
+    below itself.  T2, T3: every pair below a point is comparable, as its
+    values are.  T4, per set of one or two of the first ``n_pool`` points:
+    the meet is a listed lower bound above every pool lower bound.  Sets of
+    three need none: their meet is ``meet(meet(a, b), c)``; when ``meet(a,
+    b)`` is in the pool (the meet of two nodes is a node) and both pairs
+    pass, a transitive order puts that point below a, b and c and above
+    every pool point below all three."""
+    n, position = len(points), {p: i for i, p in enumerate(points)}
+    down, up = [0] * n, [0] * n
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            if leq(p, q):
+                down[j] |= 1 << i
+                up[i] |= 1 << j
+    at_least = [sum(1 << j for j, w in enumerate(values) if v <= w) for v in values]
+    t1 = all(leq(bottom, p) for p in points) and all(p == bottom for p in points if leq(p, bottom))
+    # (the others below a point q, i) for each i below each q
+    pairs = [(below & ~(1 << i), i) for below in down for i in range(n) if below >> i & 1]
+    t2 = not any(others & ~(down[i] | up[i]) for others, i in pairs)
+    t3 = not any(others & (up[i] ^ at_least[i]) for others, i in pairs)
+    pool = (1 << n_pool) - 1
 
-def tree_axiom_report(tree: RootedTree, seed: int = 0, samples: int = 40) -> AxiomReport:
-    """Check T1-T4 on a finite tree skeleton: T2 and T3 on sampled chains,
-    T4 exhaustively over every set of at most three nodes."""
-    rng = random.Random(seed)
-    psi = PathParam(tree)
-    pts = tree.grid_points(2)
-    root = tree.root_point()
-    t1 = all(t_leq(root, p) for p in pts) and all(
-        p == root for p in pts if t_leq(p, root)
-    )
-    t2 = t3 = True
-    for _ in range(samples):
-        q = rng.choice(pts)
-        below = [r for r in pts if t_leq(r, q)]
-        picks = rng.sample(below, min(len(below), 4))
-        for r1, r2 in itertools.combinations(picks, 2):
-            if not (t_leq(r1, r2) or t_leq(r2, r1)):
-                t2 = False
-            if t_leq(r1, r2) != (psi.psi(r1) <= psi.psi(r2)):
-                t3 = False
-    nodes = tree.node_points()
+    def t4_fails(subset: Tuple[int, ...]) -> bool:
+        i, j = subset[0], subset[-1]
+        k = position.get(points[i] if i == j else meet(points[i], points[j]))
+        common = down[i] & down[j]
+        return k is None or not common >> k & 1 or bool(common & pool & ~down[k])
 
-    def t4_fails(subset: Tuple[TreePoint, ...]) -> bool:
-        m = subset[0]
-        for p in subset[1:]:
-            m = t_meet(m, p)
-        if not _is_lower_bound(m, subset):
-            return True
-        return any(
-            _is_lower_bound(c, subset) and not t_leq(c, m) for c in nodes
-        )
-
-    witness = next(
-        (
-            subset
-            for size in (1, 2, 3)
-            for subset in itertools.combinations(nodes, size)
-            if t4_fails(subset)
-        ),
-        None,
-    )
+    sets = itertools.chain(zip(range(n_pool)), itertools.combinations(range(n_pool), 2))
+    witness = next((tuple(points[i] for i in s) for s in sets if t4_fails(s)), None)
     return AxiomReport(t1, t2, t3, witness is None, witness)
+
+
+def tree_axiom_report(tree: RootedTree) -> AxiomReport:
+    """T1-T3 on a finite tree's grid points, T4 on its nodes, the grid's first."""
+    pts, psi = tree.grid_points(2), PathParam(tree)
+    values = [psi.psi(p) for p in pts]
+    return _axiom_report(pts, t_leq, values, tree.root_point(), t_meet, len(tree.edges) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -487,28 +486,17 @@ def fi_no_infimum_schedule(steps: int = 50) -> List[Fraction]:
 def fi_axiom_report(samples: int = 40, seed: int = 0) -> AxiomReport:
     """T1-T3 hold on the forked interval; T4 fails on {X, Y}.
 
-    The order is tabled once, ``leq[i][j]`` for every pair of sample points,
-    and so are their chain values, as integers over 64: a sample t/64 has t,
-    and the tops share 64, which is fine because a chain holds at most one
-    of X, Y.  T2 and T3 then check every pair below every point on them."""
+    The drawn ticks are deduplicated, so X, Y and at most 64 points t/64
+    are checked, whatever ``samples`` is.  Their chain values are integers
+    over 64: a point t/64 has t, and the tops share 64, which is fine
+    because a chain holds at most one of X, Y."""
     rng = random.Random(seed)
-    poset = ForkedIntervalPoset()
-    ticks = [rng.randrange(0, 64) for _ in range(samples)]
+    ticks = list(dict.fromkeys(rng.randrange(0, 64) for _ in range(samples)))
     pts = [FI_X, FI_Y] + [fi_seg(Fraction(t, 64)) for t in ticks]
-    values = [64, 64] + ticks
-    bottom = fi_seg(0)
-    t1 = all(poset.leq(bottom, p) for p in pts)
-    leq = [[poset.leq(p, q) for q in pts] for p in pts]
-    t2 = t3 = True
-    for k in range(len(pts)):
-        below = [i for i, row in enumerate(leq) if row[k]]
-        for i, j in itertools.combinations(below, 2):
-            if not (leq[i][j] or leq[j][i]):
-                t2 = False
-            if leq[i][j] != (values[i] <= values[j]):
-                t3 = False
-    t4 = fi_infimum([FI_X, FI_Y]) is not None
-    return AxiomReport(t1, t2, t3, t4, witness=None if t4 else (FI_X, FI_Y))
+    return _axiom_report(
+        pts, ForkedIntervalPoset().leq, [64, 64] + ticks, fi_seg(0),
+        lambda p, q: fi_infimum([p, q]), len(pts),
+    )
 
 
 # ---------------------------------------------------------------------------

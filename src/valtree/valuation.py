@@ -883,6 +883,13 @@ def _monomial_meet(
     normalized chains that agree in centers and multiplicities up to a
     level where both are there have the same curve weight, so their
     multiplicities agree there too.
+
+    The smaller side is never at its terminal level: undoing any chart from
+    a divisorial's terminal values (g, g) leaves a minimum of g, so its last
+    center has multiplicity g too; no multiplicity rises from a level to the
+    next; level 0 is 1 on both normalized sides.  So the two first differ
+    past level 0, where a terminal level repeats the shared multiplicity
+    before it, which the other side's does not exceed.
     """
     q = math.lcm(q_a, q_b)
     (c_a, m_a, e_a), (c_b, m_b, e_b) = level_a, level_b
@@ -890,8 +897,6 @@ def _monomial_meet(
     m_a, m_b = m_a * k_a, m_b * k_b
     # each level's center names the one direction valued above its multiplicity
     small, small_c = (side_a, c_a) if m_a < m_b else (side_b, c_b)
-    if small_c is TERMINAL:
-        return small
     y_a = m_a if c_a != small_c else None if e_a is None else e_a * k_a
     y_b = m_b if c_b != small_c else None if e_b is None else e_b * k_b
     form = _euclid_form(prefix, small_c, min(m_a, m_b), _min_num(y_a, y_b), q)

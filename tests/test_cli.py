@@ -523,15 +523,20 @@ class TestInputLimits:
         assert code == 0 and json.loads(out)["t4"]
 
     def test_tree_check_samples_on_the_forked_interval_are_limited(self, capsys, fork_file, tree_file):
-        limit = cli_module.MAX_POSET_SAMPLES
-        assert limit == 400
-        code, out, err = run(capsys, "tree", "check", "--tree", fork_file, "--samples", str(limit + 1))
-        assert (code, out) == (2, "")
-        assert err.splitlines()[-1] == "error: tree check --samples is limited to 400 on the forked interval"
-        code, out, _ = run(capsys, "tree", "check", "--tree", fork_file, "--samples", str(limit), "--json")
-        assert code == 1 and json.loads(out)["t1"] and not json.loads(out)["t4"]
-        # the limit is the forked interval's: a tree takes more samples
-        code, _, _ = run(capsys, "tree", "check", "--tree", tree_file, "--samples", str(limit + 1))
+        """Only ``MAX_SAMPLES`` limits them: the report checks the at most 66
+        distinct points that its 64 ticks give, so 10,000 samples answer as
+        400 and 6 do."""
+        limit = cli_module.MAX_SAMPLES
+        assert limit == 10_000
+        outs = []
+        for samples in (limit, 400, 6):
+            code, out, _ = run(capsys, "tree", "check", "--tree", fork_file, "--samples", str(samples), "--json")
+            assert code == 1 and json.loads(out)["t1"] and not json.loads(out)["t4"]
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        last = self.refused(capsys, "tree", "check", "--tree", fork_file, "--samples", str(limit + 1))
+        assert last.endswith(f"error: argument --samples: samples are limited to {limit}")
+        code, _, _ = run(capsys, "tree", "check", "--tree", tree_file, "--samples", "401")
         assert code == 0
 
     @pytest.mark.skipif(

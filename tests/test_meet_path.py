@@ -12,6 +12,7 @@ and the order the canonical forms decide.
 """
 
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -351,3 +352,25 @@ class TestNoPointBuilt:
             canonicalize(w)
         assert built == []
         assert len(monomial) >= 20  # meet's monomial case, which hands a level's center on, is reached
+
+
+class TestTerminalNeverSmaller:
+    def test_the_levels_behind_monomial_meets_center(self):
+        """The two facts by which ``_monomial_meet``'s smaller side is never
+        at its terminal level, over ``_chain``'s levels of the
+        ``gen_qmv(max_depth=6)`` programs of seeds 0-199 and of the deep
+        pairs: no multiplicity rises from a level to the next, level 0 being
+        1, and a divisorial's terminal multiplicity is its last center's."""
+        programs = [gen_qmv(seed, max_depth=6) for seed in range(200)]
+        programs += [nu for pair in deep_pairs() for nu in pair]
+        repeated = 0
+        for nu in programs:
+            q, steps, levels = valuation._chain(valuation._canonicalize_raw(nu))
+            chain = list(itertools.islice(levels, len(steps) + 2))
+            ms = [m for _, m, _ in chain]
+            assert ms[0] == q
+            assert ms == sorted(ms, reverse=True)
+            if chain[-1][0] is valuation.TERMINAL and steps:
+                assert ms[-1] == ms[-2]
+                repeated += 1
+        assert repeated >= 200

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import axiom_reference
+from valtree import tree as tree_module
 from valtree.rationals import INF, ONE, is_inf
 from valtree.testkit import DEFAULT_SEED, brute_meet_oracle, gen_tree
 from valtree.tree import (
@@ -372,6 +374,71 @@ class TestAxioms:
         poset = ForkedIntervalPoset()
         assert not poset.leq(FI_X, FI_Y)
         assert not poset.leq(FI_Y, FI_X)
+
+
+def forty_node_trees():
+    """The 40-node star and chain, unit edges."""
+    return [build_star(39), RootedTree({(0,) * k: ONE for k in range(1, 40)})]
+
+
+class TestOneAxiomChecker:
+    """The reports of the one checker, ``tree._axiom_report``, against the
+    two reports it replaced (``tests/axiom_reference.py``)."""
+
+    def test_trees_agree_with_the_reference(self):
+        for tree in [gen_tree(seed, max_nodes=20) for seed in range(200)] + forty_node_trees():
+            assert tree_axiom_report(tree) == axiom_reference.tree_axiom_report(tree)
+
+    @pytest.mark.parametrize("samples", [1, 2, 63, 64, 65, 100, 400])
+    def test_forked_interval_agrees_with_the_reference(self, samples):
+        for seed in range(10):
+            assert fi_axiom_report(samples, seed) == axiom_reference.fi_axiom_report(samples, seed)
+
+    @pytest.mark.parametrize("samples", [800, 10_000])
+    def test_forked_interval_past_its_ticks(self, samples):
+        assert fi_axiom_report(samples) == AxiomReport(True, True, True, False, (FI_X, FI_Y))
+
+    def test_the_order_is_asked_quadratically_often(self, monkeypatch):
+        """On the 40-node star and chain (118 grid points, 40 nodes), the
+        checker asks the order n^2 times for the down-sets, 2n times for T1
+        and at most twice per set of T4."""
+        for tree in forty_node_trees():
+            calls = []
+            monkeypatch.setattr(tree_module, "t_leq", lambda p, q: calls.append(1) or t_leq(p, q))
+            assert tree_axiom_report(tree).all_pass()
+            n, pool = len(tree.grid_points(2)), len(tree.node_paths())
+            assert (n, pool) == (118, 40)
+            assert len(calls) <= n * n + 2 * n + pool * (pool + 1)
+
+    def test_mutations_fail_as_the_reference_does(self, monkeypatch):
+        """Patched into both checkers, a ``t_leq`` that drops one ancestor
+        (a pair of grid points) and a ``t_meet`` that answers the true meet's
+        parent give the reference's T4 and witness, and fail each of T1-T3
+        wherever the reference does; between them they fail all four."""
+        rng = random.Random(DEFAULT_SEED)
+        fails = dict.fromkeys(("t1", "t2", "t3", "t4"), 0)
+        for seed in range(200):
+            tree = gen_tree(seed, max_nodes=20)
+            pts = tree.grid_points(2)
+            below, above = rng.choice([(p, q) for p in pts for q in pts if p != q and t_leq(p, q)])
+
+            def dropped(p, q):
+                return False if (p, q) == (below, above) else t_leq(p, q)
+
+            def parent_meet(p, q):
+                m = t_meet(p, q)
+                return m if m.is_root() else tree.node_point(m.path[:-1])
+
+            for name, mutant in (("t_leq", dropped), ("t_meet", parent_meet)):
+                with monkeypatch.context() as patch:
+                    for module in (tree_module, axiom_reference):
+                        patch.setattr(module, name, mutant)
+                    got, want = tree_axiom_report(tree), axiom_reference.tree_axiom_report(tree)
+                assert (got.t4, got.witness) == (want.t4, want.witness)
+                for axiom in fails:
+                    assert getattr(want, axiom) or not getattr(got, axiom)
+                    fails[axiom] += not getattr(got, axiom)
+        assert all(fails.values()), fails
 
 
 class TestBallsAndStars:
