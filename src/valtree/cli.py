@@ -23,7 +23,9 @@ import sys
 from typing import List, Optional
 
 from .jsonio import (
+    ArrayDocument,
     FormatError,
+    canonical_document,
     canonical_to_json,
     format_fi_point,
     format_point,
@@ -92,13 +94,17 @@ _INT_TEXT_LIMIT = "integer string conversion"
 def _show(args, doc, text=None) -> None:
     """Print ``doc`` as JSON under ``--json``, else ``text``: a line, or lines
     printed as they are made (with no text, ``doc`` in both modes).  A doc of
-    None prints nothing, and a function in its place is called only if shown."""
+    None prints nothing, a function in its place is called only if shown,
+    and a ``jsonio.ArrayDocument`` is written as its array is made."""
     if not args.json and text is not None:
         for line in [text] if isinstance(text, str) else text:
             print(line)
         return
     doc = doc() if callable(doc) else doc
-    if doc is not None:
+    if isinstance(doc, ArrayDocument):
+        doc.write(sys.stdout)
+        print()
+    elif doc is not None:
         print(json.dumps(doc))
 
 
@@ -246,7 +252,7 @@ def _cmd_val_inf(args) -> int:
 
 def _cmd_val_canon(args) -> int:
     (nu,) = _take_vals(args, 1, 1, normal=True)
-    _show(args, canonical_to_json(canonicalize(nu)))
+    _show(args, canonical_document(canonicalize(nu)))
     return 0
 
 
@@ -259,18 +265,16 @@ def _cmd_val_stream(args) -> int:
     n = len(form.steps) + (is_inf(lam) and all(form.terminal.direction.as_pair()))
     rows = zip(range(n), stream)  # takes no entry past the last row
 
-    # a long chain's document and its text each take much memory, so each
-    # is made only in its own mode, and the rows only as the stream yields them
-    def doc():
-        doc = {
-            "rows": [{"level": i, "center": str(c), "m": format_rat(m)} for i, (c, m) in rows],
-            "lambda": format_extrat(lam),
-            "canonical": canonical_to_json(form),
-        }
-        if is_inf(lam):
-            center, m = next(stream)
-            doc["tail"] = {"center": str(center), "m": format_rat(m)}
+    # in either mode the rows are printed as the stream yields them
+    def tail():
+        end = next(stream) if is_inf(lam) else None
+        stream.close()  # frees the level values before the canonical form is made
+        doc = {"lambda": format_extrat(lam), "canonical": canonical_to_json(form)}
+        if end is not None:
+            doc["tail"] = {"center": str(end[0]), "m": format_rat(end[1])}
         return doc
+
+    elements = ({"level": i, "center": str(c), "m": format_rat(m)} for i, (c, m) in rows)
 
     def text():
         yield "level  center  m"
@@ -283,7 +287,7 @@ def _cmd_val_stream(args) -> int:
         yield f"lambda = {format_extrat(lam)}"
         yield f"canonical: {json.dumps(canonical_to_json(form))}"
 
-    _show(args, doc, text())
+    _show(args, ArrayDocument("rows", elements, tail), text())
     return 0
 
 

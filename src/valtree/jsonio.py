@@ -12,7 +12,13 @@ that names the document and the field.
 A valuation document's steps and weights are read in one checked pass.
 Centers and weights go through bounded spelling memos (``_center_from``,
 ``_weight_from``), so a batch of documents parses each spelling once; only
-plain strings reach them.
+plain strings reach them.  A document of more steps than a canonical chain
+may keep, ``MAX_CHAIN_STEPS`` and one more that a curve folds into its
+direction, is refused with the step limit's ``ChainTooLongError`` before
+any step is read.
+
+A document whose bulk is one array, such as a long chain's canonical form,
+can be written as an ``ArrayDocument``, element by element as each is made.
 """
 
 from __future__ import annotations
@@ -20,15 +26,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple, Union
+from itertools import islice
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from .poly import IDENTITY_FRAME, MEMO_SIZE, LinearFrame
 from .rationals import (
     INF, ExtRat, format_extrat, format_rat, parse_extrat, parse_int, parse_rat,
 )
 from .tree import PathParam, RootedTree, TreePoint, FIPoint, FI_X, FI_Y, fi_seg
+from . import valuation
 from .valuation import (
     CanonicalForm,
+    ChainTooLongError,
     Curve,
     Divisorial,
     INF_POINT,
@@ -97,12 +106,17 @@ def _member(obj: dict, key: str, kind: type, where: str):
     return _typed(obj[key], kind, path)
 
 
-def _steps_from(data: dict) -> Tuple[ProjPoint, ...]:
+def _steps_from(data: dict, spare: int) -> Tuple[ProjPoint, ...]:
     """The centers of a document's steps, read in one pass through the
-    spelling memo ``_center_from``.  The first step that is not an object
-    with a well-spelled string center raises, naming itself by its index."""
+    spelling memo ``_center_from``.  More than ``MAX_CHAIN_STEPS + spare``
+    steps raise the step limit's ``ChainTooLongError`` before any is read,
+    where spare counts the centers the canonical form may fold away; else
+    the first step that is not an object with a well-spelled string center
+    raises, naming itself by its index."""
+    steps = _typed(data.get("steps", ()), list, "steps")
+    valuation._limit(len(steps) - spare)
     centers = []
-    for s in _typed(data.get("steps", ()), list, "steps"):
+    for s in steps:
         text = s.get("center") if type(s) is dict else None
         if type(text) is not str:  # raises, naming the step, unless a str subclass
             where = f"steps[{len(centers)}]"
@@ -188,6 +202,46 @@ def _steps_to_json(steps: Tuple[ProjPoint, ...]) -> list:
     return out
 
 
+class ArrayDocument:
+    """The JSON object ``{key: [*elements], **tail()}``, whose bulk is the
+    one array, for ``write`` to print as the array is made.
+
+    ``tail`` is called once the last element is written, so its members may
+    read what making the elements found."""
+
+    __slots__ = ("key", "elements", "tail")
+
+    def __init__(self, key: str, elements: Iterable, tail: Callable[[], dict]):
+        self.key, self.elements, self.tail = key, elements, tail
+
+    def write(self, out) -> None:
+        """Write the bytes ``json.dumps`` gives the object to the text stream
+        out: the head, then each element as ``json.dumps(element)`` joined by
+        ``", "``, then the tail's members, with json's default separators.
+        The elements are encoded ``_BATCH`` at a time, as ``json.dumps`` of
+        the batch less its brackets, which is the same text, so neither a
+        list of all the elements nor the whole text is built."""
+        import json  # here, so that importing the library does not load it
+
+        dumps, write = json.dumps, out.write
+        write(f"{{{dumps(self.key)}: [")
+        elements, sep = iter(self.elements), ""
+        batch = list(islice(elements, _BATCH))
+        while batch:
+            write(sep)
+            write(dumps(batch)[1:-1])
+            sep = ", "
+            batch = list(islice(elements, _BATCH))
+        write("]")
+        for key, value in self.tail().items():
+            write(f", {dumps(key)}: {dumps(value)}")
+        write("}")
+
+
+# the elements an ArrayDocument encodes in one call of json.dumps
+_BATCH = 4096
+
+
 def valuation_to_json(nu: QuasiMonomialVal) -> dict:
     return {
         "steps": _steps_to_json(nu.steps),
@@ -200,7 +254,9 @@ def valuation_from_json(data: dict) -> QuasiMonomialVal:
     if not isinstance(data, dict):
         raise FormatError("valuation must be a JSON object")
     try:
-        steps = _steps_from(data)
+        # a curve's canonical form folds its last center into its direction
+        weights = w1, w2 = _weights_from(data)
+        steps = _steps_from(data, w1 is INF or w2 is INF)
         frame_rows = data.get("frame")
         frame = (
             IDENTITY_FRAME
@@ -213,31 +269,36 @@ def valuation_from_json(data: dict) -> QuasiMonomialVal:
                 )
             )
         )
-        return QuasiMonomialVal(steps, frame, _weights_from(data))
-    except FormatError:
+        return QuasiMonomialVal(steps, frame, weights)
+    except (FormatError, ChainTooLongError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed valuation: {exc}") from exc
 
 
-def canonical_to_json(form: CanonicalForm) -> dict:
-    t = form.terminal
+def _terminal_to_json(t: Union[Divisorial, Curve]) -> dict:
     if isinstance(t, Divisorial):
-        terminal = {"divisorial": format_rat(t.gamma)}
-    else:
-        terminal = {
-            "curve": {
-                "direction": format_direction(t.direction),
-                "weight": format_rat(t.gamma),
-            }
-        }
-    return {"steps": _steps_to_json(form.steps), "terminal": terminal}
+        return {"divisorial": format_rat(t.gamma)}
+    return {"curve": {"direction": format_direction(t.direction), "weight": format_rat(t.gamma)}}
+
+
+def canonical_to_json(form: CanonicalForm) -> dict:
+    return {"steps": _steps_to_json(form.steps), "terminal": _terminal_to_json(form.terminal)}
+
+
+def canonical_document(form: CanonicalForm) -> ArrayDocument:
+    """``canonical_to_json(form)`` as an ``ArrayDocument``: its step objects
+    are made as the form's centers are read, one per distinct center as
+    ``_steps_to_json`` makes them, and no list of them is built."""
+    made: Dict[ProjPoint, dict] = {}
+    steps = (made.get(p) or made.setdefault(p, {"center": str(p)}) for p in form.steps)
+    return ArrayDocument("steps", steps, lambda: {"terminal": _terminal_to_json(form.terminal)})
 
 
 def canonical_from_json(data: dict) -> CanonicalForm:
     _typed(data, dict, "canonical form")
     try:
-        steps = _steps_from(data)
+        steps = _steps_from(data, 0)
         t = _member(data, "terminal", dict, "")
         if "divisorial" in t:
             gamma = _member(t, "divisorial", str, "terminal")
@@ -251,7 +312,7 @@ def canonical_from_json(data: dict) -> CanonicalForm:
                 _number(parse_rat, _member(c, "weight", str, "terminal.curve"), "terminal.curve.weight"),
             )
         return CanonicalForm(steps, terminal)
-    except FormatError:
+    except (FormatError, ChainTooLongError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed canonical form: {exc}") from exc

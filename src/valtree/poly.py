@@ -48,14 +48,16 @@ def _coerce(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
-# The one memo policy of the package, and its one bound:
+# The one memo policy of the package, and its bounds:
 #
 # * a memo that derives from one object lives on that object and is freed
 #   with it (a record's hash, kept by ``_cached_hash`` below on the first
 #   ``hash``; a valuation's record and canonical form);
-# * a module-level memo is a ``functools.lru_cache(maxsize=MEMO_SIZE)``, so
-#   ``cache_info()`` reports it: ``valuation._walk``, and the spelling memos
-#   ``jsonio._center_from`` and ``jsonio._weight_from``, keyed by strings only;
+# * a module-level memo is a ``functools.lru_cache``, so ``cache_info()``
+#   reports it: the spelling memos ``jsonio._center_from`` and
+#   ``jsonio._weight_from``, keyed by strings only and bounded by
+#   ``MEMO_SIZE``, and ``valuation._walk``, which keeps only its last walk,
+#   since an entry holds two whole chains and no caller asks for an older one;
 # * a per-object table that can grow stops storing at ``MEMO_SIZE`` entries
 #   (a tree's grids, a parametrization's reciprocals).
 MEMO_SIZE = 1024
@@ -137,16 +139,6 @@ class BivarPoly:
         raise AttributeError("BivarPoly is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, terms: dict) -> "BivarPoly":
-        """Wrap terms as they are, skipping the checks and copy of ``__init__``.
-
-        Precondition: every key is a pair of nonnegative ints and every value
-        a nonzero ``Fraction``; the dict is not mutated afterwards."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", terms)
-        return poly
 
     @classmethod
     def zero(cls) -> "BivarPoly":

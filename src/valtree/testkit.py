@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from itertools import chain, islice
+from typing import Dict, Iterator, List, Tuple
 
 from .poly import BivarPoly, Record
 from .rationals import INF, ONE
@@ -58,37 +59,59 @@ def _randint(getrandbits, a: int, b: int) -> int:
 _SIGNED = tuple(tuple(Fraction(u * c) for c in range(1, 65)) for u in (1, -1))
 
 
-def _poly_from_rng(
+def _polys_from_rng(
     rng: random.Random, max_deg: int, max_terms: int, coeff_bound: int
-) -> BivarPoly:
-    """Draws as ``randint(1, max_terms)`` terms of ``r = randint(0, max_deg)``,
+) -> Iterator[BivarPoly]:
+    """Polynomials drawn one after another from rng, each as
+    ``randint(1, max_terms)`` terms of ``r = randint(0, max_deg)``,
     ``s = randint(0, max_deg - r)`` and ``randint(1, coeff_bound) *
-    choice((1, -1))``, a later term overwriting an earlier one at (r, s)."""
+    choice((1, -1))``, a later term overwriting an earlier one at (r, s).
+
+    The one loop behind every batch: the bit widths are found once, and each
+    polynomial's terms are set through the ``terms`` slot, without the checks
+    and copy of ``BivarPoly.__init__``: each key is a pair of nonnegative
+    ints and each value a nonzero ``Fraction``.  The bounds are checked at
+    the first draw."""
     if max_deg < 0 or max_terms < 1 or coeff_bound < 1:
         raise ValueError("bounds must be positive")
     bits = rng.getrandbits
     n_r = max_deg + 1
     k_r = n_r.bit_length()
+    k_t = max_terms.bit_length()
     k_c = coeff_bound.bit_length()
-    terms = {}
-    for _ in range(_randint(bits, 1, max_terms)):
-        r = bits(k_r)
-        while r >= n_r:
+    new, set_terms = object.__new__, BivarPoly.terms.__set__
+    while True:
+        count = bits(k_t)
+        while count >= max_terms:
+            count = bits(k_t)
+        terms = {}
+        for _ in range(count + 1):
             r = bits(k_r)
-        n_s = n_r - r
-        k = n_s.bit_length()
-        s = bits(k)
-        while s >= n_s:
+            while r >= n_r:
+                r = bits(k_r)
+            n_s = n_r - r
+            k = n_s.bit_length()
             s = bits(k)
-        c = bits(k_c)
-        while c >= coeff_bound:
+            while s >= n_s:
+                s = bits(k)
             c = bits(k_c)
-        sign = bits(2)
-        while sign >= 2:
+            while c >= coeff_bound:
+                c = bits(k_c)
             sign = bits(2)
-        row = _SIGNED[sign]
-        terms[(r, s)] = row[c] if c < len(row) else Fraction((1 - 2 * sign) * (c + 1))
-    return BivarPoly._trusted(terms)
+            while sign >= 2:
+                sign = bits(2)
+            row = _SIGNED[sign]
+            terms[(r, s)] = row[c] if c < len(row) else Fraction((1 - 2 * sign) * (c + 1))
+        poly = new(BivarPoly)
+        set_terms(poly, terms)
+        yield poly
+
+
+def _poly_from_rng(
+    rng: random.Random, max_deg: int, max_terms: int, coeff_bound: int
+) -> BivarPoly:
+    """The next polynomial ``_polys_from_rng`` draws from rng."""
+    return next(_polys_from_rng(rng, max_deg, max_terms, coeff_bound))
 
 
 def gen_poly(
@@ -102,8 +125,7 @@ def sample_polys(
     seed: int, n: int, max_deg: int = 4, max_terms: int = 5, coeff_bound: int = 10
 ) -> List[BivarPoly]:
     """n seeded polynomials from one generator stream."""
-    rng = random.Random(seed)
-    return [_poly_from_rng(rng, max_deg, max_terms, coeff_bound) for _ in range(n)]
+    return list(islice(_polys_from_rng(random.Random(seed), max_deg, max_terms, coeff_bound), n))
 
 
 def _rat_from_rng(rng: random.Random, denom_bound: int, lo: int = 1, hi: int = 6) -> Fraction:
@@ -291,12 +313,7 @@ def sampling_leq_oracle(
     """Search for phi with nu(phi) > mu(phi), refuting nu <= mu."""
     if n <= 0:
         raise ValueError("sample count must be positive")
-    rng = random.Random(seed)
-    for phi in _PROBES:
-        if evaluate(nu, phi) > evaluate(mu, phi):
-            return Counterexample(phi)
-    for _ in range(n):
-        phi = _poly_from_rng(rng, 4, 5, 9)
+    for phi in chain(_PROBES, islice(_polys_from_rng(random.Random(seed), 4, 5, 9), n)):
         if evaluate(nu, phi) > evaluate(mu, phi):
             return Counterexample(phi)
     return ConsistentWithLeq()

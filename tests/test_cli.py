@@ -420,6 +420,27 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines()[-1] == STEP_LIMIT_ERROR % 999
 
+    @pytest.mark.parametrize("command", [["normalize"], ["eval", "--poly", "y-x"], ["canon"]])
+    def test_step_limit_refuses_a_long_document_as_it_is_read(self, capsys, monkeypatch, command):
+        """Under a limit of 5, a program of 5 centers 1 with the weights 1 and
+        1 is admitted by normalize, eval and canon, and one of 6 is refused by
+        each of them with the limit's message, before any center is read."""
+        from valtree import jsonio
+
+        monkeypatch.setattr(valuation, "MAX_CHAIN_STEPS", 5)
+        read = []
+        center_from = jsonio._center_from
+        monkeypatch.setattr(jsonio, "_center_from", lambda text: read.append(text) or center_from(text))
+        for centers in (5, 6):
+            read.clear()
+            doc = json.dumps({"steps": [{"center": "1"}] * centers, "weights": ["1", "1"]})
+            code, out, err = run(capsys, "val", *command, "--valuation", doc)
+            if centers == 5:
+                assert code == 0 and out and len(read) == 5
+            else:
+                assert code == 2 and out == "" and read == []
+                assert err.splitlines()[-1] == STEP_LIMIT_ERROR % 5
+
     @pytest.mark.parametrize(
         "centers, weights, steps",
         [

@@ -1,13 +1,17 @@
 """Wire formats: field names are contracts, every print re-parses equal."""
 
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from valtree.jsonio import (
     FORKED_INTERVAL_TAG,
+    ArrayDocument,
     FormatError,
+    canonical_document,
     canonical_from_json,
     canonical_to_json,
     format_direction,
@@ -37,6 +41,7 @@ from valtree.valuation import (
     equal_valuations,
     from_canonical,
     monomial,
+    multiplicity_stream,
     normalize,
 )
 
@@ -131,6 +136,62 @@ class TestCanonicalDoc:
             reference = dict(doc, steps=[{"center": str(s)} for s in form.steps])
             assert json.dumps(doc) == json.dumps(reference)
             assert len({id(step) for step in doc["steps"]}) == len(set(form.steps))
+
+
+def written(doc: ArrayDocument) -> str:
+    out = io.StringIO()
+    doc.write(out)
+    return out.getvalue()
+
+
+def as_array_document(doc: dict) -> ArrayDocument:
+    """doc, whose first member is an array, as an ArrayDocument that yields
+    the array's elements one by one and makes its tail only when asked."""
+    key, *rest = doc
+    return ArrayDocument(key, iter(doc[key]), lambda: {k: doc[k] for k in rest})
+
+
+class TestArrayDocument:
+    """The writer prints the bytes of ``json.dumps`` of the whole document."""
+
+    def test_the_pinned_canon_and_stream_documents(self):
+        pinned = json.loads(Path(__file__).with_name("cli_pinned.json").read_text(encoding="utf-8"))
+        names = [n for n in pinned if n.startswith("val-canon") or (n.startswith("val-stream") and n.endswith("-json"))]
+        assert len(names) == 5
+        for name in names:
+            code, out, _ = pinned[name]
+            doc = json.loads(out)
+            assert code == 0 and out == json.dumps(doc) + "\n"
+            assert written(as_array_document(doc)) == out[:-1]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4095, 4096, 4097, 10000])
+    def test_every_batch_length(self, n):
+        """Empty arrays, and arrays that end inside, at and past a batch."""
+        doc = {"rows": [{"level": i, "m": f"{i}/7", "x": [i, None, "é"]} for i in range(n)],
+               "lambda": "inf", "tail": {"center": "0"}}
+        assert written(as_array_document(doc)) == json.dumps(doc)
+        assert written(ArrayDocument("steps", iter(()), dict)) == json.dumps({"steps": []})
+
+    def test_the_tail_is_made_after_the_last_element(self):
+        made = []
+        elements = (made.append(i) or i for i in range(3))
+        doc = ArrayDocument("rows", elements, lambda: {"seen": list(made)})
+        assert written(doc) == json.dumps({"rows": [0, 1, 2], "seen": [0, 1, 2]})
+
+    def test_a_long_chain_and_its_stream(self):
+        """The weights (1, 10^5): canon's document as ``canonical_document``
+        writes it, and the rows of its multiplicity stream."""
+        nu = normalize(monomial(1, 10**5))
+        form = canonicalize(nu)
+        assert len(form.steps) == 10**5 - 1
+        assert written(canonical_document(form)) == json.dumps(canonical_to_json(form))
+        rows = [{"level": i, "center": str(c), "m": str(m)} for i, (c, m) in zip(range(10**5 - 1), multiplicity_stream(nu))]
+        doc = {"rows": rows, "lambda": "100000", "canonical": canonical_to_json(form)}
+        assert written(as_array_document(doc)) == json.dumps(doc)
+
+    def test_canonical_documents_of_every_kind(self):
+        for form in TestCanonicalDoc.long_and_curve_forms():
+            assert written(canonical_document(form)) == json.dumps(canonical_to_json(form))
 
 
 class TestDirections:

@@ -1035,9 +1035,10 @@ class TestMemoPolicy:
     def test_meet_holds_the_one_module_level_cache(self):
         """The scan valbench's ``cache_stats`` makes, over every ``valtree.*``
         module: every module attribute that has ``cache_info``, through
-        ``__wrapped__``.  The package keeps three module-level memos, each an
-        LRU bounded by ``MEMO_SIZE``: the pairs of the walk that meet and
-        compare read, and the two spelling memos of the document reader."""
+        ``__wrapped__``.  The package keeps three module-level memos: the
+        walk that meet and compare read, which keeps only its last pair, and
+        the two spelling memos of the document reader, bounded by
+        ``MEMO_SIZE``."""
         import valtree
 
         cached = {}
@@ -1050,7 +1051,35 @@ class TestMemoPolicy:
         assert cached.keys() == {
             "valtree.valuation._walk", "valtree.jsonio._center_from", "valtree.jsonio._weight_from",
         }
-        assert all(memo.cache_info().maxsize == MEMO_SIZE for memo in cached.values())
+        assert {name: memo.cache_info().maxsize for name, memo in cached.items()} == {
+            "valtree.valuation._walk": 1,
+            "valtree.jsonio._center_from": MEMO_SIZE,
+            "valtree.jsonio._weight_from": MEMO_SIZE,
+        }
+
+    @pytest.mark.parametrize("word", ["LT", "INCOMPARABLE"])
+    def test_one_later_walk_frees_a_long_pair_and_its_meet(self, word):
+        """The walk's memo holds one pair: after one walk of another pair, a
+        pair of chains of about 10^5 steps, their meet and its canonical form
+        are freed.  The weights (1, 10^5) and (1, 10^5 + 1/2) meet at the
+        first; two chains that part after 10^5 centers 0 meet at a built
+        divisorial of 10^5 steps."""
+        if word == "LT":
+            nu, mu = (normalize(monomial(1, 10**5 + h)) for h in (0, Fraction(1, 2)))
+        else:
+            nu, mu = (
+                normalize(from_canonical(CanonicalForm((ZERO_POINT,) * 10**5 + (ProjPoint(c),), Divisorial(1))))
+                for c in (1, 2)
+            )
+        w = meet(nu, mu)
+        assert compare(nu, mu).value == word and len(canonicalize(w).steps) >= 10**5 - 1
+        refs = [weakref.ref(v) for v in (nu, mu, w, canonicalize(w))]
+        del nu, mu, w
+        gc.collect()
+        assert all(r() is not None for r in refs)  # the memo holds the last walk
+        meet(normalize(monomial(1, Fraction(7, 3))), normalize(monomial(1, Fraction(5, 3))))
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
 
     def test_meet_cache_frees_pairs_past_its_bound(self):
         """Past ``MEMO_SIZE`` later meets, a pair's valuations and its meet
