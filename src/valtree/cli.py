@@ -23,10 +23,8 @@ import sys
 from typing import List, Optional
 
 from .jsonio import (
-    ArrayDocument,
     FormatError,
     canonical_document,
-    canonical_to_json,
     format_fi_point,
     format_point,
     is_poset_doc,
@@ -36,6 +34,7 @@ from .jsonio import (
     tree_from_json,
     valuation_from_json,
     valuation_to_json,
+    write_json,
 )
 from .krull import KrullRank2, krull_lift, rank2_eval
 from .poly import BivarPoly, poly_parse
@@ -93,19 +92,19 @@ _INT_TEXT_LIMIT = "integer string conversion"
 
 def _show(args, doc, text=None) -> None:
     """Print ``doc`` as JSON under ``--json``, else ``text``: a line, or lines
-    printed as they are made (with no text, ``doc`` in both modes).  A doc of
-    None prints nothing, a function in its place is called only if shown,
-    and a ``jsonio.ArrayDocument`` is written as its array is made."""
-    if not args.json and text is not None:
-        for line in [text] if isinstance(text, str) else text:
+    printed as they are made (with no text, ``doc`` in both modes).  A line
+    may be a (head, document) pair, printed as the head and the document's
+    JSON, which ``jsonio.write_json`` writes; a doc of None prints nothing."""
+    if args.json or text is None:
+        text = [] if doc is None else [("", doc)]
+    for line in [text] if isinstance(text, str) else text:
+        if isinstance(line, str):
             print(line)
-        return
-    doc = doc() if callable(doc) else doc
-    if isinstance(doc, ArrayDocument):
-        doc.write(sys.stdout)
-        print()
-    elif doc is not None:
-        print(json.dumps(doc))
+        else:
+            head, document = line
+            sys.stdout.write(head)
+            write_json(sys.stdout, document)
+            print()
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +135,28 @@ def _short_numbers(text: str) -> str:
     return text
 
 
-def _json_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.loads(_short_numbers(fh.read()))
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"{path}: {exc}") from exc
-
-
-def _json_text(text: str):
+def _json_document(text: str, where: str):
+    """The document text spells, once ``_short_numbers`` admits it; a malformed
+    or too deeply nested one is an argument error that begins with where."""
     try:
         return json.loads(_short_numbers(text))
     except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"{where}{exc}") from exc
+    except RecursionError:
+        raise argparse.ArgumentTypeError(f"{where}arrays and objects nested too deeply to read") from None
+
+
+def _json_file(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    return _json_document(text, f"{path}: ")
+
+
+def _json_text(text: str):
+    return _json_document(text, "")
 
 
 def _int_value(text: str) -> int:
@@ -246,7 +252,7 @@ def _cmd_val_compare(args) -> int:
 
 
 def _cmd_val_inf(args) -> int:
-    _show(args, canonical_to_json(canonicalize(infimum(_take_vals(args, 2, normal=True)))))
+    _show(args, canonical_document(canonicalize(infimum(_take_vals(args, 2, normal=True)))))
     return 0
 
 
@@ -265,29 +271,35 @@ def _cmd_val_stream(args) -> int:
     n = len(form.steps) + (is_inf(lam) and all(form.terminal.direction.as_pair()))
     rows = zip(range(n), stream)  # takes no entry past the last row
 
-    # in either mode the rows are printed as the stream yields them
-    def tail():
-        end = next(stream) if is_inf(lam) else None
-        stream.close()  # frees the level values before the canonical form is made
-        doc = {"lambda": format_extrat(lam), "canonical": canonical_to_json(form)}
-        if end is not None:
-            doc["tail"] = {"center": str(end[0]), "m": format_rat(end[1])}
-        return doc
+    taken = []  # a curve's repeating entry, taken once the last row is written
 
-    elements = ({"level": i, "center": str(c), "m": format_rat(m)} for i, (c, m) in rows)
+    def canonical():
+        if is_inf(lam):
+            taken.append(next(stream))
+        stream.close()  # frees the level values before the chain is written
+        return canonical_document(form)
+
+    def tail():
+        center, m = taken[0]
+        return {"center": str(center), "m": format_rat(m)}
+
+    # in either mode the rows are printed as the stream yields them
+    doc = {"rows": ({"level": i, "center": str(c), "m": format_rat(m)} for i, (c, m) in rows),
+           "lambda": format_extrat(lam), "canonical": canonical}
+    if is_inf(lam):
+        doc["tail"] = tail
 
     def text():
         yield "level  center  m"
         for i, (center, m) in rows:
             yield f"{i:<6d} {center!s:<7} {format_rat(m)}"
-        if is_inf(lam):
-            center, m = next(stream)
-            yield f"center {center}, m={format_rat(m)} (repeats)"
-        stream.close()  # frees the level values before the canonical line is made
+        document = canonical()
+        if taken:
+            yield "center {center}, m={m} (repeats)".format(**tail())
         yield f"lambda = {format_extrat(lam)}"
-        yield f"canonical: {json.dumps(canonical_to_json(form))}"
+        yield "canonical: ", document
 
-    _show(args, ArrayDocument("rows", elements, tail), text())
+    _show(args, doc, text())
     return 0
 
 
@@ -307,7 +319,7 @@ def _cmd_val_krull(args) -> int:
         head, key = [f"rank-2 refinement, support generator {result.support_generator}"], "poly_values"
     else:
         doc = {"result": "same-rank1", "valuation": valuation_to_json(result.valuation)}
-        head, key = ["same rank 1", json.dumps(doc["valuation"])], "values"
+        head, key = ["same rank 1", ("", doc["valuation"])], "values"
     _show(args, None, head)
     values = []
     # with no --poly, the text of a rank-2 refinement shows the values of x and y

@@ -13,12 +13,13 @@ A valuation document's steps and weights are read in one checked pass.
 Centers and weights go through bounded spelling memos (``_center_from``,
 ``_weight_from``), so a batch of documents parses each spelling once; only
 plain strings reach them.  A document of more steps than a canonical chain
-may keep, ``MAX_CHAIN_STEPS`` and one more that a curve folds into its
-direction, is refused with the step limit's ``ChainTooLongError`` before
-any step is read.
+may keep, ``MAX_CHAIN_STEPS``, is refused with the step limit's
+``ChainTooLongError``: before any step is read where both weights are
+finite, since such a chain keeps every center; once the program is built,
+by its canonical form, where a curve may fold its trailing centers away.
 
-A document whose bulk is one array, such as a long chain's canonical form,
-can be written as an ``ArrayDocument``, element by element as each is made.
+``write_json`` writes every document the CLI prints, so a long one, such as
+a chain's canonical form, is written element by element as each is made.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .poly import IDENTITY_FRAME, MEMO_SIZE, LinearFrame
 from .rationals import (
@@ -106,15 +107,15 @@ def _member(obj: dict, key: str, kind: type, where: str):
     return _typed(obj[key], kind, path)
 
 
-def _steps_from(data: dict, spare: int) -> Tuple[ProjPoint, ...]:
+def _steps_from(data: dict, limited: bool) -> Tuple[ProjPoint, ...]:
     """The centers of a document's steps, read in one pass through the
-    spelling memo ``_center_from``.  More than ``MAX_CHAIN_STEPS + spare``
-    steps raise the step limit's ``ChainTooLongError`` before any is read,
-    where spare counts the centers the canonical form may fold away; else
-    the first step that is not an object with a well-spelled string center
-    raises, naming itself by its index."""
+    spelling memo ``_center_from``.  When limited, more than
+    ``MAX_CHAIN_STEPS`` steps raise the step limit's ``ChainTooLongError``
+    before any is read; else the first step that is not an object with a
+    well-spelled string center raises, naming itself by its index."""
     steps = _typed(data.get("steps", ()), list, "steps")
-    valuation._limit(len(steps) - spare)
+    if limited:
+        valuation._limit(len(steps))
     centers = []
     for s in steps:
         text = s.get("center") if type(s) is dict else None
@@ -187,64 +188,49 @@ def _weight_from(text: str) -> ExtRat:
     return parse_extrat(text)
 
 
-def _steps_to_json(steps: Tuple[ProjPoint, ...]) -> list:
-    """The step objects of a document.  They are shared: one
-    ``{"center": ...}`` per distinct center, however often the chain repeats
-    it, so a long chain costs a list of references; callers must not mutate
-    them."""
+def _step_objects(steps: Iterable[ProjPoint]) -> Iterator[dict]:
+    """The step objects of a document, made as the centers are read.  They
+    are shared: one ``{"center": ...}`` per distinct center, however often
+    the chain repeats it, so a long chain costs references; callers must
+    not mutate them."""
     made: Dict[ProjPoint, dict] = {}
-    out = []
     for point in steps:
-        step = made.get(point)
-        if step is None:
-            step = made[point] = {"center": str(point)}
-        out.append(step)
-    return out
+        yield made.get(point) or made.setdefault(point, {"center": str(point)})
 
 
-class ArrayDocument:
-    """The JSON object ``{key: [*elements], **tail()}``, whose bulk is the
-    one array, for ``write`` to print as the array is made.
+def write_json(out, doc) -> None:
+    """Write to the text stream out the bytes ``json.dumps(doc)`` gives, for
+    a doc of dicts with string keys, lists and scalars in which a dict's
+    member may also be an iterator, written as an array ``_BATCH`` elements
+    per ``json.dumps`` call, or a function, called when its member is
+    reached and its result written in its place.  An array's batch is
+    encoded as ``json.dumps`` of its list less the brackets, which is the
+    same text at the C encoder's speed, so neither a list of all the
+    elements nor the whole text is built."""
+    import json  # here, so that importing the library does not load it
 
-    ``tail`` is called once the last element is written, so its members may
-    read what making the elements found."""
-
-    __slots__ = ("key", "elements", "tail")
-
-    def __init__(self, key: str, elements: Iterable, tail: Callable[[], dict]):
-        self.key, self.elements, self.tail = key, elements, tail
-
-    def write(self, out) -> None:
-        """Write the bytes ``json.dumps`` gives the object to the text stream
-        out: the head, then each element as ``json.dumps(element)`` joined by
-        ``", "``, then the tail's members, with json's default separators.
-        The elements are encoded ``_BATCH`` at a time, as ``json.dumps`` of
-        the batch less its brackets, which is the same text, so neither a
-        list of all the elements nor the whole text is built."""
-        import json  # here, so that importing the library does not load it
-
-        dumps, write = json.dumps, out.write
-        write(f"{{{dumps(self.key)}: [")
-        elements, sep = iter(self.elements), ""
-        batch = list(islice(elements, _BATCH))
-        while batch:
-            write(sep)
-            write(dumps(batch)[1:-1])
-            sep = ", "
-            batch = list(islice(elements, _BATCH))
-        write("]")
-        for key, value in self.tail().items():
-            write(f", {dumps(key)}: {dumps(value)}")
-        write("}")
+    if isinstance(doc, dict):
+        out.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            write_json(out, value() if callable(value) else value)
+        out.write("}")
+    elif isinstance(doc, Iterator):
+        out.write("[")
+        for i, batch in enumerate(iter(lambda: list(islice(doc, _BATCH)), [])):
+            out.write(f"{', ' if i else ''}{json.dumps(batch)[1:-1]}")
+        out.write("]")
+    else:
+        out.write(json.dumps(doc))
 
 
-# the elements an ArrayDocument encodes in one call of json.dumps
+# the elements of an iterator that write_json encodes in one json.dumps call
 _BATCH = 4096
 
 
 def valuation_to_json(nu: QuasiMonomialVal) -> dict:
     return {
-        "steps": _steps_to_json(nu.steps),
+        "steps": list(_step_objects(nu.steps)),
         "frame": [[format_rat(v) for v in row] for row in nu.frame.rows],
         "weights": [format_extrat(w) for w in nu.weights],
     }
@@ -254,9 +240,10 @@ def valuation_from_json(data: dict) -> QuasiMonomialVal:
     if not isinstance(data, dict):
         raise FormatError("valuation must be a JSON object")
     try:
-        # a curve's canonical form folds its last center into its direction
         weights = w1, w2 = _weights_from(data)
-        steps = _steps_from(data, w1 is INF or w2 is INF)
+        # a curve may fold its trailing centers into its direction, so only
+        # its canonical form, built below, tells whether a long one is legal
+        steps = _steps_from(data, w1 is not INF and w2 is not INF)
         frame_rows = data.get("frame")
         frame = (
             IDENTITY_FRAME
@@ -269,11 +256,14 @@ def valuation_from_json(data: dict) -> QuasiMonomialVal:
                 )
             )
         )
-        return QuasiMonomialVal(steps, frame, weights)
+        nu = QuasiMonomialVal(steps, frame, weights)
     except (FormatError, ChainTooLongError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed valuation: {exc}") from exc
+    if len(steps) > valuation.MAX_CHAIN_STEPS:  # a curve's, read whole
+        valuation._canonicalize_raw(nu)  # raises at the step limit, else kept on nu
+    return nu
 
 
 def _terminal_to_json(t: Union[Divisorial, Curve]) -> dict:
@@ -283,22 +273,19 @@ def _terminal_to_json(t: Union[Divisorial, Curve]) -> dict:
 
 
 def canonical_to_json(form: CanonicalForm) -> dict:
-    return {"steps": _steps_to_json(form.steps), "terminal": _terminal_to_json(form.terminal)}
+    return {"steps": list(_step_objects(form.steps)), "terminal": _terminal_to_json(form.terminal)}
 
 
-def canonical_document(form: CanonicalForm) -> ArrayDocument:
-    """``canonical_to_json(form)`` as an ``ArrayDocument``: its step objects
-    are made as the form's centers are read, one per distinct center as
-    ``_steps_to_json`` makes them, and no list of them is built."""
-    made: Dict[ProjPoint, dict] = {}
-    steps = (made.get(p) or made.setdefault(p, {"center": str(p)}) for p in form.steps)
-    return ArrayDocument("steps", steps, lambda: {"terminal": _terminal_to_json(form.terminal)})
+def canonical_document(form: CanonicalForm) -> dict:
+    """``canonical_to_json(form)`` for ``write_json``: its step objects are
+    made as they are written, and no list of them is built."""
+    return {"steps": _step_objects(form.steps), "terminal": _terminal_to_json(form.terminal)}
 
 
 def canonical_from_json(data: dict) -> CanonicalForm:
     _typed(data, dict, "canonical form")
     try:
-        steps = _steps_from(data, 0)
+        steps = _steps_from(data, True)
         t = _member(data, "terminal", dict, "")
         if "divisorial" in t:
             gamma = _member(t, "divisorial", str, "terminal")

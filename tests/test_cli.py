@@ -467,6 +467,63 @@ class TestExitCodes:
             assert code == 0
             assert len(json.loads(out)["steps"]) == steps
 
+    @pytest.mark.parametrize(
+        "centers, steps",
+        [
+            (["1"] * 3, 2),  # a curve folds its last center into its direction
+            (["1"] * 4, None),
+            (["0"] * 4, 0),  # every center 0 re-states the curve's own
+            (["1"] + ["0"] * 5, 0),
+            (["0", "1"] + ["0"] * 5, 1),
+            (["1"] * 3 + ["2"] + ["0"] * 5, None),
+        ],
+    )
+    def test_a_curve_is_refused_by_its_canonical_chain(self, capsys, monkeypatch, centers, steps):
+        """Under a limit of 2, a program with an infinite weight is refused
+        only where its canonical chain, which folds the trailing centers of
+        the curve into its direction, has more than 2 steps, however many
+        centers the document holds; steps is None where the CLI must exit 2."""
+        monkeypatch.setattr(valuation, "MAX_CHAIN_STEPS", 2)
+        doc = json.dumps({"steps": [{"center": c} for c in centers], "weights": ["1", "inf"]})
+        for command in (["canon"], ["normalize"], ["eval", "--poly", "y-x"]):
+            code, out, err = run(capsys, "val", *command, "--valuation", doc)
+            if steps is None:
+                assert code == 2 and out == ""
+                assert err.splitlines()[-1] == STEP_LIMIT_ERROR % 2
+            else:
+                assert code == 0 and out
+        if steps is not None:
+            form = json.loads(run(capsys, "val", "canon", "--valuation", doc)[1])
+            assert len(form["steps"]) == steps and "curve" in form["terminal"]
+
+    @staticmethod
+    def nested_tree(depth: int) -> str:
+        """A chain of depth edges, spelled out: json.dumps nests no deeper
+        than json.loads reads."""
+        edge = '{"children": [{"edge": "1", "node": '
+        return '{"nodes": {"root": ' + edge * depth + "{}" + "}]}" * depth + "}}"
+
+    @pytest.mark.parametrize("depth", [330, 400])
+    def test_a_deeply_nested_tree_document_is_2(self, capsys, tmp_path, depth):
+        """Each edge nests three JSON containers, so a tree a few hundred
+        edges deep is deeper than ``json.loads`` reads: argparse reports
+        it, naming the nesting and the file, with no traceback."""
+        path = tmp_path / "deep.json"
+        path.write_text(self.nested_tree(depth))
+        with pytest.raises(SystemExit) as exc:
+            main(["tree", "dist", "--tree", str(path), "--points", "root", "root"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"{path}: arrays and objects nested too deeply to read" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    def test_a_deeply_nested_inline_valuation_is_2(self, capsys):
+        """2,000 nested arrays, a 4 KB argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(["val", "eval", "--poly", "y", "--valuation", "[" * 2000 + "]" * 2000])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1].endswith("argument --valuation: arrays and objects nested too deeply to read")
 
 
 class TestInputLimits:

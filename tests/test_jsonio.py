@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from valtree.cli import main
 from valtree.jsonio import (
     FORKED_INTERVAL_TAG,
-    ArrayDocument,
     FormatError,
     canonical_document,
     canonical_from_json,
@@ -27,6 +27,7 @@ from valtree.jsonio import (
     tree_to_json,
     valuation_from_json,
     valuation_to_json,
+    write_json,
 )
 from valtree.rationals import INF, ONE
 from valtree.testkit import gen_qmv, gen_tree
@@ -40,6 +41,7 @@ from valtree.valuation import (
     canonicalize,
     equal_valuations,
     from_canonical,
+    infimum,
     monomial,
     multiplicity_stream,
     normalize,
@@ -138,21 +140,23 @@ class TestCanonicalDoc:
             assert len({id(step) for step in doc["steps"]}) == len(set(form.steps))
 
 
-def written(doc: ArrayDocument) -> str:
+def written(doc) -> str:
     out = io.StringIO()
-    doc.write(out)
+    write_json(out, doc)
     return out.getvalue()
 
 
-def as_array_document(doc: dict) -> ArrayDocument:
-    """doc, whose first member is an array, as an ArrayDocument that yields
-    the array's elements one by one and makes its tail only when asked."""
+def as_array_document(doc: dict) -> dict:
+    """doc, whose first member is an array, as ``write_json`` takes it: an
+    iterator that yields the array's elements one by one, and functions
+    that make the other members only when they are reached."""
     key, *rest = doc
-    return ArrayDocument(key, iter(doc[key]), lambda: {k: doc[k] for k in rest})
+    return {key: iter(doc[key]), **{k: (lambda v=doc[k]: v) for k in rest}}
 
 
 class TestArrayDocument:
-    """The writer prints the bytes of ``json.dumps`` of the whole document."""
+    """Documents whose bulk is one array: ``write_json`` prints the bytes of
+    ``json.dumps`` of the whole document."""
 
     def test_the_pinned_canon_and_stream_documents(self):
         pinned = json.loads(Path(__file__).with_name("cli_pinned.json").read_text(encoding="utf-8"))
@@ -170,12 +174,12 @@ class TestArrayDocument:
         doc = {"rows": [{"level": i, "m": f"{i}/7", "x": [i, None, "é"]} for i in range(n)],
                "lambda": "inf", "tail": {"center": "0"}}
         assert written(as_array_document(doc)) == json.dumps(doc)
-        assert written(ArrayDocument("steps", iter(()), dict)) == json.dumps({"steps": []})
+        assert written({"steps": iter(())}) == json.dumps({"steps": []})
 
     def test_the_tail_is_made_after_the_last_element(self):
         made = []
         elements = (made.append(i) or i for i in range(3))
-        doc = ArrayDocument("rows", elements, lambda: {"seen": list(made)})
+        doc = {"rows": elements, "seen": lambda: list(made)}
         assert written(doc) == json.dumps({"rows": [0, 1, 2], "seen": [0, 1, 2]})
 
     def test_a_long_chain_and_its_stream(self):
@@ -192,6 +196,33 @@ class TestArrayDocument:
     def test_canonical_documents_of_every_kind(self):
         for form in TestCanonicalDoc.long_and_curve_forms():
             assert written(canonical_document(form)) == json.dumps(canonical_to_json(form))
+
+    def test_a_nested_lazy_member(self):
+        """A function member whose result holds an iterator, as ``val
+        stream``'s ``canonical`` member does, is called after the array
+        before it, and its own array is written as it is made."""
+        made = []
+        doc = {
+            "rows": (made.append(i) or {"level": i} for i in range(5000)),
+            "canonical": lambda: {"steps": iter([{"center": str(len(made))}] * 4097),
+                                  "terminal": {"divisorial": "1"}},
+            "plain": {"empty": {}, "list": [], "nested": {"x": [1, "2", None, True]}},
+        }
+        want = {"rows": [{"level": i} for i in range(5000)],
+                "canonical": {"steps": [{"center": "5000"}] * 4097, "terminal": {"divisorial": "1"}},
+                "plain": doc["plain"]}
+        assert written(doc) == json.dumps(want)
+        assert written({}) == json.dumps({}) and written([{"a": [1]}, "é"]) == json.dumps([{"a": [1]}, "é"])
+
+    def test_val_inf_of_a_long_pair(self, capsys):
+        """``val inf`` of (1, 10^4) and (1, 10^4 + 1/2), whose meet shares
+        thousands of steps, prints ``json.dumps(canonical_to_json(...))``."""
+        docs = ['{"weights":["1","10000"]}', '{"weights":["2","20001"]}']
+        assert main(["val", "inf", "--json", "--valuation", docs[0], "--valuation", docs[1]]) == 0
+        out = capsys.readouterr().out
+        form = canonicalize(infimum([normalize(valuation_from_json(json.loads(d))) for d in docs]))
+        assert len(form.steps) > 5000
+        assert out == json.dumps(canonical_to_json(form)) + "\n"
 
 
 class TestDirections:
